@@ -29,7 +29,7 @@ from raftlab import cli
 from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, ViewAugmentation, make_blobs
 from raftlab.evaluate import EvalReport, linear_evaluation, metrics_report
 from raftlab.model import NetworkSpec, init_params, load_checkpoint
-from raftlab.train import _derived_seeds
+from raftlab.train import derived_seeds
 
 
 def run_arm(cfg_path: Path, out_dir: Path, sample_count: int) -> tuple[EvalReport, float]:
@@ -60,7 +60,7 @@ def run_arm(cfg_path: Path, out_dir: Path, sample_count: int) -> tuple[EvalRepor
         raise RuntimeError(f"training failed for {cfg_path.name} (exit {rc})")
     params = load_checkpoint(out_dir / "checkpoint_final.ckpt")
     report = metrics_report(params, dataset, aug, sample_count=sample_count)
-    init_seed, _ = _derived_seeds(cfg["train"]["master_seed"])
+    init_seed, _ = derived_seeds(cfg["train"]["master_seed"])
     baseline = linear_evaluation(init_params(net, init_seed), dataset)
     return report, baseline
 

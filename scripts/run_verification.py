@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
 """Run the full numerical certification battery and write one JSON report.
 
-Covers, in order:
-  1. weighted two-term objective upper-bounds the crossed objective over
-     random states and an (alpha, beta) grid,
-  2. one-step gradient mirroring at negated-predictor states, with the
-     radial-filter-off negative control,
-  3. 200-step mirrored-trajectory agreement with a moving EMA teacher,
-  4. null-space dimensions of the linear fixed-point system on
+Drives the four `raftlab verify` subcommands in order, each into its own
+directory under --out-dir:
+  1. upper-bound: the weighted two-term objective upper-bounds the crossed
+     objective over random states and an (alpha, beta) grid,
+  2. correspondence: one-step gradient mirroring at negated-predictor
+     states, the radial-filter-off negative control, and mirrored
+     trajectories with a moving EMA teacher,
+  3. sylvester: null-space dimensions of the linear fixed-point system on
      hand-checkable instances, plus agreement of the two second-moment
      estimates under identity augmentations,
-  5. central finite-difference gradient checks of all three objectives,
-  6. the closed-form rescaling gradient vs. the filtered plain gradient.
+  4. gradcheck: central finite-difference gradient checks of all three
+     objectives, and the closed-form rescaling gradient against the
+     filtered plain gradient.
 
-Exit status is 0 iff every check passes at its pinned tolerance.
+verification_report.json collects the `checks` list of every subcommand's
+manifest. Exit status is the highest exit status of the four subcommands:
+0 when every check passes, 1 when one fails, 2 on a bad input.
 """
 
 from __future__ import annotations
@@ -24,42 +28,10 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from raftlab.data import AugmentationSpec, Dataset, SyntheticBlobsSpec, estimate_aug_moments, make_blobs, sample_positive_batch
-from raftlab.losses import LossConfig
-from raftlab.verify import (
-    CONTROL_MIN_DEVIATION,
-    CONTROL_REQUIRED_FRACTION,
-    DEFAULT_VERIFY_NETWORK,
-    FD_REL_TOL,
-    FD_STEP,
-    MARGIN_TOLERANCE,
-    ONESTEP_MATCH_TOL,
-    TRAJECTORY_REL_TOL,
-    TRICK_IDENTITY_TOL,
-    analytic_sylvester_cases,
-    finite_difference_gradcheck,
-    gradient_correspondence_sweep,
-    random_model_state,
-    sylvester_null_space,
-    trajectory_correspondence_experiment,
-    trick_identity_sweep,
-    upper_bound_sweep,
-)
-
-CHECKS = []
-
-
-def check(name: str, ok: bool, detail: str) -> dict:
-    ok = bool(ok)
-    print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    entry = {"name": name, "ok": ok, "detail": detail}
-    CHECKS.append(entry)
-    return entry
+from raftlab import cli
 
 
 def main(argv=None) -> int:
@@ -79,105 +51,41 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.monotonic()
 
-    bound = upper_bound_sweep(trials=args.trials, seed=args.seed)
-    check(
-        "upper-bound", bound.min_margin >= -MARGIN_TOLERANCE,
-        f"min margin {bound.min_margin:.3e} over {bound.trials} states x "
-        f"{len(bound.grid)}^2 weights (tol -{MARGIN_TOLERANCE:.0e})",
-    )
-
-    mirrored = gradient_correspondence_sweep(
-        trials=args.mirror_trials, seed=args.seed, apply_filter=True
-    )
-    worst_mirror = max(max(d.theta_dev, d.w_dev) for d in mirrored)
-    control = gradient_correspondence_sweep(
-        trials=args.mirror_trials, seed=args.seed, apply_filter=False
-    )
-    moved = sum(
-        1 for d in control if max(d.theta_dev, d.w_dev) > CONTROL_MIN_DEVIATION
-    )
-    need = int(np.ceil(CONTROL_REQUIRED_FRACTION * args.mirror_trials))
-    check(
-        "one-step mirror",
-        worst_mirror <= ONESTEP_MATCH_TOL and moved >= need,
-        f"filtered worst dev {worst_mirror:.3e} (tol {ONESTEP_MATCH_TOL:.0e}); "
-        f"filter-off control moved {moved}/{args.mirror_trials} "
-        f"(need >= {need})",
-    )
-
-    traj = trajectory_correspondence_experiment(
-        steps=args.steps, seed=args.seed, optimizer="sgd", ema_tau=0.996
-    )
-    check(
-        "trajectory mirror", traj.within_relative(TRAJECTORY_REL_TOL),
-        f"{args.steps} SGD steps: rel encoder dev "
-        f"{traj.max_theta_dev / traj.theta_scale:.3e}, rel predictor dev "
-        f"{traj.max_w_dev / traj.w_scale:.3e} (tol {TRAJECTORY_REL_TOL:.0e})",
-    )
-
-    details = []
-    exact_ok = True
-    for name, w, a, b, expected in analytic_sylvester_cases(8):
-        got = sylvester_null_space(w, a, b).null_dim
-        exact_ok &= got == expected
-        details.append(f"{name} {got}/{expected}")
-    rng = np.random.default_rng(args.seed)
-    normal = Dataset(
-        samples=rng.normal(size=(args.moment_samples, 3)),
-        labels=np.zeros(args.moment_samples, dtype=int),
-    )
-    est = estimate_aug_moments(
-        normal, AugmentationSpec(), sample_count=args.moment_samples, seed=args.seed
-    )
-    mc_bound = 5.0 / np.sqrt(args.moment_samples)
-    ab_gap = float(np.max(np.abs(est.a - est.b)))
-    check(
-        "null spaces", exact_ok and ab_gap <= mc_bound,
-        f"analytic null dims [{', '.join(details)}]; identity-aug moment gap "
-        f"{ab_gap:.3e} (bound {mc_bound:.3e})",
-    )
-
-    dataset = make_blobs(SyntheticBlobsSpec(per_class=20))
-    grad_rng = np.random.default_rng(args.seed)
-    worst_fd = ("", 0.0)
-    for objective in ("byol", "byol_prime", "raft"):
-        params = random_model_state(DEFAULT_VERIFY_NETWORK, grad_rng)
-        batch = sample_positive_batch(
-            dataset, AugmentationSpec.symmetric(noise_sigma=0.2), 8, 0
-        )
-        err = finite_difference_gradcheck(
-            LossConfig(objective=objective, alpha=1.3, beta=0.8), params, batch,
-            step=FD_STEP,
-        )
-        if err > worst_fd[1]:
-            worst_fd = (objective, err)
-    check(
-        "gradient check", worst_fd[1] <= FD_REL_TOL,
-        f"worst objective '{worst_fd[0]}' rel err {worst_fd[1]:.3e} "
-        f"(tol {FD_REL_TOL:.0e})",
-    )
-
-    trick = trick_identity_sweep(trials=args.mirror_trials, seed=args.seed)
-    check(
-        "rescaling identity", trick <= TRICK_IDENTITY_TOL,
-        f"worst deviation {trick:.3e} over {args.mirror_trials} trials "
-        f"(tol {TRICK_IDENTITY_TOL:.0e})",
-    )
+    battery = {
+        "upper-bound": ["--trials", str(args.trials)],
+        "correspondence": ["--trials", str(args.mirror_trials), "--steps", str(args.steps)],
+        "sylvester": ["--samples", str(args.moment_samples)],
+        "gradcheck": ["--trials", str(args.mirror_trials)],
+    }
+    status = 0
+    checks = []
+    for sub, flags in battery.items():
+        out = args.out_dir / sub
+        manifest = out / "manifest.json"
+        manifest.unlink(missing_ok=True)  # a failed start must not leave a stale verdict
+        status = max(status, cli.main(
+            ["verify", sub, "--seed", str(args.seed), "--out-dir", str(out), *flags]
+        ))
+        if manifest.exists():
+            checks += [
+                {"command": f"verify {sub}", **c}
+                for c in json.loads(manifest.read_text())["checks"]
+            ]
 
     elapsed = time.monotonic() - start
-    all_ok = all(c["ok"] for c in CHECKS)
+    all_ok = status == 0
     print(f"\n{'all checks passed' if all_ok else 'CHECKS FAILED'} in {elapsed:.1f}s")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     report_path = args.out_dir / "verification_report.json"
     report_path.write_text(
         json.dumps(
-            {"checks": CHECKS, "wall_seconds": elapsed, "all_ok": all_ok}, indent=2
+            {"checks": checks, "wall_seconds": elapsed, "all_ok": all_ok}, indent=2
         )
         + "\n"
     )
     print(f"report written to {report_path}")
-    return 0 if all_ok else 1
+    return status
 
 
 if __name__ == "__main__":

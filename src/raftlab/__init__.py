@@ -20,7 +20,7 @@ from .data import (
 )
 from .errors import RaftLabError
 from .evaluate import EvalReport, ProbeConfig, linear_evaluation, metrics_report
-from .losses import LossConfig, LossParts, objective_terms, total_loss
+from .losses import LossConfig, LossParts, objective_terms
 from .model import (
     ModelParams,
     NetworkSpec,
@@ -63,6 +63,5 @@ __all__ = [
     "mirror_predictor",
     "objective_terms",
     "save_checkpoint",
-    "total_loss",
     "train_run",
 ]

@@ -11,7 +11,8 @@
 Every command writes a manifest.json into its output directory recording the
 resolved configuration (flags beat the --config file, which beats defaults),
 the seed, the artifact paths, and wall-clock start/end. Verification commands
-exit 0 only when every assertion passes; configuration and precondition
+print one PASS/FAIL line per check, record each under the manifest's "checks",
+and exit 0 only when every check passes; configuration and precondition
 errors exit 2 with the violated condition named on stderr. RAFTLAB_LOG
 (error, info, debug) controls stderr verbosity.
 """
@@ -33,7 +34,6 @@ from . import __version__, verify
 from .data import (
     AugmentationSpec,
     Dataset,
-    PositiveBatch,
     SyntheticBlobsSpec,
     ViewAugmentation,
     estimate_aug_moments,
@@ -124,14 +124,13 @@ def _augmentation_from(section: dict) -> AugmentationSpec:
     )
 
 
-def _dataset_from(section: dict, seed: int | None = None) -> tuple[Dataset, dict]:
+def _dataset_from(section: dict) -> tuple[Dataset, dict]:
     """Build the dataset named by the config's data section; returns it with
     the resolved description for the manifest."""
     section = dict(section)
     kind = section.pop("kind", "blobs")
     if kind == "blobs":
-        overrides = {"center_seed": seed} if seed is not None else {}
-        spec = _build(SyntheticBlobsSpec, section, overrides, "data")
+        spec = _build(SyntheticBlobsSpec, section, {}, "data")
         return make_blobs(spec), {"kind": "blobs", **dataclasses.asdict(spec)}
     if kind == "cifar10":
         path = section.pop("path", None)
@@ -156,6 +155,18 @@ def _network_from(file_cfg: dict, input_dim: int) -> NetworkSpec:
     return _build(NetworkSpec, section, {}, "network")
 
 
+def _verify_network(file_cfg: dict) -> NetworkSpec:
+    if "network" not in file_cfg:
+        return verify.DEFAULT_VERIFY_NETWORK
+    return _network_from(file_cfg, verify.DEFAULT_VERIFY_NETWORK.input_dim)
+
+
+def _verify_dataset(file_cfg: dict) -> tuple[Dataset, dict]:
+    if "data" not in file_cfg:
+        return make_blobs(SyntheticBlobsSpec()), {"kind": "default-blobs"}
+    return _dataset_from(_section(file_cfg, "data"))
+
+
 def _out_dir(args, default_leaf: str) -> Path:
     out = Path(args.out_dir) if args.out_dir else Path("runs") / default_leaf
     out.mkdir(parents=True, exist_ok=True)
@@ -163,18 +174,30 @@ def _out_dir(args, default_leaf: str) -> Path:
 
 
 class _Manifest:
-    """Collects resolved settings and artifact paths for one run."""
+    """Collects resolved settings, artifact paths and check verdicts for one
+    run."""
 
     def __init__(self, command: str, out_dir: Path, seed: int):
         self.command = command
         self.out_dir = out_dir
         self.seed = seed
         self.artifacts: list[str] = []
+        self.checks: list[dict] = []
         self.start = datetime.now(timezone.utc).isoformat()
 
     def add(self, path: Path) -> Path:
         self.artifacts.append(str(path))
         return path
+
+    def check(self, name: str, passed: bool, detail: str):
+        """Print one PASS/FAIL line and record it as {name, passed, detail}."""
+        passed = bool(passed)
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+        self.checks.append({"name": name, "passed": passed, "detail": detail})
+
+    def exit_status(self) -> int:
+        """0 when every recorded check passed, else 1."""
+        return 0 if all(c["passed"] for c in self.checks) else 1
 
     def write(self, resolved_config: dict):
         payload = {
@@ -183,6 +206,7 @@ class _Manifest:
             "seed": self.seed,
             "out_dir": str(self.out_dir),
             "artifacts": self.artifacts,
+            "checks": self.checks,
             "version": __version__,
             "wall_start": self.start,
             "wall_end": datetime.now(timezone.utc).isoformat(),
@@ -190,11 +214,6 @@ class _Manifest:
         path = self.out_dir / "manifest.json"
         path.write_text(json.dumps(payload, indent=2) + "\n")
         log.debug("manifest written to %s", path)
-
-
-def _result_line(label: str, passed: bool, detail: str) -> bool:
-    print(f"{'PASS' if passed else 'FAIL'}  {label}: {detail}")
-    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -308,21 +327,29 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_verify_upper_bound(args) -> int:
+def _verify_start(args) -> tuple[dict, int, _Manifest]:
+    """Config file, seed and manifest of a verify subcommand."""
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
-    network = (
-        _network_from(file_cfg, verify.DEFAULT_VERIFY_NETWORK.input_dim)
-        if "network" in file_cfg
-        else verify.DEFAULT_VERIFY_NETWORK
-    )
-    out = _out_dir(args, "verify-upper-bound")
-    manifest = _Manifest("verify upper-bound", out, seed)
+    out = _out_dir(args, f"verify-{args.check}")
+    return file_cfg, seed, _Manifest(f"verify {args.check}", out, seed)
+
+
+def cmd_verify_upper_bound(args) -> int:
+    file_cfg, seed, manifest = _verify_start(args)
+    network = _verify_network(file_cfg)
     log.info("sweeping %d random states over a %d-point weight grid", args.trials, len(verify.DEFAULT_WEIGHT_GRID) ** 2)
     report = verify.upper_bound_sweep(
         trials=args.trials, seed=seed, network=network, batch_size=args.batch_size
     )
-    manifest.add(out / "upper_bound.json").write_text(report.to_json() + "\n")
+    manifest.add(manifest.out_dir / "upper_bound.json").write_text(report.to_json() + "\n")
+    manifest.check(
+        "upper-bound",
+        report.passed,
+        f"min margin {report.min_margin:.3e} over {report.trials} states "
+        f"(worst at trial {report.worst_trial}, alpha {report.worst_alpha}, "
+        f"beta {report.worst_beta}; tolerance -{verify.MARGIN_TOLERANCE:.0e})",
+    )
     manifest.write(
         {
             "trials": args.trials,
@@ -331,38 +358,21 @@ def cmd_verify_upper_bound(args) -> int:
             "network": dataclasses.asdict(network),
         }
     )
-    ok = _result_line(
-        "upper-bound",
-        report.passed,
-        f"min margin {report.min_margin:.3e} over {report.trials} states "
-        f"(worst at trial {report.worst_trial}, alpha {report.worst_alpha}, "
-        f"beta {report.worst_beta}; tolerance -{verify.MARGIN_TOLERANCE:.0e})",
-    )
-    return 0 if ok else 1
+    return manifest.exit_status()
 
 
 def cmd_verify_correspondence(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
-    network = (
-        _network_from(file_cfg, verify.DEFAULT_VERIFY_NETWORK.input_dim)
-        if "network" in file_cfg
-        else verify.DEFAULT_VERIFY_NETWORK
-    )
-    dataset = None
-    data_echo = {"kind": "default-blobs"}
-    if "data" in file_cfg:
-        dataset, data_echo = _dataset_from(_section(file_cfg, "data"))
-
-    out = _out_dir(args, "verify-correspondence")
-    manifest = _Manifest("verify correspondence", out, seed)
+    file_cfg, seed, manifest = _verify_start(args)
+    network = _verify_network(file_cfg)
+    dataset, data_echo = _verify_dataset(file_cfg)
+    out = manifest.out_dir
 
     log.info("one-step mirror check, filter on, %d trials", args.trials)
     on = verify.gradient_correspondence_sweep(
         trials=args.trials, seed=seed, apply_filter=True, network=network
     )
     worst_on = max(max(d.theta_dev, d.w_dev) for d in on)
-    ok_match = _result_line(
+    manifest.check(
         "mirror gradients (filter on)",
         worst_on <= verify.ONESTEP_MATCH_TOL,
         f"worst deviation {worst_on:.3e} over {args.trials} trials "
@@ -377,7 +387,7 @@ def cmd_verify_correspondence(args) -> int:
         1 for d in off if max(d.theta_dev, d.w_dev) > verify.CONTROL_MIN_DEVIATION
     )
     needed = int(np.ceil(verify.CONTROL_REQUIRED_FRACTION * args.trials))
-    ok_control = _result_line(
+    manifest.check(
         "negative control (filter off)",
         hits >= needed,
         f"{hits}/{args.trials} trials deviate beyond "
@@ -394,7 +404,7 @@ def cmd_verify_correspondence(args) -> int:
         ema_tau=args.ema_tau,
         dataset=dataset,
     )
-    ok_traj = _result_line(
+    manifest.check(
         "trajectories",
         traj.within_relative(args.rel_tol),
         f"max theta deviation {traj.max_theta_dev:.3e} (scale {traj.theta_scale:.3e}), "
@@ -425,23 +435,17 @@ def cmd_verify_correspondence(args) -> int:
             "data": data_echo,
         }
     )
-    return 0 if ok_match and ok_control and ok_traj else 1
+    return manifest.exit_status()
 
 
 def cmd_verify_sylvester(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
-    out = _out_dir(args, "verify-sylvester")
-    manifest = _Manifest("verify sylvester", out, seed)
-
-    all_ok = True
+    file_cfg, seed, manifest = _verify_start(args)
     case_payload = []
     for label, w, a, b, expected in verify.analytic_sylvester_cases(args.dim):
         report = verify.sylvester_null_space(w, a, b)
-        ok = report.null_dim == expected
-        all_ok &= _result_line(
+        manifest.check(
             f"fixed-point case '{label}'",
-            ok,
+            report.null_dim == expected,
             f"null dimension {report.null_dim} (expected {expected}, "
             f"system {report.system_dim}x{report.system_dim})",
         )
@@ -455,16 +459,13 @@ def cmd_verify_sylvester(args) -> int:
             }
         )
 
-    if "data" in file_cfg:
-        dataset, data_echo = _dataset_from(_section(file_cfg, "data"))
-    else:
-        dataset, data_echo = make_blobs(SyntheticBlobsSpec()), {"kind": "default-blobs"}
+    dataset, data_echo = _verify_dataset(file_cfg)
     identity_aug = AugmentationSpec(seed=seed)
     log.info("estimating view moments from %d identity-augmented draws", args.samples)
     est = estimate_aug_moments(dataset, identity_aug, args.samples, seed=seed)
     bound = 5.0 / np.sqrt(args.samples)
     gap = float(np.abs(est.a - est.b).max())
-    all_ok &= _result_line(
+    manifest.check(
         "moment agreement",
         gap <= bound,
         f"max |A - B| entry {gap:.3e} under identity views "
@@ -482,30 +483,18 @@ def cmd_verify_sylvester(args) -> int:
         "samples": args.samples,
         "rank_deficient_moments": est.rank_deficient,
     }
-    manifest.add(out / "sylvester.json").write_text(json.dumps(payload, indent=2) + "\n")
+    manifest.add(manifest.out_dir / "sylvester.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
     manifest.write({"dim": args.dim, "samples": args.samples, "data": data_echo})
-    return 0 if all_ok else 1
+    return manifest.exit_status()
 
 
 def cmd_verify_gradcheck(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
-    network = (
-        _network_from(file_cfg, verify.DEFAULT_VERIFY_NETWORK.input_dim)
-        if "network" in file_cfg
-        else verify.DEFAULT_VERIFY_NETWORK
-    )
-    out = _out_dir(args, "verify-gradcheck")
-    manifest = _Manifest("verify gradcheck", out, seed)
-
+    file_cfg, seed, manifest = _verify_start(args)
+    network = _verify_network(file_cfg)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
-    params = verify.random_model_state(network, rng)
-    batch = PositiveBatch(
-        x1=rng.normal(size=(args.batch_size, network.input_dim)),
-        x2=rng.normal(size=(args.batch_size, network.input_dim)),
-        labels=np.zeros(args.batch_size, dtype=np.int64),
-    )
-    all_ok = True
+    params, batch = verify.random_state_and_batch(network, rng, args.batch_size)
     errors = {}
     for objective in ("byol", "byol_prime", "raft"):
         cfg = LossConfig(objective=objective)
@@ -514,7 +503,7 @@ def cmd_verify_gradcheck(args) -> int:
             cfg, params, batch, step=args.step, max_coords=args.max_coords, seed=seed
         )
         errors[objective] = err
-        all_ok &= _result_line(
+        manifest.check(
             f"gradcheck '{objective}'",
             err <= verify.FD_REL_TOL,
             f"worst relative error {err:.3e} at step {args.step:.0e} "
@@ -523,7 +512,7 @@ def cmd_verify_gradcheck(args) -> int:
 
     log.info("gradient identity for the scale-invariant cross form, %d trials", args.trials)
     trick_dev = verify.trick_identity_sweep(trials=args.trials, seed=seed)
-    all_ok &= _result_line(
+    manifest.check(
         "scale-invariant cross gradient",
         trick_dev <= verify.TRICK_IDENTITY_TOL,
         f"worst deviation from filtered plain gradient {trick_dev:.3e} "
@@ -536,7 +525,9 @@ def cmd_verify_gradcheck(args) -> int:
         "step": args.step,
         "batch_size": args.batch_size,
     }
-    manifest.add(out / "gradcheck.json").write_text(json.dumps(payload, indent=2) + "\n")
+    manifest.add(manifest.out_dir / "gradcheck.json").write_text(
+        json.dumps(payload, indent=2) + "\n"
+    )
     manifest.write(
         {
             "step": args.step,
@@ -546,7 +537,7 @@ def cmd_verify_gradcheck(args) -> int:
             "network": dataclasses.asdict(network),
         }
     )
-    return 0 if all_ok else 1
+    return manifest.exit_status()
 
 
 def cmd_make_data(args) -> int:

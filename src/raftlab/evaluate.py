@@ -103,22 +103,22 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
     return ProbeResult(accuracy=accuracy, weights=w, bias=b)
 
 
-def backbone_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Frozen backbone output h, computed in chunks as constants."""
+def _chunked_output(params: ModelParams, x: np.ndarray, index: int) -> np.ndarray:
+    # Output `index` of forward_online, computed in chunks as constants.
     outs = []
     for lo in range(0, x.shape[0], _EXPORT_CHUNK):
-        h, _, _ = forward_online(params, x[lo : lo + _EXPORT_CHUNK])
-        outs.append(h.data)
+        outs.append(forward_online(params, x[lo : lo + _EXPORT_CHUNK])[index].data)
     return np.concatenate(outs, axis=0)
+
+
+def backbone_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Frozen backbone output h."""
+    return _chunked_output(params, x, 0)
 
 
 def projector_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Frozen normalized projector output z, computed in chunks."""
-    outs = []
-    for lo in range(0, x.shape[0], _EXPORT_CHUNK):
-        _, z, _ = forward_online(params, x[lo : lo + _EXPORT_CHUNK])
-        outs.append(z.data)
-    return np.concatenate(outs, axis=0)
+    """Frozen normalized projector output z."""
+    return _chunked_output(params, x, 1)
 
 
 def linear_evaluation(params: ModelParams, dataset: Dataset, cfg: ProbeConfig | None = None) -> float:
@@ -141,15 +141,7 @@ class EvalReport:
     probe: ProbeConfig
 
     def to_json(self) -> str:
-        payload = {
-            "probe_accuracy": self.probe_accuracy,
-            "align": self.align,
-            "uniformity": self.uniformity,
-            "collapsed": self.collapsed,
-            "sample_count": self.sample_count,
-            "probe": asdict(self.probe),
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def metrics_report(

@@ -182,10 +182,6 @@ def objective_terms(cfg: LossConfig, p1, p2, zbar1, zbar2) -> LossParts:
     return LossParts(total=total, align=align, cross=cross)
 
 
-def total_loss(cfg: LossConfig, p1, p2, zbar1, zbar2) -> Tensor:
-    return objective_terms(cfg, p1, p2, zbar1, zbar2).total
-
-
 def _paired_cross(term, p1, p2, zbar1, zbar2, symmetrize: bool) -> Tensor:
     # Same-view pairing: online view i against target view i.
     if not symmetrize:

@@ -9,6 +9,7 @@ it is evaluated as constants, so no gradient can ever reach it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Mapping
@@ -87,16 +88,6 @@ class ModelParams:
 
     spec: NetworkSpec
     values: dict[str, np.ndarray]
-
-    def online_names(self) -> list[str]:
-        return [
-            n
-            for n in self.values
-            if n.startswith(("backbone.", "projector."))
-        ]
-
-    def predictor_names(self) -> list[str]:
-        return [n for n in self.values if n.startswith("predictor")]
 
     def trainable_names(self) -> list[str]:
         return [n for n in self.values if not n.startswith("target.")]
@@ -204,6 +195,29 @@ def apply_mlp(table: Mapping, prefix: str, x, n_layers: int, activation_last: bo
     return out
 
 
+def encode(
+    params: ModelParams,
+    x,
+    leaves: Mapping[str, Tensor] | None = None,
+    teacher: bool = False,
+) -> tuple[Tensor, Tensor]:
+    """Backbone+projector forward; returns (h, z_pre).
+
+    h is the backbone output (linear last layer) and z_pre the unnormalized
+    projector output. teacher=True reads the "target." copy of the
+    parameters; otherwise `leaves` from bind_params records on a tape, and
+    without it everything evaluates as constants.
+    """
+    spec = params.spec
+    x = T.constant(_check_batch(spec, x))
+    if teacher:
+        table, prefix = params.values, "target."
+    else:
+        table, prefix = (leaves if leaves is not None else params.values), ""
+    h = apply_mlp(table, f"{prefix}backbone", x, len(spec.backbone_dims()), False)
+    return h, apply_mlp(table, f"{prefix}projector", h, 2, False)
+
+
 def forward_online(
     params: ModelParams,
     x,
@@ -220,10 +234,8 @@ def forward_online(
     values untouched.
     """
     spec = params.spec
-    x = _check_batch(spec, x)
     table: Mapping = leaves if leaves is not None else params.values
-    h = apply_mlp(table, "backbone", T.as_tensor(x), len(spec.backbone_dims()), False)
-    z_pre = apply_mlp(table, "projector", h, 2, False)
+    h, z_pre = encode(params, x, leaves)
     z = T.l2_normalize(z_pre)
     if spec.predictor == "identity":
         p = T.tangent_gate(z) if tangent_filter else z
@@ -242,16 +254,7 @@ def forward_target(params: ModelParams, x) -> Tensor:
     """Teacher forward: backbone+projector under the target parameters,
     normalized. Evaluated entirely as constants, which is what makes the
     teacher a stop-gradient: no tape node exists for anything it computes."""
-    spec = params.spec
-    x = _check_batch(spec, x)
-    table = {
-        name[len("target."):]: value
-        for name, value in params.values.items()
-        if name.startswith("target.")
-    }
-    h = apply_mlp(table, "backbone", T.constant(x), len(spec.backbone_dims()), False)
-    z_pre = apply_mlp(table, "projector", h, 2, False)
-    return T.l2_normalize(z_pre)
+    return T.l2_normalize(encode(params, x, teacher=True)[1])
 
 
 def ema_update(params: ModelParams, tau: float) -> ModelParams:
@@ -319,11 +322,19 @@ def load_checkpoint(path) -> ModelParams:
     count = r.u32()
     values: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u32()).decode("utf-8")
+        try:
+            name = r.take(r.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"checkpoint: parameter name is not UTF-8 ({exc})") from exc
         rank = r.u32()
         shape = tuple(r.u64() for _ in range(rank))
-        n_items = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.take(n_items * 8), dtype="<f8").reshape(shape)
+        # math.prod cannot overflow, so take() sees the true byte count and
+        # rejects one larger than what is left of the file.
+        n_items = math.prod(shape)
+        try:
+            arr = np.frombuffer(r.take(n_items * 8), dtype="<f8").reshape(shape)
+        except ValueError as exc:  # an empty shape with an extent numpy cannot hold
+            raise FormatError(f"checkpoint: {name} has unusable shape {shape} ({exc})") from exc
         values[name] = arr.astype(np.float64)
     if r.pos != len(blob):
         raise FormatError("checkpoint: trailing bytes after last parameter")

@@ -16,7 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -187,11 +187,7 @@ class Tape:
                 # `+` allocates a fresh array, so stored gradients are never
                 # mutated in place and repeated backward calls match bitwise.
                 table[node] = g if have is None else have + g
-        return table_to_gradients(table, self)
-
-
-def table_to_gradients(table: dict[int, np.ndarray], tape: Tape) -> Gradients:
-    return Gradients(table, tape)
+        return Gradients(table, self)
 
 
 def _tape_of(*tensors: Tensor) -> Tape | None:

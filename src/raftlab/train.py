@@ -12,7 +12,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -163,7 +163,9 @@ class MetricsRecord:
         return cls(wall_ms=float("nan"), **{k: d[k] for k in _METRIC_KEYS})
 
 
-def _derived_seeds(master_seed: int) -> tuple[int, int]:
+def derived_seeds(master_seed: int) -> tuple[int, int]:
+    """(init_seed, aug_seed): the parameter-init and augmentation stream
+    seeds train_run derives from master_seed."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, 1000]))
     init_seed, aug_seed = (int(s) for s in rng.integers(0, 2**63, size=2))
     return init_seed, aug_seed
@@ -201,7 +203,7 @@ def train_run(
         raise ConfigError(
             f"batch_size: {cfg.batch_size} exceeds dataset size {len(dataset)}"
         )
-    init_seed, aug_seed = _derived_seeds(cfg.master_seed)
+    init_seed, aug_seed = derived_seeds(cfg.master_seed)
     aug = replace(cfg.augmentation, seed=aug_seed)
     if initial_params is None:
         params = init_params(cfg.network, init_seed)

@@ -24,8 +24,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ from .losses import (
 from .model import (
     ModelParams,
     NetworkSpec,
-    apply_mlp,
     bind_params,
+    encode,
     forward_online,
     forward_target,
     init_params,
@@ -135,14 +135,6 @@ def margin_from_losses(alpha: float, beta: float, losses: StateLosses) -> float:
     return (1.0 / alpha + 1.0 / beta) * two_term - losses.byol
 
 
-def check_upper_bound(
-    alpha: float, beta: float, params: ModelParams, batch: PositiveBatch
-) -> float:
-    """Margin of the bound at one state; negative beyond MARGIN_TOLERANCE
-    would be a counterexample."""
-    return margin_from_losses(alpha, beta, state_losses(params, batch))
-
-
 @dataclass(frozen=True)
 class UpperBoundReport:
     trials: int
@@ -158,20 +150,8 @@ class UpperBoundReport:
         return self.min_margin >= -MARGIN_TOLERANCE
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "trials": self.trials,
-                "batch_size": self.batch_size,
-                "grid": list(self.grid),
-                "min_margin": self.min_margin,
-                "worst_trial": self.worst_trial,
-                "worst_alpha": self.worst_alpha,
-                "worst_beta": self.worst_beta,
-                "margin_tolerance": MARGIN_TOLERANCE,
-                "passed": self.passed,
-            },
-            indent=2,
-        )
+        payload = {**asdict(self), "margin_tolerance": MARGIN_TOLERANCE, "passed": self.passed}
+        return json.dumps(payload, indent=2)
 
 
 def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelParams:
@@ -197,6 +177,19 @@ def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelPara
     return ModelParams(spec, values)
 
 
+def random_state_and_batch(
+    spec: NetworkSpec, rng: np.random.Generator, batch_size: int
+) -> tuple[ModelParams, PositiveBatch]:
+    """A random_model_state draw followed by a standard-normal positive
+    batch (view 1, then view 2) from the same stream."""
+    params = random_model_state(spec, rng)
+    return params, PositiveBatch(
+        x1=rng.normal(size=(batch_size, spec.input_dim)),
+        x2=rng.normal(size=(batch_size, spec.input_dim)),
+        labels=np.zeros(batch_size, dtype=np.int64),
+    )
+
+
 def upper_bound_sweep(
     trials: int = 1000,
     seed: int = 0,
@@ -214,13 +207,7 @@ def upper_bound_sweep(
     min_margin = float("inf")
     worst = (0, grid[0], grid[0])
     for trial in range(trials):
-        params = random_model_state(network, rng)
-        batch = PositiveBatch(
-            x1=rng.normal(size=(batch_size, network.input_dim)),
-            x2=rng.normal(size=(batch_size, network.input_dim)),
-            labels=np.zeros(batch_size, dtype=np.int64),
-        )
-        losses = state_losses(params, batch)
+        losses = state_losses(*random_state_and_batch(network, rng, batch_size))
         for alpha in grid:
             for beta in grid:
                 margin = margin_from_losses(alpha, beta, losses)
@@ -251,27 +238,24 @@ class GradientDeviations:
     filter_on: bool
 
 
+def _mirror_deviations(
+    a: dict[str, np.ndarray], b: dict[str, np.ndarray]
+) -> tuple[float, float]:
+    # max |a - b| over every array but the predictor, and max |a + b| on the
+    # predictor; both vanish when b mirrors a. For parameter snapshots the
+    # first covers the teacher copy too, which must track identically since
+    # it is an EMA of identical trajectories.
+    theta_dev = max(float(np.abs(a[n] - b[n]).max()) for n in a if n != "predictor.w")
+    return theta_dev, float(np.abs(a["predictor.w"] + b["predictor.w"]).max())
+
+
 def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
     # Unnormalized forward: backbone, projector, then the linear predictor,
     # with no l2 step. Condition iii only has teeth here, because nothing
     # else removes radial gradient components.
-    spec = params.spec
-    h = apply_mlp(leaves, "backbone", T.constant(np.asarray(x, dtype=np.float64)),
-                  len(spec.backbone_dims()), False)
-    z_pre = apply_mlp(leaves, "projector", h, 2, False)
+    _, z_pre = encode(params, x, leaves)
     out = T.matmul(z_pre, leaves["predictor.w"])
     return T.tangent_gate(out) if gate else out
-
-
-def _raw_target_outputs(params: ModelParams, x: np.ndarray) -> T.Tensor:
-    table = {
-        name[len("target."):]: value
-        for name, value in params.values.items()
-        if name.startswith("target.")
-    }
-    h = apply_mlp(table, "backbone", T.constant(np.asarray(x, dtype=np.float64)),
-                  len(params.spec.backbone_dims()), False)
-    return apply_mlp(table, "projector", h, 2, False)
 
 
 def _raw_gradients(
@@ -286,8 +270,8 @@ def _raw_gradients(
     leaves = bind_params(tp, params)
     out1 = _raw_online_outputs(params, batch.x1, leaves, gate)
     out2 = _raw_online_outputs(params, batch.x2, leaves, gate)
-    t1 = _raw_target_outputs(params, batch.x1)
-    t2 = _raw_target_outputs(params, batch.x2)
+    _, t1 = encode(params, batch.x1, teacher=True)
+    _, t2 = encode(params, batch.x2, teacher=True)
     align = align_loss(out1, out2)
     cross = T.scale(
         T.add(cross_model_loss(out1, t1), cross_model_loss(out2, t2)), 0.5
@@ -313,12 +297,7 @@ def gradient_correspondence_check(
     g_attract = _raw_gradients(params, batch, +1.0, apply_filter, alpha, beta)
     mirrored = mirror_predictor(params)
     g_repel = _raw_gradients(mirrored, batch, -1.0, apply_filter, alpha, beta)
-    theta_dev = 0.0
-    for name in g_attract:
-        if name == "predictor.w":
-            continue
-        theta_dev = max(theta_dev, float(np.abs(g_attract[name] - g_repel[name]).max()))
-    w_dev = float(np.abs(g_attract["predictor.w"] + g_repel["predictor.w"]).max())
+    theta_dev, w_dev = _mirror_deviations(g_attract, g_repel)
     return GradientDeviations(theta_dev=theta_dev, w_dev=w_dev, filter_on=apply_filter)
 
 
@@ -338,12 +317,7 @@ def gradient_correspondence_sweep(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 22]))
     out = []
     for _ in range(trials):
-        params = random_model_state(network, rng)
-        batch = PositiveBatch(
-            x1=rng.normal(size=(batch_size, network.input_dim)),
-            x2=rng.normal(size=(batch_size, network.input_dim)),
-            labels=np.zeros(batch_size, dtype=np.int64),
-        )
+        params, batch = random_state_and_batch(network, rng, batch_size)
         out.append(gradient_correspondence_check(params, batch, apply_filter))
     return out
 
@@ -430,23 +404,10 @@ class CorrespondenceReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "steps": self.steps,
-                "optimizer": self.optimizer,
-                "learning_rate": self.learning_rate,
-                "ema_tau": self.ema_tau,
-                "theta_dev": list(self.theta_dev),
-                "w_dev": list(self.w_dev),
-                "grad_theta_dev": list(self.grad_theta_dev),
-                "grad_w_dev": list(self.grad_w_dev),
-                "theta_scale": self.theta_scale,
-                "w_scale": self.w_scale,
-                "max_theta_dev": self.max_theta_dev,
-                "max_w_dev": self.max_w_dev,
-            },
-            indent=2,
-        )
+        payload = {
+            **asdict(self), "max_theta_dev": self.max_theta_dev, "max_w_dev": self.max_w_dev
+        }
+        return json.dumps(payload, indent=2)
 
 
 def write_deviation_csv(report: CorrespondenceReport, path):
@@ -464,13 +425,6 @@ class _TrajectoryRecorder:
     def __call__(self, step: int, params: ModelParams, grads: dict[str, np.ndarray]):
         self.params.append(params.values)
         self.grads.append(grads)
-
-
-def _theta_names(params: ModelParams) -> list[str]:
-    # Encoder comparison covers the online backbone+projector and the
-    # teacher copy; the teacher must track identically since it is an EMA of
-    # identical trajectories.
-    return [n for n in params.values if n != "predictor.w"]
 
 
 def trajectory_correspondence_experiment(
@@ -538,43 +492,21 @@ def trajectory_correspondence_experiment(
         snapshots_r += rec_r.params
         grads_a, grads_r = rec_a.grads, rec_r.grads
 
-    names = _theta_names(params0)
-    theta_dev = []
-    w_dev = []
-    theta_scale = 0.0
-    w_scale = 0.0
-    for va, vr in zip(snapshots_a, snapshots_r):
-        dev = max(float(np.abs(va[n] - vr[n]).max()) for n in names)
-        theta_dev.append(dev)
-        w_dev.append(float(np.abs(va["predictor.w"] + vr["predictor.w"]).max()))
-        theta_scale = max(
-            theta_scale, max(float(np.abs(va[n]).max()) for n in names)
-        )
-        w_scale = max(w_scale, float(np.abs(va["predictor.w"]).max()))
-    grad_theta_dev = []
-    grad_w_dev = []
-    for ga, gr in zip(grads_a, grads_r):
-        grad_theta_dev.append(
-            max(
-                float(np.abs(ga[n] - gr[n]).max())
-                for n in ga
-                if n != "predictor.w"
-            )
-        )
-        grad_w_dev.append(
-            float(np.abs(ga["predictor.w"] + gr["predictor.w"]).max())
-        )
+    devs = [_mirror_deviations(va, vr) for va, vr in zip(snapshots_a, snapshots_r)]
+    grad_devs = [_mirror_deviations(ga, gr) for ga, gr in zip(grads_a, grads_r)]
     return CorrespondenceReport(
         steps=steps,
         optimizer=optimizer,
         learning_rate=float(learning_rate),
         ema_tau=float(ema_tau),
-        theta_dev=tuple(theta_dev),
-        w_dev=tuple(w_dev),
-        grad_theta_dev=tuple(grad_theta_dev),
-        grad_w_dev=tuple(grad_w_dev),
-        theta_scale=theta_scale,
-        w_scale=w_scale,
+        theta_dev=tuple(d[0] for d in devs),
+        w_dev=tuple(d[1] for d in devs),
+        grad_theta_dev=tuple(d[0] for d in grad_devs),
+        grad_w_dev=tuple(d[1] for d in grad_devs),
+        theta_scale=max(
+            float(np.abs(v[n]).max()) for v in snapshots_a for n in v if n != "predictor.w"
+        ),
+        w_scale=max(float(np.abs(v["predictor.w"]).max()) for v in snapshots_a),
     )
 
 
@@ -593,20 +525,6 @@ class SylvesterReport:
     rank: int
     null_dim: int
     nontrivial: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a.tolist(),
-                "b": self.b.tolist(),
-                "ba_inv": self.ba_inv.tolist(),
-                "system_dim": self.system_dim,
-                "rank": self.rank,
-                "null_dim": self.null_dim,
-                "nontrivial": self.nontrivial,
-            },
-            indent=2,
-        )
 
 
 def pivoted_rank(mat: np.ndarray, rel_tol: float = DEFAULT_PIVOT_TOL) -> int:
@@ -714,43 +632,6 @@ def analytic_sylvester_cases(n: int = 4) -> list[tuple[str, np.ndarray, np.ndarr
 
 # ---------------------------------------------------------------------------
 # finite differences
-
-
-def fd_gradients(
-    fn: Callable[[Sequence[np.ndarray]], float],
-    arrays: Sequence[np.ndarray],
-    step: float = 1e-5,
-) -> list[np.ndarray]:
-    """Central-difference gradients of a scalar function of several arrays."""
-    if step <= 0:
-        raise ContractError(f"step: must be positive, got {step}")
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    grads = []
-    for ai, arr in enumerate(arrays):
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            bumped = [a.copy() for a in arrays]
-            bumped[ai].reshape(-1)[i] = flat[i] + step
-            hi = fn(bumped)
-            bumped[ai].reshape(-1)[i] = flat[i] - step
-            lo = fn(bumped)
-            gflat[i] = (hi - lo) / (2.0 * step)
-        grads.append(g)
-    return grads
-
-
-def relative_gradient_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """max over coordinates of |analytic - numeric| / max(|a|, |n|, 1e-6)."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    if analytic.shape != numeric.shape:
-        raise ShapeError(
-            f"gradient shapes {analytic.shape} and {numeric.shape} differ"
-        )
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
-    return float((np.abs(analytic - numeric) / denom).max())
 
 
 def finite_difference_gradcheck(

@@ -27,7 +27,7 @@ from raftlab.data import (
 from raftlab.evaluate import linear_evaluation, metrics_report
 from raftlab.losses import LossConfig
 from raftlab.model import NetworkSpec, init_params, load_checkpoint
-from raftlab.train import _derived_seeds
+from raftlab.train import derived_seeds as _derived_seeds
 from raftlab.verify import (
     DEFAULT_VERIFY_NETWORK,
     analytic_sylvester_cases,

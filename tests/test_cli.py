@@ -192,6 +192,29 @@ class TestVerifyCommands:
         assert rc == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["upper-bound", "--trials", "20"], 1),
+            (["correspondence", "--trials", "5", "--steps", "10"], 3),
+            (["sylvester", "--dim", "3", "--samples", "400"], 4),
+            (["gradcheck", "--trials", "5", "--batch-size", "4", "--max-coords", "60"], 4),
+        ],
+        ids=["upper-bound", "correspondence", "sylvester", "gradcheck"],
+    )
+    def test_manifest_checks_match_printed_lines(self, tmp_path, capsys, argv, count):
+        out = tmp_path / "v"
+        assert run(["verify", *argv, "--out-dir", str(out)]) == 0
+        printed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("PASS", "FAIL"))
+        ]
+        assert len(printed) == count
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert [
+            f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}" for c in checks
+        ] == printed
+
     def test_verify_writes_a_manifest_too(self, tmp_path):
         out = tmp_path / "v"
         assert run(["verify", "upper-bound", "--trials", "5", "--out-dir", str(out)]) == 0

@@ -279,6 +279,28 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "field, patch",
+        [
+            ("extent", (2**62).to_bytes(8, "little")),
+            ("extent", bytes(8) + (2**63).to_bytes(8, "little")),
+            ("name", b"\xff"),
+        ],
+        ids=["overflowing-extent", "empty-shape-with-huge-extent", "non-utf8-name"],
+    )
+    def test_malformed_first_entry_rejected(self, tmp_path, field, patch):
+        params = init_params(small_spec("linear"), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        blob = bytearray(path.read_bytes())
+        name_at = len(CHECKPOINT_MAGIC) + 12  # after version, count and name length
+        name_len = int.from_bytes(blob[name_at - 4 : name_at], "little")
+        at = name_at if field == "name" else name_at + name_len + 4  # extents follow the rank
+        blob[at : at + len(patch)] = patch
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         params = init_params(small_spec("linear"), seed=0)
         path = tmp_path / "model.ckpt"

@@ -17,7 +17,7 @@ from raftlab.train import (
     OPTIMIZERS,
     MetricsRecord,
     TrainConfig,
-    _derived_seeds,
+    derived_seeds,
     schedule_value,
     train_run,
 )
@@ -89,13 +89,13 @@ class TestSchedules:
 
 class TestSeedDerivation:
     def test_master_seed_fans_out_to_two_streams(self):
-        init_a, aug_a = _derived_seeds(7)
-        init_b, aug_b = _derived_seeds(7)
+        init_a, aug_a = derived_seeds(7)
+        init_b, aug_b = derived_seeds(7)
         assert (init_a, aug_a) == (init_b, aug_b)
         assert init_a != aug_a
 
     def test_different_masters_differ(self):
-        assert _derived_seeds(1) != _derived_seeds(2)
+        assert derived_seeds(1) != derived_seeds(2)
 
 
 class TestLoopBehavior:
@@ -107,7 +107,7 @@ class TestLoopBehavior:
 
     def test_zero_learning_rate_freezes_all_parameters(self, small_blobs):
         cfg = small_config(learning_rate=0.0, steps=6)
-        init_seed, _ = _derived_seeds(cfg.master_seed)
+        init_seed, _ = derived_seeds(cfg.master_seed)
         reference = init_params(SMALL_NET, init_seed)
         params, _ = train_run(cfg, small_blobs)
         for name in reference.trainable_names():
@@ -202,7 +202,7 @@ class TestArtifacts:
 class TestEmaInsideTheLoop:
     def test_frozen_teacher_when_tau_is_one(self, small_blobs):
         cfg = small_config(steps=5, ema_tau=1.0)
-        init_seed, _ = _derived_seeds(cfg.master_seed)
+        init_seed, _ = derived_seeds(cfg.master_seed)
         reference = init_params(SMALL_NET, init_seed)
         params, _ = train_run(cfg, small_blobs)
         for name in params.values:
