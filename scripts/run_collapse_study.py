@@ -26,42 +26,25 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from raftlab import cli
-from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, ViewAugmentation, make_blobs
 from raftlab.evaluate import EvalReport, linear_evaluation, metrics_report
-from raftlab.model import NetworkSpec, init_params, load_checkpoint
+from raftlab.model import init_params, load_checkpoint
 from raftlab.train import derived_seeds
 
 
 def run_arm(cfg_path: Path, out_dir: Path, sample_count: int) -> tuple[EvalReport, float]:
-    """Train one config, then evaluate the final checkpoint and a fresh
-    random initialization under the same seed derivation."""
-    cfg = json.loads(cfg_path.read_text())
-    d = cfg["data"]
-    dataset = make_blobs(
-        SyntheticBlobsSpec(
-            dim=d["dim"], classes=d["classes"], per_class=d["per_class"],
-            noise_sigma=d["noise_sigma"], center_seed=d["center_seed"],
-        )
-    )
-    a = cfg["augmentation"]
-    aug = AugmentationSpec(
-        view1=ViewAugmentation(**a["view1"]), view2=ViewAugmentation(**a["view2"])
-    )
-    n = cfg["network"]
-    net = NetworkSpec(
-        input_dim=dataset.dim,
-        backbone_widths=tuple(n["backbone_widths"]),
-        representation_dim=n["representation_dim"],
-        projection_dim=n["projection_dim"],
-        predictor=n["predictor"],
-    )
+    """Train one config, then evaluate the final checkpoint as `raftlab eval`
+    does and a fresh random initialization under the same seed derivation."""
+    cfg, dataset, _ = cli.train_config(cfg_path)
     rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
     if rc != 0:
         raise RuntimeError(f"training failed for {cfg_path.name} (exit {rc})")
     params = load_checkpoint(out_dir / "checkpoint_final.ckpt")
-    report = metrics_report(params, dataset, aug, sample_count=sample_count)
-    init_seed, _ = derived_seeds(cfg["train"]["master_seed"])
-    baseline = linear_evaluation(init_params(net, init_seed), dataset)
+    report = metrics_report(
+        params, dataset, cfg.augmentation, sample_count=sample_count,
+        uniformity_t=cfg.loss.uniformity_t,
+    )
+    init_seed, _ = derived_seeds(cfg.master_seed)
+    baseline = linear_evaluation(init_params(cfg.network, init_seed), dataset)
     return report, baseline
 
 

@@ -25,6 +25,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +37,6 @@ from .data import (
     AugmentationSpec,
     Dataset,
     SyntheticBlobsSpec,
-    ViewAugmentation,
     estimate_aug_moments,
     export_dataset_csv,
     load_cifar10,
@@ -43,7 +44,7 @@ from .data import (
 )
 from .errors import ConfigError, RaftLabError
 from .evaluate import ProbeConfig, metrics_report
-from .losses import DEFAULT_UNIFORMITY_T, LossConfig
+from .losses import LossConfig
 from .model import NetworkSpec, load_checkpoint
 from .train import TrainConfig, train_run
 
@@ -68,60 +69,74 @@ def _configure_logging():
 # config plumbing
 
 
+SECTIONS = ("data", "network", "loss", "augmentation", "train", "probe")
+_SCALARS = (int, float, str, bool)
+
+
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config: file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path} ({exc.strerror})")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {path} is not valid JSON ({exc})")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(SECTIONS))
+    if unknown:
+        raise ConfigError(
+            f"config: unknown sections {unknown}, expected some of {list(SECTIONS)}"
+        )
+    for name, section in cfg.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config: section {name!r} must be a JSON object")
     return cfg
 
 
-def _section(file_cfg: dict, name: str) -> dict:
-    sec = file_cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config: section {name!r} must be a JSON object")
-    return sec
+def _typed(hint, value, where: str):
+    """`value` checked against the field annotation `hint`. A JSON list
+    becomes a tuple, a JSON object a nested config dataclass; an int passes
+    for a float unchanged, a bool never passes for a number."""
+    if dataclasses.is_dataclass(hint):
+        if isinstance(value, dict):
+            return _from_json(hint, value, where)
+    elif isinstance(hint, types.UnionType):
+        for member in typing.get_args(hint):
+            try:
+                return _typed(member, value, where)
+            except ConfigError:
+                pass
+    elif typing.get_origin(hint) is tuple:
+        if isinstance(value, list):
+            item = typing.get_args(hint)[0]
+            return tuple(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    elif hint in _SCALARS:
+        accepted = (int, float) if hint is float else hint
+        if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
+            return value
+    else:
+        raise TypeError(f"config: {where} has annotation {hint}, which the reader cannot check")
+    if dataclasses.is_dataclass(hint):
+        expected = "a JSON object"
+    else:
+        expected = hint.__name__ if hint in _SCALARS else str(hint)
+    raise ConfigError(f"config: {where} must be {expected}, got {value!r}")
 
 
-def _checked_kwargs(cls, section: dict, context: str) -> dict:
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
+def _from_json(cls, section: dict, where: str, **overrides):
+    """Build the config dataclass `cls` from a JSON object. Keys are checked
+    against the field annotations and named `where.key` when rejected;
+    non-None overrides win; `cls.__post_init__` checks the ranges."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(section) - set(hints))
     if unknown:
-        raise ConfigError(f"config: {context} has unknown keys {unknown}")
-    return dict(section)
-
-
-def _build(cls, section: dict, overrides: dict, context: str):
-    kwargs = _checked_kwargs(cls, section, context)
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
+        raise ConfigError(f"config: unknown keys {[f'{where}.{k}' for k in unknown]}")
+    kwargs = {key: _typed(hints[key], v, f"{where}.{key}") for key, v in section.items()}
+    kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     return cls(**kwargs)
-
-
-def _augmentation_from(section: dict) -> AugmentationSpec:
-    allowed = {"view1", "view2", "seed"}
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"config: augmentation has unknown keys {unknown}")
-    views = {}
-    for key in ("view1", "view2"):
-        sub = section.get(key, {})
-        if not isinstance(sub, dict):
-            raise ConfigError(f"config: augmentation.{key} must be a JSON object")
-        views[key] = ViewAugmentation(
-            **_checked_kwargs(ViewAugmentation, sub, f"augmentation.{key}")
-        )
-    return AugmentationSpec(
-        view1=views["view1"], view2=views["view2"], seed=section.get("seed", 0)
-    )
 
 
 def _dataset_from(section: dict) -> tuple[Dataset, dict]:
@@ -130,29 +145,25 @@ def _dataset_from(section: dict) -> tuple[Dataset, dict]:
     section = dict(section)
     kind = section.pop("kind", "blobs")
     if kind == "blobs":
-        spec = _build(SyntheticBlobsSpec, section, {}, "data")
+        spec = _from_json(SyntheticBlobsSpec, section, "data")
         return make_blobs(spec), {"kind": "blobs", **dataclasses.asdict(spec)}
     if kind == "cifar10":
         path = section.pop("path", None)
-        if path is None:
-            raise ConfigError("config: data.kind 'cifar10' needs a 'path'")
+        if not isinstance(path, str):
+            raise ConfigError(f"config: data.path must be str for kind 'cifar10', got {path!r}")
         if section:
             raise ConfigError(
                 f"config: data has unknown keys {sorted(section)} for kind 'cifar10'"
             )
-        return load_cifar10(path), {"kind": "cifar10", "path": str(path)}
+        return load_cifar10(path), {"kind": "cifar10", "path": path}
     raise ConfigError(
         f"config: data.kind {kind!r} not recognized (expected 'blobs' or 'cifar10')"
     )
 
 
 def _network_from(file_cfg: dict, input_dim: int) -> NetworkSpec:
-    section = _section(file_cfg, "network")
-    if "input_dim" not in section:
-        section = {**section, "input_dim": input_dim}
-    if "backbone_widths" in section:
-        section = {**section, "backbone_widths": tuple(section["backbone_widths"])}
-    return _build(NetworkSpec, section, {}, "network")
+    section = {"input_dim": input_dim, **file_cfg.get("network", {})}
+    return _from_json(NetworkSpec, section, "network")
 
 
 def _verify_network(file_cfg: dict) -> NetworkSpec:
@@ -164,7 +175,7 @@ def _verify_network(file_cfg: dict) -> NetworkSpec:
 def _verify_dataset(file_cfg: dict) -> tuple[Dataset, dict]:
     if "data" not in file_cfg:
         return make_blobs(SyntheticBlobsSpec()), {"kind": "default-blobs"}
-    return _dataset_from(_section(file_cfg, "data"))
+    return _dataset_from(file_cfg["data"])
 
 
 def _out_dir(args, default_leaf: str) -> Path:
@@ -220,47 +231,38 @@ class _Manifest:
 # commands
 
 
-def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else _section(file_cfg, "train").get(
-        "master_seed", 0
-    )
-    dataset, data_echo = _dataset_from(_section(file_cfg, "data"))
-    network = _network_from(file_cfg, dataset.dim)
-    loss = _build(
-        LossConfig,
-        _section(file_cfg, "loss"),
-        {
-            "objective": args.objective,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "tangential_mode": args.tangential_mode,
-        },
-        "loss",
-    )
-    augmentation = _augmentation_from(_section(file_cfg, "augmentation"))
-    train_section = _checked_kwargs(TrainConfig, _section(file_cfg, "train"), "train")
+def train_config(path, **flags) -> tuple[TrainConfig, Dataset, dict]:
+    """Resolve the training run of a config file: the TrainConfig, the
+    dataset and its manifest description. `flags` are command-line overrides
+    of LossConfig and TrainConfig fields; None leaves the file's value."""
+    file_cfg = _load_config_file(path)
+    dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    train_section = file_cfg.get("train", {})
     for drop in ("network", "loss", "augmentation"):
         if drop in train_section:
             raise ConfigError(
                 f"config: train.{drop} belongs in the top-level {drop!r} section"
             )
-    overrides = {
-        "steps": args.steps,
-        "batch_size": args.batch_size,
-        "optimizer": args.optimizer,
-        "learning_rate": args.learning_rate,
-        "ema_tau": args.ema_tau,
-        "log_every": args.log_every,
-        "checkpoint_every": args.checkpoint_every,
-        "master_seed": seed,
-    }
-    cfg = _build(
+    loss_flags = {f.name: flags.pop(f.name, None) for f in dataclasses.fields(LossConfig)}
+    cfg = _from_json(
         TrainConfig,
-        {**train_section, "network": network, "loss": loss, "augmentation": augmentation},
-        overrides,
+        train_section,
         "train",
+        network=_network_from(file_cfg, dataset.dim),
+        loss=_from_json(LossConfig, file_cfg.get("loss", {}), "loss", **loss_flags),
+        augmentation=_from_json(
+            AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
+        ),
+        **flags,
     )
+    return cfg, dataset, data_echo
+
+
+def cmd_train(args) -> int:
+    # train's flags are named after the LossConfig and TrainConfig fields they set
+    fields = {f.name for cls in (LossConfig, TrainConfig) for f in dataclasses.fields(cls)}
+    flags = {key: value for key, value in vars(args).items() if key in fields}
+    cfg, dataset, data_echo = train_config(args.config, master_seed=args.seed, **flags)
 
     out = _out_dir(args, "train")
     manifest = _Manifest("train", out, cfg.master_seed)
@@ -288,17 +290,16 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
-    seed = args.seed if args.seed is not None else 0
     params = load_checkpoint(args.checkpoint)
-    dataset, data_echo = _dataset_from(_section(file_cfg, "data"))
-    augmentation = _augmentation_from(_section(file_cfg, "augmentation"))
-    probe = _build(
-        ProbeConfig, _section(file_cfg, "probe"), {"seed": args.seed}, "probe"
+    dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    augmentation = _from_json(
+        AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
     )
-    uniformity_t = _section(file_cfg, "loss").get("uniformity_t", DEFAULT_UNIFORMITY_T)
+    probe = _from_json(ProbeConfig, file_cfg.get("probe", {}), "probe", seed=args.seed)
+    uniformity_t = _from_json(LossConfig, file_cfg.get("loss", {}), "loss").uniformity_t
 
     out = _out_dir(args, "eval")
-    manifest = _Manifest("eval", out, seed)
+    manifest = _Manifest("eval", out, probe.seed)
     log.info("evaluating %s on %d samples", args.checkpoint, len(dataset))
     report = metrics_report(
         params,
@@ -542,20 +543,22 @@ def cmd_verify_gradcheck(args) -> int:
 
 def cmd_make_data(args) -> int:
     file_cfg = _load_config_file(args.config)
-    section = dict(_section(file_cfg, "data"))
+    section = dict(file_cfg.get("data", {}))
     kind = section.pop("kind", "blobs")
     if kind != "blobs":
         raise ConfigError(
             f"make-data: only the synthetic generator writes datasets, got kind {kind!r}"
         )
-    overrides = {
-        "dim": args.dim,
-        "classes": args.classes,
-        "per_class": args.per_class,
-        "noise_sigma": args.noise_sigma,
-        "center_seed": args.seed,
-    }
-    spec = _build(SyntheticBlobsSpec, section, overrides, "data")
+    spec = _from_json(
+        SyntheticBlobsSpec,
+        section,
+        "data",
+        dim=args.dim,
+        classes=args.classes,
+        per_class=args.per_class,
+        noise_sigma=args.noise_sigma,
+        center_seed=args.seed,
+    )
     dataset = make_blobs(spec)
 
     out = _out_dir(args, "make-data")

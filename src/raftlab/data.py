@@ -204,8 +204,11 @@ def sample_positive_batch(
 def load_cifar10(path) -> Dataset:
     """Parse CIFAR-10 binary batches: 3073-byte records of one label byte
     followed by 3072 pixel bytes (R, G, B planes, 32x32 row-major)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"cifar: cannot read {path} ({exc.strerror})") from exc
     if len(blob) == 0 or len(blob) % CIFAR_RECORD_BYTES != 0:
         raise FormatError(
             f"cifar: file length {len(blob)} is not a positive multiple of "

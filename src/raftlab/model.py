@@ -311,8 +311,11 @@ def load_checkpoint(path) -> ModelParams:
     """Parse a checkpoint and rebuild the NetworkSpec from the stored names
     and shapes. The predictor init mode is not stored (it only matters at
     init time) and comes back as "random"."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise FormatError(f"checkpoint: cannot read {path} ({exc.strerror})") from exc
     r = _Reader(blob)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError("checkpoint: bad magic bytes")

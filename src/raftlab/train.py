@@ -157,11 +157,6 @@ class MetricsRecord:
         payload = {k: getattr(self, k) for k in _METRIC_KEYS}
         return json.dumps(payload)
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "MetricsRecord":
-        d = json.loads(line)
-        return cls(wall_ms=float("nan"), **{k: d[k] for k in _METRIC_KEYS})
-
 
 def derived_seeds(master_seed: int) -> tuple[int, int]:
     """(init_seed, aug_seed): the parameter-init and augmentation stream

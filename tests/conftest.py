@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -16,6 +19,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+# A config small enough for a 20-step training run in well under a second.
+SMALL_CONFIG = {
+    "data": {"kind": "blobs", "dim": 8, "classes": 4, "per_class": 12,
+             "noise_sigma": 0.35, "center_seed": 7},
+    "network": {"backbone_widths": [12], "representation_dim": 10,
+                "projection_dim": 6, "predictor": "linear"},
+    "loss": {"objective": "byol_prime", "alpha": 1.0, "beta": 1.0},
+    "augmentation": {"view1": {"noise_sigma": 0.2}, "view2": {"noise_sigma": 0.2}},
+    "train": {"steps": 20, "batch_size": 16, "optimizer": "adam",
+              "learning_rate": 0.0003, "ema_tau": 0.996, "master_seed": 0,
+              "log_every": 5},
+}
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 TINY_NET = NetworkSpec(

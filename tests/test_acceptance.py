@@ -6,12 +6,12 @@ option when a check goes red — the implementation is what has to move.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import load_script
 
 from raftlab import cli
 from raftlab import tape as tp
@@ -19,15 +19,11 @@ from raftlab.data import (
     AugmentationSpec,
     Dataset,
     SyntheticBlobsSpec,
-    ViewAugmentation,
     estimate_aug_moments,
     make_blobs,
     sample_positive_batch,
 )
-from raftlab.evaluate import linear_evaluation, metrics_report
 from raftlab.losses import LossConfig
-from raftlab.model import NetworkSpec, init_params, load_checkpoint
-from raftlab.train import derived_seeds as _derived_seeds
 from raftlab.verify import (
     DEFAULT_VERIFY_NETWORK,
     analytic_sylvester_cases,
@@ -54,45 +50,16 @@ def _verdict(capsys, label: str, ok: bool, detail: str) -> bool:
 # collapse-study fixture (shared by the four sub-checks of criterion 5)
 
 
-def _run_config(cfg_path: Path, out_dir: Path):
-    cfg = json.loads(cfg_path.read_text())
-    d = cfg["data"]
-    dataset = make_blobs(
-        SyntheticBlobsSpec(
-            dim=d["dim"], classes=d["classes"], per_class=d["per_class"],
-            noise_sigma=d["noise_sigma"], center_seed=d["center_seed"],
-        )
-    )
-    a = cfg["augmentation"]
-    aug = AugmentationSpec(
-        view1=ViewAugmentation(**a["view1"]), view2=ViewAugmentation(**a["view2"])
-    )
-    n = cfg["network"]
-    net = NetworkSpec(
-        input_dim=dataset.dim,
-        backbone_widths=tuple(n["backbone_widths"]),
-        representation_dim=n["representation_dim"],
-        projection_dim=n["projection_dim"],
-        predictor=n["predictor"],
-    )
-    rc = cli.main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)])
-    assert rc == 0, f"training run failed for {cfg_path.name}"
-    params = load_checkpoint(out_dir / "checkpoint_final.ckpt")
-    report = metrics_report(params, dataset, aug, sample_count=512)
-    init_seed, _ = _derived_seeds(cfg["train"]["master_seed"])
-    baseline = linear_evaluation(init_params(net, init_seed), dataset)
-    return report, baseline
-
-
 @pytest.fixture(scope="module")
 def collapse_study(tmp_path_factory):
+    run_arm = load_script("run_collapse_study").run_arm
     root = tmp_path_factory.mktemp("collapse")
     start = time.monotonic()
-    attract_report, _ = _run_config(
-        CONFIG_DIR / "collapse_byol_np.json", root / "attract"
+    attract_report, _ = run_arm(
+        CONFIG_DIR / "collapse_byol_np.json", root / "attract", 512
     )
-    repel_report, repel_baseline = _run_config(
-        CONFIG_DIR / "collapse_raft_lp.json", root / "repel"
+    repel_report, repel_baseline = run_arm(
+        CONFIG_DIR / "collapse_raft_lp.json", root / "repel", 512
     )
     elapsed = time.monotonic() - start
     return attract_report, repel_report, repel_baseline, elapsed

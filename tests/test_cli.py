@@ -2,24 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
 import pytest
+from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli
 
-SMALL_CONFIG = {
-    "data": {"kind": "blobs", "dim": 8, "classes": 4, "per_class": 12,
-             "noise_sigma": 0.35, "center_seed": 7},
-    "network": {"backbone_widths": [12], "representation_dim": 10,
-                "projection_dim": 6, "predictor": "linear"},
-    "loss": {"objective": "byol_prime", "alpha": 1.0, "beta": 1.0},
-    "augmentation": {"view1": {"noise_sigma": 0.2}, "view2": {"noise_sigma": 0.2}},
-    "train": {"steps": 20, "batch_size": 16, "optimizer": "adam",
-              "learning_rate": 0.0003, "ema_tau": 0.996, "master_seed": 0,
-              "log_every": 5},
-}
+# Wrong-typed (and some in-range) stand-ins for every leaf of SMALL_CONFIG.
+SUBSTITUTES = (None, True, 0, 1.5, "x", [], {})
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -30,6 +23,24 @@ def write_config(tmp_path, payload, name="config.json"):
 
 def run(argv):
     return cli.main(argv)
+
+
+def leaf_paths(payload: dict, prefix: tuple = ()):
+    """Key paths of the non-object values of a nested JSON object."""
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield from leaf_paths(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def substituted(payload: dict, path: tuple, value) -> dict:
+    out = copy.deepcopy(payload)
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
 
 
 class TestTrainCommand:
@@ -86,6 +97,63 @@ class TestTrainCommand:
         assert rc == 2
         assert "momentum" in err
 
+    def test_unknown_top_level_section_is_rejected(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(SMALL_CONFIG))
+        bad["nettwork"] = bad.pop("network")
+        cfg = write_config(tmp_path, bad)
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "nettwork" in capsys.readouterr().err
+
+    def test_every_substituted_leaf_exits_0_or_2(self, tmp_path, capsys):
+        escaped = []
+        for path in leaf_paths(SMALL_CONFIG):
+            for value in SUBSTITUTES:
+                cfg = write_config(tmp_path, substituted(SMALL_CONFIG, path, value))
+                argv = ["train", "--config", str(cfg), "--steps", "1",
+                        "--out-dir", str(tmp_path / "x")]
+                try:
+                    rc = run(argv)
+                except Exception as exc:  # recorded: an escape is what this test finds
+                    rc = repr(exc)
+                if rc not in (0, 2):
+                    escaped.append((".".join(path), value, rc))
+        capsys.readouterr()
+        assert escaped == []
+
+    def test_wrong_typed_value_names_the_field(self, tmp_path, capsys):
+        bad = substituted(SMALL_CONFIG, ("loss", "symmetrize_views"), "no")
+        cfg = write_config(tmp_path, bad)
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "loss.symmetrize_views must be bool" in capsys.readouterr().err
+
+    def test_int_for_a_float_field_passes_unchanged(self, tmp_path):
+        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("loss", "alpha"), 2))
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"]) == 0
+        assert '"alpha": 2,' in (out / "manifest.json").read_text()
+
+    def test_cifar_path_must_be_a_string(self, tmp_path, capsys):
+        bad = {**SMALL_CONFIG, "data": {"kind": "cifar10", "path": 3}}
+        cfg = write_config(tmp_path, bad)
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "data.path" in capsys.readouterr().err
+
+    def test_missing_cifar_file_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent" / "data_batch_1.bin"
+        bad = {**SMALL_CONFIG, "data": {"kind": "cifar10", "path": str(missing)}}
+        cfg = write_config(tmp_path, bad)
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, capsys):
+        rc = run(["train", "--config", str(tmp_path), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_flag_overrides_beat_the_config_file(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_CONFIG)
         out = tmp_path / "run"
@@ -115,6 +183,31 @@ class TestEvalCommand:
         assert rc == 0
         report = json.loads((eval_out / "eval_report.json").read_text())
         assert {"probe_accuracy", "align", "uniformity"} <= set(report)
+
+    def test_manifest_records_the_seed_the_probe_used(self, tmp_path):
+        cfg = write_config(tmp_path, {**SMALL_CONFIG, "probe": {"seed": 5, "epochs": 2}})
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        seeds = []
+        for extra in ([], ["--seed", "2"]):
+            eval_out = tmp_path / f"eval{len(extra)}"
+            assert run([
+                "eval", "--config", str(cfg), "--checkpoint",
+                str(out / "checkpoint_final.ckpt"), "--sample-count", "16",
+                "--out-dir", str(eval_out), *extra,
+            ]) == 0
+            manifest = json.loads((eval_out / "manifest.json").read_text())
+            assert manifest["seed"] == manifest["config"]["probe"]["seed"]
+            seeds.append(manifest["seed"])
+        assert seeds == [5, 2]
+
+    def test_missing_checkpoint_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "absent.ckpt"
+        rc = run([
+            "eval", "--checkpoint", str(missing), "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert rc == 2
+        assert str(missing) in capsys.readouterr().err
 
     def test_corrupted_checkpoint_is_a_format_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)

@@ -1,13 +1,25 @@
-"""Repository hygiene: scripts and tests use only raftlab's public names."""
+"""Repository hygiene: scripts and tests use only raftlab's public names, and
+the config reader can check every field of every config dataclass."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import json
+import typing
 from pathlib import Path
 
 import pytest
 
+from raftlab import cli
+from raftlab.data import SyntheticBlobsSpec
+from raftlab.evaluate import ProbeConfig
+from raftlab.losses import LossConfig
+from raftlab.model import NetworkSpec
+from raftlab.train import Schedule, TrainConfig
+
 ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 SOURCES = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
 
 
@@ -38,3 +50,53 @@ def test_detector_flags_private_names_only():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_raftlab_imports(path):
     assert private_raftlab_imports(path.read_text()) == []
+
+
+# The dataclasses the config reader builds, and the annotations it checks.
+READER_ROOTS = (TrainConfig, SyntheticBlobsSpec, ProbeConfig)
+HANDLED = [int, float, str, bool, tuple[int, ...], Schedule]
+
+
+def config_annotations(cls) -> list[tuple[str, object]]:
+    """(`Class.field`, annotation) of each leaf field, nested dataclasses
+    walked."""
+    found = []
+    for name, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            found += config_annotations(hint)
+        else:
+            found.append((f"{cls.__name__}.{name}", hint))
+    return found
+
+
+def test_reader_handles_every_config_annotation():
+    leaves = [leaf for root in READER_ROOTS for leaf in config_annotations(root)]
+    names = {name for name, _ in leaves}
+    assert {"ViewAugmentation.mask_prob", "TrainConfig.ema_tau", "ProbeConfig.seed"} <= names
+    assert [(name, hint) for name, hint in leaves if hint not in HANDLED] == []
+
+
+def test_every_field_round_trips_through_the_reader(tmp_path):
+    defaults = TrainConfig(
+        network=NetworkSpec(input_dim=8), steps=2, learning_rate=(0.1, 0.2)
+    )
+    nested = ("network", "loss", "augmentation")
+    payload = {
+        "data": {"kind": "blobs", **dataclasses.asdict(SyntheticBlobsSpec())},
+        "probe": dataclasses.asdict(ProbeConfig()),
+        **{name: dataclasses.asdict(getattr(defaults, name)) for name in nested},
+        "train": {k: v for k, v in dataclasses.asdict(defaults).items() if k not in nested},
+    }
+    path = tmp_path / "full.json"
+    path.write_text(json.dumps(payload))
+    cfg, dataset, _ = cli.train_config(path)
+    assert cfg == defaults
+    assert dataset.dim == 8
+    assert set(payload) == set(cli.SECTIONS)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_pinned_configs_resolve(path):
+    cfg, dataset, echo = cli.train_config(path)
+    assert cfg.network.input_dim == dataset.dim
+    assert echo["kind"] == json.loads(path.read_text())["data"]["kind"]
