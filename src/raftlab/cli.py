@@ -23,6 +23,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -99,7 +100,8 @@ def _load_config_file(path) -> dict:
 def _typed(hint, value, where: str):
     """`value` checked against the field annotation `hint`. A JSON list
     becomes a tuple, a JSON object a nested config dataclass; an int passes
-    for a float unchanged, a bool never passes for a number."""
+    for a float unchanged, a float must be finite, and a bool never passes
+    for a number."""
     if dataclasses.is_dataclass(hint):
         if isinstance(value, dict):
             return _from_json(hint, value, where)
@@ -116,11 +118,14 @@ def _typed(hint, value, where: str):
     elif hint in _SCALARS:
         accepted = (int, float) if hint is float else hint
         if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
-            return value
+            if not isinstance(value, float) or math.isfinite(value):
+                return value
     else:
         raise TypeError(f"config: {where} has annotation {hint}, which the reader cannot check")
     if dataclasses.is_dataclass(hint):
         expected = "a JSON object"
+    elif hint is float:
+        expected = "a finite float"
     else:
         expected = hint.__name__ if hint in _SCALARS else str(hint)
     raise ConfigError(f"config: {where} must be {expected}, got {value!r}")
@@ -332,6 +337,8 @@ def _verify_start(args) -> tuple[dict, int, _Manifest]:
     """Config file, seed and manifest of a verify subcommand."""
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"seed: need >= 0, got {seed}")
     out = _out_dir(args, f"verify-{args.check}")
     return file_cfg, seed, _Manifest(f"verify {args.check}", out, seed)
 

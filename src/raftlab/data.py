@@ -68,8 +68,10 @@ class SyntheticBlobsSpec:
             raise ConfigError(f"classes: need >= 2, got {self.classes}")
         if self.per_class < 1:
             raise ConfigError(f"per_class: need >= 1, got {self.per_class}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
+        if self.center_seed < 0:
+            raise ConfigError(f"center_seed: need >= 0, got {self.center_seed}")
 
 
 def make_blobs(spec: SyntheticBlobsSpec) -> Dataset:
@@ -103,7 +105,7 @@ class ViewAugmentation:
     mask_prob: float = 0.0
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
         if not 0 < self.scale_lo <= self.scale_hi:
             raise ConfigError(
@@ -122,6 +124,10 @@ class AugmentationSpec:
     view1: ViewAugmentation = ViewAugmentation()
     view2: ViewAugmentation = ViewAugmentation()
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed: need >= 0, got {self.seed}")
 
     @classmethod
     def symmetric(

@@ -46,6 +46,8 @@ class ProbeConfig:
             raise ContractError(
                 f"holdout_fraction: must lie in (0, 1), got {self.holdout_fraction}"
             )
+        if self.seed < 0:
+            raise ContractError(f"seed: need >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -129,17 +129,6 @@ def tangential_cross_model(p, zbar, lambda_eps: float = LAMBDA_EPS) -> Tensor:
     return T.batch_mean(per_row)
 
 
-def byol_loss(p1, zbar2, p2=None, zbar1=None, symmetrize: bool = True) -> Tensor:
-    """Crossed-view bootstrap loss: view-1 online against view-2 target,
-    averaged with the swapped pairing when symmetrize is set."""
-    first = cross_model_loss(p1, zbar2)
-    if not symmetrize:
-        return first
-    if p2 is None or zbar1 is None:
-        raise ContractError("byol_loss: symmetrized form needs p2 and zbar1")
-    return T.scale(T.add(first, cross_model_loss(p2, zbar1)), 0.5)
-
-
 @dataclass(frozen=True)
 class LossParts:
     """Optimized objective plus its plain diagnostic components.
@@ -159,22 +148,19 @@ def objective_terms(cfg: LossConfig, p1, p2, zbar1, zbar2) -> LossParts:
     p1, p2 are the online outputs of the two views; zbar1, zbar2 the target
     outputs of the matching views.
     """
+    term = tangential_cross_model if cfg.tangential_mode == "loss_trick" else cross_model_loss
+    same_view = ((p1, zbar1), (p2, zbar2))
     align = align_loss(p1, p2)
-    cross = _paired_cross(cross_model_loss, p1, p2, zbar1, zbar2, cfg.symmetrize_views)
-    if cfg.tangential_mode == "loss_trick":
-        cross_term = _paired_cross(
-            tangential_cross_model, p1, p2, zbar1, zbar2, cfg.symmetrize_views
-        )
-    else:
-        cross_term = cross
+    cross = _paired(cross_model_loss, *same_view, cfg.symmetrize_views)
+    # byol leaves cross_term unused; evaluating it anyway keeps the
+    # near-orthogonal guard of the loss trick on the same-view pairs.
+    cross_term = cross if term is cross_model_loss else _paired(
+        term, *same_view, cfg.symmetrize_views
+    )
 
     if cfg.objective == "byol":
-        if cfg.tangential_mode == "loss_trick":
-            total = _crossed_views(tangential_cross_model, p1, p2, zbar1, zbar2,
-                                   cfg.symmetrize_views)
-        else:
-            total = _crossed_views(cross_model_loss, p1, p2, zbar1, zbar2,
-                                   cfg.symmetrize_views)
+        # Crossed pairing: online view 1 against target view 2 and vice versa.
+        total = _paired(term, (p1, zbar2), (p2, zbar1), cfg.symmetrize_views)
     elif cfg.objective == "byol_prime":
         total = T.add(T.scale(align, cfg.alpha), T.scale(cross_term, cfg.beta))
     else:  # raft
@@ -182,15 +168,7 @@ def objective_terms(cfg: LossConfig, p1, p2, zbar1, zbar2) -> LossParts:
     return LossParts(total=total, align=align, cross=cross)
 
 
-def _paired_cross(term, p1, p2, zbar1, zbar2, symmetrize: bool) -> Tensor:
-    # Same-view pairing: online view i against target view i.
+def _paired(term, first, second, symmetrize: bool) -> Tensor:
     if not symmetrize:
-        return term(p1, zbar1)
-    return T.scale(T.add(term(p1, zbar1), term(p2, zbar2)), 0.5)
-
-
-def _crossed_views(term, p1, p2, zbar1, zbar2, symmetrize: bool) -> Tensor:
-    # Crossed pairing: online view 1 against target view 2 and vice versa.
-    if not symmetrize:
-        return term(p1, zbar2)
-    return T.scale(T.add(term(p1, zbar2), term(p2, zbar1)), 0.5)
+        return term(*first)
+    return T.scale(T.add(term(*first), term(*second)), 0.5)

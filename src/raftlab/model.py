@@ -21,7 +21,7 @@ from .errors import ConfigError, EmptyBatchError, FormatError, ShapeError
 from .tape import Tape, Tensor
 
 PREDICTOR_KINDS = ("mlp", "linear", "identity")
-PREDICTOR_INITS = ("random", "identity", "mirrored")
+PREDICTOR_INITS = ("random", "identity")
 
 CHECKPOINT_MAGIC = b"RAFTCKPT"
 CHECKPOINT_VERSION = 1
@@ -65,7 +65,7 @@ class NetworkSpec:
                 f"predictor_init: unknown mode {self.predictor_init!r}, "
                 f"expected one of {PREDICTOR_INITS}"
             )
-        if self.predictor_init in ("identity", "mirrored") and self.predictor != "linear":
+        if self.predictor_init == "identity" and self.predictor != "linear":
             raise ConfigError(
                 f"predictor_init: {self.predictor_init!r} needs the linear predictor "
                 f"(a square matrix), got kind {self.predictor!r}"
@@ -116,16 +116,13 @@ def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], b
     return out
 
 
-def init_params(spec: NetworkSpec, seed: int, predictor_w0: np.ndarray | None = None) -> ModelParams:
+def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
     """Draw weight matrices from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
     start biases at zero, and copy backbone+projector into the teacher.
 
     Zero biases keep the layer means proportional to the propagated signal,
     so normalized representations start spread out instead of clustered
     around a bias-dominated direction.
-
-    predictor_w0 is consumed only by predictor_init="mirrored": the predictor
-    becomes exactly -predictor_w0.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values: dict[str, np.ndarray] = {}
@@ -133,18 +130,6 @@ def init_params(spec: NetworkSpec, seed: int, predictor_w0: np.ndarray | None = 
         bound = 1.0 / np.sqrt(fan_in)
         if prefix == "predictor" and spec.predictor_init == "identity":
             values["predictor.w"] = np.eye(fan_in)
-            continue
-        if prefix == "predictor" and spec.predictor_init == "mirrored":
-            if predictor_w0 is None:
-                raise ConfigError(
-                    "predictor_init: 'mirrored' needs the predictor_w0 matrix to negate"
-                )
-            w0 = np.asarray(predictor_w0, dtype=np.float64)
-            if w0.shape != (fan_in, fan_out):
-                raise ConfigError(
-                    f"predictor_w0: expected shape {(fan_in, fan_out)}, got {w0.shape}"
-                )
-            values["predictor.w"] = -w0
             continue
         values[f"{prefix}.w"] = rng.uniform(-bound, bound, (fan_in, fan_out))
         if has_bias:

@@ -106,6 +106,8 @@ class TrainConfig:
             raise ConfigError(
                 f"checkpoint_every: need >= 0, got {self.checkpoint_every}"
             )
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed: need >= 0, got {self.master_seed}")
         object.__setattr__(
             self,
             "learning_rate",
@@ -114,13 +116,16 @@ class TrainConfig:
         object.__setattr__(
             self, "ema_tau", _normalize_schedule(self.ema_tau, self.steps, "ema_tau")
         )
-        for k in range(1, self.steps + 1):
-            lr = schedule_value(self.learning_rate, k)
-            if lr < 0:
-                raise ConfigError(f"learning_rate: negative value {lr} at step {k}")
-            tau = schedule_value(self.ema_tau, k)
-            if not 0.0 <= tau <= 1.0:
-                raise ConfigError(f"ema_tau: value {tau} at step {k} outside [0, 1]")
+        # One comparison per schedule; a constant one is checked as step 1.
+        lr = np.atleast_1d(self.learning_rate)
+        tau = np.atleast_1d(self.ema_tau)
+        for name, values, ok, problem in (
+            ("learning_rate", lr, lr >= 0, "is not >= 0"),
+            ("ema_tau", tau, (tau >= 0.0) & (tau <= 1.0), "is outside [0, 1]"),
+        ):
+            if not ok.all():
+                k = int(np.argmin(ok))
+                raise ConfigError(f"{name}: value {values[k]} at step {k + 1} {problem}")
 
 
 _METRIC_KEYS = (

@@ -32,13 +32,7 @@ import numpy as np
 from . import tape as T
 from .data import AugmentationSpec, Dataset, PositiveBatch, make_blobs, SyntheticBlobsSpec
 from .errors import ContractError, ShapeError, SingularMomentError
-from .losses import (
-    LossConfig,
-    align_loss,
-    cross_model_loss,
-    objective_terms,
-    tangential_cross_model,
-)
+from .losses import LossConfig, cross_model_loss, objective_terms, tangential_cross_model
 from .model import (
     ModelParams,
     NetworkSpec,
@@ -101,38 +95,24 @@ def _require_linear_predictor(spec: NetworkSpec):
 # upper bound
 
 
-@dataclass(frozen=True)
-class StateLosses:
-    """Plain loss values at one forward state."""
-
-    align: float
-    cross: float
-    byol: float
-
-
-def state_losses(params: ModelParams, batch: PositiveBatch) -> StateLosses:
-    """Evaluate alignment, same-view cross, and crossed-view objective on
-    one shared forward pass."""
+def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple[float, float, float]:
+    """(align, same-view cross, crossed-view objective) of the byol
+    objective on one shared forward pass."""
     _, _, p1 = forward_online(params, batch.x1)
     _, _, p2 = forward_online(params, batch.x2)
     zbar1 = forward_target(params, batch.x1)
     zbar2 = forward_target(params, batch.x2)
-    align = align_loss(p1, p2).item()
-    cross = 0.5 * (
-        cross_model_loss(p1, zbar1).item() + cross_model_loss(p2, zbar2).item()
-    )
-    byol = 0.5 * (
-        cross_model_loss(p1, zbar2).item() + cross_model_loss(p2, zbar1).item()
-    )
-    return StateLosses(align=align, cross=cross, byol=byol)
+    parts = objective_terms(LossConfig(objective="byol"), p1, p2, zbar1, zbar2)
+    return parts.align.item(), parts.cross.item(), parts.total.item()
 
 
-def margin_from_losses(alpha: float, beta: float, losses: StateLosses) -> float:
-    """(1/alpha + 1/beta) * (alpha*align + beta*cross) - byol."""
+def margin_from_losses(alpha: float, beta: float, losses: tuple[float, float, float]) -> float:
+    """(1/alpha + 1/beta) * (alpha*align + beta*cross) - byol, from the
+    (align, cross, byol) of state_losses."""
     if not (alpha > 0 and beta > 0):
         raise ContractError(f"weights must be positive, got alpha={alpha}, beta={beta}")
-    two_term = alpha * losses.align + beta * losses.cross
-    return (1.0 / alpha + 1.0 / beta) * two_term - losses.byol
+    align, cross, byol = losses
+    return (1.0 / alpha + 1.0 / beta) * (alpha * align + beta * cross) - byol
 
 
 @dataclass(frozen=True)
@@ -259,12 +239,7 @@ def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
 
 
 def _raw_gradients(
-    params: ModelParams,
-    batch: PositiveBatch,
-    cross_sign: float,
-    gate: bool,
-    alpha: float,
-    beta: float,
+    params: ModelParams, batch: PositiveBatch, objective: str, gate: bool
 ) -> dict[str, np.ndarray]:
     tp = T.Tape()
     leaves = bind_params(tp, params)
@@ -272,21 +247,12 @@ def _raw_gradients(
     out2 = _raw_online_outputs(params, batch.x2, leaves, gate)
     _, t1 = encode(params, batch.x1, teacher=True)
     _, t2 = encode(params, batch.x2, teacher=True)
-    align = align_loss(out1, out2)
-    cross = T.scale(
-        T.add(cross_model_loss(out1, t1), cross_model_loss(out2, t2)), 0.5
-    )
-    total = T.add(T.scale(align, alpha), T.scale(cross, cross_sign * beta))
-    grads = tp.backward(total)
+    grads = tp.backward(objective_terms(LossConfig(objective=objective), out1, out2, t1, t2).total)
     return {name: grads[leaf] for name, leaf in leaves.items()}
 
 
 def gradient_correspondence_check(
-    params: ModelParams,
-    batch: PositiveBatch,
-    apply_filter: bool = True,
-    alpha: float = 1.0,
-    beta: float = 1.0,
+    params: ModelParams, batch: PositiveBatch, apply_filter: bool = True
 ) -> GradientDeviations:
     """Evaluate the attract-form at (theta, W) and the repel-form at
     (theta, -W) on the same batch with the same teacher, and measure how far
@@ -294,9 +260,8 @@ def gradient_correspondence_check(
     opposite. With the tangential filter on, both deviations sit at rounding
     level; with it off, the differing radial components surface."""
     _require_linear_predictor(params.spec)
-    g_attract = _raw_gradients(params, batch, +1.0, apply_filter, alpha, beta)
-    mirrored = mirror_predictor(params)
-    g_repel = _raw_gradients(mirrored, batch, -1.0, apply_filter, alpha, beta)
+    g_attract = _raw_gradients(params, batch, "byol_prime", apply_filter)
+    g_repel = _raw_gradients(mirror_predictor(params), batch, "raft", apply_filter)
     theta_dev, w_dev = _mirror_deviations(g_attract, g_repel)
     return GradientDeviations(theta_dev=theta_dev, w_dev=w_dev, filter_on=apply_filter)
 
@@ -417,16 +382,6 @@ def write_deviation_csv(report: CorrespondenceReport, path):
             fh.write(f"{k},{td!r},{wd!r}\n")
 
 
-class _TrajectoryRecorder:
-    def __init__(self):
-        self.params: list[dict[str, np.ndarray]] = []
-        self.grads: list[dict[str, np.ndarray]] = []
-
-    def __call__(self, step: int, params: ModelParams, grads: dict[str, np.ndarray]):
-        self.params.append(params.values)
-        self.grads.append(grads)
-
-
 def trajectory_correspondence_experiment(
     network: NetworkSpec | None = None,
     steps: int = 200,
@@ -435,9 +390,6 @@ def trajectory_correspondence_experiment(
     learning_rate: float = 1e-2,
     ema_tau: float = 0.996,
     dataset: Dataset | None = None,
-    augmentation: AugmentationSpec | None = None,
-    alpha: float = 1.0,
-    beta: float = 1.0,
 ) -> CorrespondenceReport:
     """Train the attract-form and the repel-form from mirrored inits with
     identical batches and optimizer, and log how far the trajectories drift
@@ -452,9 +404,6 @@ def trajectory_correspondence_experiment(
     network = network or DEFAULT_VERIFY_NETWORK
     _require_linear_predictor(network)
     dataset = dataset or make_blobs(SyntheticBlobsSpec())
-    augmentation = augmentation or AugmentationSpec.symmetric(
-        noise_sigma=0.1, scale=(0.9, 1.1)
-    )
     params0 = init_params(network, seed)
     mirrored0 = mirror_predictor(params0)
 
@@ -464,16 +413,15 @@ def trajectory_correspondence_experiment(
     grads_r: list[dict[str, np.ndarray]] = []
 
     if steps > 0:
-        def run(objective: str, initial: ModelParams, rec: _TrajectoryRecorder):
+        def run(objective: str, initial: ModelParams, snapshots: list, grads: list):
+            def record(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
+                snapshots.append(params.values)
+                grads.append(step_grads)
+
             cfg = TrainConfig(
                 network=network,
-                loss=LossConfig(
-                    objective=objective,
-                    alpha=alpha,
-                    beta=beta,
-                    tangential_mode="gradient_filter",
-                ),
-                augmentation=augmentation,
+                loss=LossConfig(objective=objective, tangential_mode="gradient_filter"),
+                augmentation=AugmentationSpec.symmetric(noise_sigma=0.1, scale=(0.9, 1.1)),
                 steps=steps,
                 batch_size=len(dataset),
                 optimizer=optimizer,
@@ -482,15 +430,10 @@ def trajectory_correspondence_experiment(
                 master_seed=seed,
                 log_every=10**9,
             )
-            train_run(cfg, dataset, initial_params=initial, step_callback=rec)
+            train_run(cfg, dataset, initial_params=initial, step_callback=record)
 
-        rec_a = _TrajectoryRecorder()
-        run("byol_prime", params0, rec_a)
-        rec_r = _TrajectoryRecorder()
-        run("raft", mirrored0, rec_r)
-        snapshots_a += rec_a.params
-        snapshots_r += rec_r.params
-        grads_a, grads_r = rec_a.grads, rec_r.grads
+        run("byol_prime", params0, snapshots_a, grads_a)
+        run("raft", mirrored0, snapshots_r, grads_r)
 
     devs = [_mirror_deviations(va, vr) for va, vr in zip(snapshots_a, snapshots_r)]
     grad_devs = [_mirror_deviations(ga, gr) for ga, gr in zip(grads_a, grads_r)]
@@ -662,18 +605,15 @@ def finite_difference_gradcheck(
     zbar1 = forward_target(params, batch.x1)
     zbar2 = forward_target(params, batch.x2)
 
-    def loss_at(values: dict[str, np.ndarray]) -> float:
+    def total_at(values: dict[str, np.ndarray], leaves=None) -> T.Tensor:
         probe = ModelParams(params.spec, values)
-        _, _, p1 = forward_online(probe, batch.x1)
-        _, _, p2 = forward_online(probe, batch.x2)
-        return objective_terms(loss_cfg, p1, p2, zbar1, zbar2).total.item()
+        _, _, p1 = forward_online(probe, batch.x1, leaves=leaves)
+        _, _, p2 = forward_online(probe, batch.x2, leaves=leaves)
+        return objective_terms(loss_cfg, p1, p2, zbar1, zbar2).total
 
     tp = T.Tape()
     leaves = bind_params(tp, params)
-    _, _, p1 = forward_online(params, batch.x1, leaves=leaves)
-    _, _, p2 = forward_online(params, batch.x2, leaves=leaves)
-    total = objective_terms(loss_cfg, p1, p2, zbar1, zbar2).total
-    grads = tp.backward(total)
+    grads = tp.backward(total_at(params.values, leaves))
 
     coords = [
         (name, i)
@@ -692,11 +632,11 @@ def finite_difference_gradcheck(
         plus = base.copy()
         plus.reshape(-1)[i] += step
         bumped[name] = plus
-        hi = loss_at(bumped)
+        hi = total_at(bumped).item()
         minus = base.copy()
         minus.reshape(-1)[i] -= step
         bumped[name] = minus
-        lo = loss_at(bumped)
+        lo = total_at(bumped).item()
         fd = (hi - lo) / (2.0 * step)
         an = float(grads[leaves[name]].reshape(-1)[i])
         err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)

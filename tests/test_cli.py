@@ -11,8 +11,9 @@ from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli
 
-# Wrong-typed (and some in-range) stand-ins for every leaf of SMALL_CONFIG.
-SUBSTITUTES = (None, True, 0, 1.5, "x", [], {})
+# Wrong-typed, negative, non-finite and some in-range stand-ins for every
+# leaf of SMALL_CONFIG.
+SUBSTITUTES = (None, True, 0, 1.5, "x", [], {}, -1, float("nan"))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -127,6 +128,17 @@ class TestTrainCommand:
         rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "loss.symmetrize_views must be bool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path", [("train", "learning_rate"), ("data", "noise_sigma")], ids=".".join
+    )
+    def test_non_finite_value_names_the_field(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, path, float("nan")))
+        out = tmp_path / "x"
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "1"])
+        assert rc == 2
+        assert f"{'.'.join(path)} must be" in capsys.readouterr().err
+        assert not (out / "checkpoint_final.ckpt").exists()
 
     def test_int_for_a_float_field_passes_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("loss", "alpha"), 2))
@@ -313,6 +325,45 @@ class TestVerifyCommands:
         assert run(["verify", "upper-bound", "--trials", "5", "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"].startswith("verify")
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(config path, final checkpoint) of a short SMALL_CONFIG run."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg = write_config(root, SMALL_CONFIG)
+    out = root / "run"
+    assert run(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "5"]) == 0
+    return cfg, out / "checkpoint_final.ckpt"
+
+
+@pytest.mark.parametrize(
+    "argv, section",
+    [
+        (["eval"], ("probe", {"seed": -1})),
+        (["eval"], ("augmentation", {"seed": -1})),
+        (["train", "--seed", "-1"], None),
+        (["eval", "--seed", "-1"], None),
+        (["make-data", "--seed", "-1"], None),
+        (["verify", "upper-bound", "--seed", "-1"], None),
+        (["verify", "correspondence", "--seed", "-1"], None),
+        (["verify", "sylvester", "--seed", "-1"], None),
+        (["verify", "gradcheck", "--seed", "-1"], None),
+    ],
+    ids=["eval-probe.seed", "eval-augmentation.seed", "train", "eval", "make-data",
+         "upper-bound", "correspondence", "sylvester", "gradcheck"],
+)
+def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, section):
+    cfg, ckpt = trained
+    if section is not None:
+        name, values = section
+        cfg = write_config(tmp_path, {**SMALL_CONFIG, name: values})
+    if argv[0] == "eval":
+        argv = [*argv, "--checkpoint", str(ckpt)]
+    if argv[0] in ("train", "eval"):
+        argv = [*argv, "--config", str(cfg)]
+    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "seed: need >= 0, got -1" in capsys.readouterr().err
 
 
 class TestMakeDataCommand:

@@ -82,21 +82,6 @@ class TestInit:
         params = init_params(small_spec("linear", "identity"), seed=0)
         np.testing.assert_array_equal(params.values["predictor.w"], np.eye(5))
 
-    def test_mirrored_predictor_start_negates_reference(self):
-        w0 = np.random.default_rng(0).normal(size=(5, 5))
-        params = init_params(small_spec("linear", "mirrored"), seed=0, predictor_w0=w0)
-        np.testing.assert_array_equal(params.values["predictor.w"], -w0)
-
-    def test_mirrored_start_requires_reference_matrix(self):
-        with pytest.raises(ConfigError):
-            init_params(small_spec("linear", "mirrored"), seed=0)
-
-    def test_mirrored_start_rejects_wrong_shape(self):
-        with pytest.raises(ConfigError):
-            init_params(
-                small_spec("linear", "mirrored"), seed=0, predictor_w0=np.zeros((2, 2))
-            )
-
     def test_unknown_predictor_kind_rejected(self):
         with pytest.raises(ConfigError):
             small_spec("bilinear")

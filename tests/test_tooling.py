@@ -1,17 +1,21 @@
-"""Repository hygiene: scripts and tests use only raftlab's public names, and
-the config reader can check every field of every config dataclass."""
+"""Repository hygiene: scripts and tests use only raftlab's public names, the
+config reader can check every field of every config dataclass, and the
+training step calls every phase the benchmark times."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import json
+import textwrap
 import typing
 from pathlib import Path
 
 import pytest
 
-from raftlab import cli
+from raftlab import cli, train
 from raftlab.data import SyntheticBlobsSpec
 from raftlab.evaluate import ProbeConfig
 from raftlab.losses import LossConfig
@@ -100,3 +104,36 @@ def test_pinned_configs_resolve(path):
     cfg, dataset, echo = cli.train_config(path)
     assert cfg.network.input_dim == dataset.dim
     assert echo["kind"] == json.loads(path.read_text())["data"]["kind"]
+
+
+def benchmark_step_phases() -> list[str]:
+    """`module.function` of each BENCHMARK.json per-layer time named
+    `<module>.<function>.ms` after a public function of raftlab.<module>."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    phases = []
+    for name in names:
+        parts = name.split(".")
+        if len(parts) != 3 or parts[2] != "ms" or parts[1].startswith("_"):
+            continue
+        try:
+            module = importlib.import_module(f"raftlab.{parts[0]}")
+        except ModuleNotFoundError:
+            continue
+        if inspect.isfunction(getattr(module, parts[1], None)):
+            phases.append(f"{parts[0]}.{parts[1]}")
+    return phases
+
+
+def test_train_run_calls_every_benchmarked_phase():
+    phases = benchmark_step_phases()
+    assert {
+        "data.sample_positive_batch", "model.bind_params", "model.forward_online",
+        "model.forward_target", "losses.objective_terms", "model.ema_update",
+    } <= set(phases)
+    tree = ast.parse(textwrap.dedent(inspect.getsource(train.train_run)))
+    called = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    assert [p for p in phases if p.split(".")[1] not in called] == []

@@ -77,6 +77,19 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             small_config(ema_tau=1.5)
 
+    @pytest.mark.parametrize(
+        "field, schedule, step",
+        [
+            ("learning_rate", [1e-3, 1e-3, -1e-3, -2e-3], 3),
+            ("learning_rate", [1e-3, float("nan"), 1e-3, 1e-3], 2),
+            ("learning_rate", float("nan"), 1),
+            ("ema_tau", [0.9, 0.9, 0.9, 1.5], 4),
+        ],
+    )
+    def test_schedule_error_names_the_first_bad_step(self, field, schedule, step):
+        with pytest.raises(ConfigError, match=rf"^{field}: value \S+ at step {step} "):
+            small_config(steps=4, **{field: schedule})
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError):
             small_config(optimizer="lbfgs")

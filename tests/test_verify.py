@@ -16,7 +16,6 @@ from raftlab.verify import (
     MARGIN_TOLERANCE,
     ONESTEP_MATCH_TOL,
     TRICK_IDENTITY_TOL,
-    StateLosses,
     analytic_sylvester_cases,
     finite_difference_gradcheck,
     gradient_correspondence_check,
@@ -48,11 +47,11 @@ def verify_blobs():
 
 class TestUpperBound:
     def test_margin_formula_on_known_values(self):
-        margin = margin_from_losses(1.0, 1.0, StateLosses(align=0.0, cross=2.0, byol=2.0))
+        margin = margin_from_losses(1.0, 1.0, (0.0, 2.0, 2.0))
         assert margin == pytest.approx(2.0)
 
     def test_margin_vanishes_at_collapse(self):
-        assert margin_from_losses(1.0, 1.0, StateLosses(0.0, 0.0, 0.0)) == pytest.approx(0.0)
+        assert margin_from_losses(1.0, 1.0, (0.0, 0.0, 0.0)) == pytest.approx(0.0)
 
     def test_random_states_never_undershoot(self, verify_blobs):
         rng = np.random.default_rng(0)
@@ -77,9 +76,10 @@ class TestUpperBound:
         params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
         batch = random_batch(rng, verify_blobs)
         losses = state_losses(params, batch)
-        assert losses.align >= 0.0
-        assert losses.cross >= 0.0
-        assert losses.byol >= 0.0
+        align, cross, byol = losses
+        assert align >= 0.0
+        assert cross >= 0.0
+        assert byol >= 0.0
         margin = margin_from_losses(1.0, 1.0, losses)
         assert margin == pytest.approx(margin_from_losses(1.0, 1.0, state_losses(params, batch)))
 
