@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    raftlab train --steps 2000 --objective raft --tangential-mode loss_trick
+    raftlab train --steps 2000 --objective raft
     raftlab eval --checkpoint runs/train/checkpoint_final.ckpt
     raftlab verify upper-bound --trials 1000
     raftlab verify correspondence --steps 200
@@ -82,7 +82,7 @@ def _load_config_file(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path} ({exc.strerror})")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
         raise ConfigError(f"config: {path} is not valid JSON ({exc})")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")
@@ -99,9 +99,9 @@ def _load_config_file(path) -> dict:
 
 def _typed(hint, value, where: str):
     """`value` checked against the field annotation `hint`. A JSON list
-    becomes a tuple, a JSON object a nested config dataclass; an int passes
-    for a float unchanged, a float must be finite, and a bool never passes
-    for a number."""
+    becomes a tuple, a JSON object a nested config dataclass; an int that a
+    finite float can hold passes for a float unchanged, a float must be
+    finite, and a bool never passes for a number."""
     if dataclasses.is_dataclass(hint):
         if isinstance(value, dict):
             return _from_json(hint, value, where)
@@ -118,7 +118,8 @@ def _typed(hint, value, where: str):
     elif hint in _SCALARS:
         accepted = (int, float) if hint is float else hint
         if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
-            if not isinstance(value, float) or math.isfinite(value):
+            # exact int/float comparison: no OverflowError, and NaN fails it
+            if hint is not float or abs(value) <= sys.float_info.max:
                 return value
     else:
         raise TypeError(f"config: {where} has annotation {hint}, which the reader cannot check")
@@ -581,6 +582,18 @@ def cmd_make_data(args) -> int:
 # parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a float literal that parses to a
+    finite value, so inf, nan and 1e400 exit 2 naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite float, got {text!r}")
+    return value
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="master seed override")
@@ -606,16 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--objective", choices=("byol", "byol_prime", "raft"), default=None
     )
-    p.add_argument(
-        "--tangential-mode",
-        choices=("off", "loss_trick", "gradient_filter"),
-        default=None,
-    )
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--beta", type=_finite_float, default=None)
     p.add_argument("--optimizer", choices=("sgd", "adam"), default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--ema-tau", type=float, default=None)
+    p.add_argument("--learning-rate", type=_finite_float, default=None)
+    p.add_argument("--ema-tau", type=_finite_float, default=None)
     p.add_argument("--log-every", type=int, default=None)
     p.add_argument("--checkpoint-every", type=int, default=None)
     p.set_defaults(func=cmd_train)
@@ -643,9 +651,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100, help="one-step check count")
     p.add_argument("--steps", type=int, default=200, help="trajectory length")
     p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
-    p.add_argument("--learning-rate", type=float, default=1e-2)
-    p.add_argument("--ema-tau", type=float, default=0.996)
-    p.add_argument("--rel-tol", type=float, default=verify.TRAJECTORY_REL_TOL)
+    p.add_argument("--learning-rate", type=_finite_float, default=1e-2)
+    p.add_argument("--ema-tau", type=_finite_float, default=0.996)
+    p.add_argument("--rel-tol", type=_finite_float, default=verify.TRAJECTORY_REL_TOL)
     p.set_defaults(func=cmd_verify_correspondence)
 
     p = vsub.add_parser(
@@ -658,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser(
         "gradcheck", parents=[common], help="tape gradients against central differences"
     )
-    p.add_argument("--step", type=float, default=verify.FD_STEP)
+    p.add_argument("--step", type=_finite_float, default=verify.FD_STEP)
     p.add_argument("--max-coords", type=int, default=10000)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--trials", type=int, default=100, help="gradient identity trials")
@@ -668,7 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--classes", type=int, default=None)
     p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--noise-sigma", type=float, default=None)
+    p.add_argument("--noise-sigma", type=_finite_float, default=None)
     p.set_defaults(func=cmd_make_data)
 
     return parser

@@ -1,10 +1,9 @@
-"""Post-training measurement: linear probing, geometry metrics, and
-representation export. Everything here treats parameter snapshots as frozen.
+"""Post-training measurement: linear probing and geometry metrics.
+Everything here treats parameter snapshots as frozen.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 
@@ -175,21 +174,3 @@ def metrics_report(
         probe=probe,
     )
 
-
-def export_representations(params: ModelParams, dataset: Dataset, path):
-    """CSV of [h..., z..., label] rows for external plotting; deterministic
-    shortest round-trip float formatting."""
-    h = backbone_features(params, dataset.samples)
-    z = projector_outputs(params, dataset.samples)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [f"h{i}" for i in range(h.shape[1])]
-        header += [f"z{i}" for i in range(z.shape[1])]
-        header.append("label")
-        writer.writerow(header)
-        for hrow, zrow, label in zip(h, z, dataset.labels):
-            writer.writerow(
-                [repr(float(v)) for v in hrow]
-                + [repr(float(v)) for v in zrow]
-                + [int(label)]
-            )

@@ -18,7 +18,6 @@ from .errors import ConfigError, ContractError, InsufficientBatchError, NearOrth
 from .tape import Tensor
 
 OBJECTIVES = ("byol", "byol_prime", "raft")
-TANGENTIAL_MODES = ("off", "loss_trick", "gradient_filter")
 
 # Coupling temperature for the pairwise-repulsion diagnostic.
 DEFAULT_UNIFORMITY_T = 2.0
@@ -34,21 +33,13 @@ LAMBDA_EPS = 1e-6
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Which objective to optimize and how its terms are weighted.
-
-    tangential_mode selects how radial gradient components are suppressed:
-    "off" does nothing, "loss_trick" swaps each online-vs-target distance for
-    its rescaled form whose gradient is automatically tangential, and
-    "gradient_filter" asks the model forward to project gradients at the
-    normalized outputs instead.
-    """
+    """Which objective to optimize and how its terms are weighted."""
 
     objective: str = "byol_prime"
     alpha: float = 1.0
     beta: float = 1.0
     uniformity_t: float = DEFAULT_UNIFORMITY_T
     symmetrize_views: bool = True
-    tangential_mode: str = "off"
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -61,11 +52,6 @@ class LossConfig:
             raise ConfigError(f"beta: must be positive, got {self.beta}")
         if not self.uniformity_t > 0:
             raise ConfigError(f"uniformity_t: must be positive, got {self.uniformity_t}")
-        if self.tangential_mode not in TANGENTIAL_MODES:
-            raise ConfigError(
-                f"tangential_mode: unknown value {self.tangential_mode!r}, "
-                f"expected one of {TANGENTIAL_MODES}"
-            )
 
 
 def align_loss(p1, p2) -> Tensor:
@@ -133,8 +119,8 @@ def tangential_cross_model(p, zbar, lambda_eps: float = LAMBDA_EPS) -> Tensor:
 class LossParts:
     """Optimized objective plus its plain diagnostic components.
 
-    align and cross are always the unmodified geometric quantities, even when
-    the total was assembled from the rescaled tangential form.
+    align and cross are always the unmodified same-view geometric quantities,
+    even when the total pairs the views crosswise (byol).
     """
 
     total: Tensor
@@ -148,23 +134,16 @@ def objective_terms(cfg: LossConfig, p1, p2, zbar1, zbar2) -> LossParts:
     p1, p2 are the online outputs of the two views; zbar1, zbar2 the target
     outputs of the matching views.
     """
-    term = tangential_cross_model if cfg.tangential_mode == "loss_trick" else cross_model_loss
-    same_view = ((p1, zbar1), (p2, zbar2))
     align = align_loss(p1, p2)
-    cross = _paired(cross_model_loss, *same_view, cfg.symmetrize_views)
-    # byol leaves cross_term unused; evaluating it anyway keeps the
-    # near-orthogonal guard of the loss trick on the same-view pairs.
-    cross_term = cross if term is cross_model_loss else _paired(
-        term, *same_view, cfg.symmetrize_views
-    )
+    cross = _paired(cross_model_loss, (p1, zbar1), (p2, zbar2), cfg.symmetrize_views)
 
     if cfg.objective == "byol":
         # Crossed pairing: online view 1 against target view 2 and vice versa.
-        total = _paired(term, (p1, zbar2), (p2, zbar1), cfg.symmetrize_views)
+        total = _paired(cross_model_loss, (p1, zbar2), (p2, zbar1), cfg.symmetrize_views)
     elif cfg.objective == "byol_prime":
-        total = T.add(T.scale(align, cfg.alpha), T.scale(cross_term, cfg.beta))
+        total = T.add(T.scale(align, cfg.alpha), T.scale(cross, cfg.beta))
     else:  # raft
-        total = T.sub(T.scale(align, cfg.alpha), T.scale(cross_term, cfg.beta))
+        total = T.sub(T.scale(align, cfg.alpha), T.scale(cross, cfg.beta))
     return LossParts(total=total, align=align, cross=cross)
 
 

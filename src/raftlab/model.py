@@ -207,32 +207,26 @@ def forward_online(
     params: ModelParams,
     x,
     leaves: Mapping[str, Tensor] | None = None,
-    tangent_filter: bool = False,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Run the online path; returns (h, z, p).
 
     h is the backbone output (linear last layer), z the normalized projector
     output, p the normalized predictor output (the same node as z for the
     identity predictor). Pass `leaves` from bind_params to record on a tape;
-    without it everything evaluates as constants. tangent_filter inserts a
-    backward-only projection at the normalized outputs, leaving forward
-    values untouched.
+    without it everything evaluates as constants. The l2_normalize VJP
+    already drops the radial gradient component at z and p.
     """
     spec = params.spec
     table: Mapping = leaves if leaves is not None else params.values
     h, z_pre = encode(params, x, leaves)
     z = T.l2_normalize(z_pre)
     if spec.predictor == "identity":
-        p = T.tangent_gate(z) if tangent_filter else z
-        return h, z, p
+        return h, z, z
     if spec.predictor == "linear":
         p_pre = T.matmul(z_pre, T.as_tensor(table["predictor.w"]))
     else:
         p_pre = apply_mlp(table, "predictor", z_pre, 2, False)
-    p = T.l2_normalize(p_pre)
-    if tangent_filter:
-        p = T.tangent_gate(p)
-    return h, z, p
+    return h, z, T.l2_normalize(p_pre)
 
 
 def forward_target(params: ModelParams, x) -> Tensor:

@@ -66,37 +66,6 @@ class Tensor:
         tag = "const" if self.node is None else f"node {self.node}"
         return f"Tensor({tag}, shape={self.data.shape})"
 
-    # Light operator sugar; the named functions below are the real API.
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, float(other))
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return add_scalar(self, -float(other))
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add_scalar(neg(self), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def constant(x) -> Tensor:
     """Wrap an array as an untracked tensor."""
@@ -138,9 +107,6 @@ class Gradients:
         if got is None:
             return np.zeros_like(t.data)
         return got
-
-    def __contains__(self, t: Tensor) -> bool:
-        return t.node is not None and t.node in self._table
 
 
 class Tape:

@@ -144,7 +144,7 @@ class MetricsRecord:
     """One logged snapshot of the training state.
 
     loss_align / loss_cross_model are the plain geometric components
-    regardless of tangential mode; uniformity is measured on the current
+    regardless of objective; uniformity is measured on the current
     batch's view-1 z. wall_ms (time since run start) is kept in memory only:
     the JSONL serialization drops it so logs are byte-reproducible.
     """
@@ -212,7 +212,6 @@ def train_run(
             raise ConfigError("initial_params: spec does not match cfg.network")
         params = initial_params.clone()
 
-    use_filter = cfg.loss.tangential_mode == "gradient_filter"
     trainable = {n: params.values[n] for n in params.trainable_names()}
     opt_state = AdamState.init(trainable) if cfg.optimizer == "adam" else None
 
@@ -229,12 +228,8 @@ def train_run(
             batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
             tp = T.Tape()
             leaves = bind_params(tp, params)
-            _, z1, p1 = forward_online(
-                params, batch.x1, leaves=leaves, tangent_filter=use_filter
-            )
-            _, _, p2 = forward_online(
-                params, batch.x2, leaves=leaves, tangent_filter=use_filter
-            )
+            _, z1, p1 = forward_online(params, batch.x1, leaves=leaves)
+            _, _, p2 = forward_online(params, batch.x2, leaves=leaves)
             zbar1 = forward_target(params, batch.x1)
             zbar2 = forward_target(params, batch.x2)
             parts = objective_terms(cfg.loss, p1, p2, zbar1, zbar2)

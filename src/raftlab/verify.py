@@ -420,7 +420,7 @@ def trajectory_correspondence_experiment(
 
             cfg = TrainConfig(
                 network=network,
-                loss=LossConfig(objective=objective, tangential_mode="gradient_filter"),
+                loss=LossConfig(objective=objective),
                 augmentation=AugmentationSpec.symmetric(noise_sigma=0.1, scale=(0.9, 1.1)),
                 steps=steps,
                 batch_size=len(dataset),
@@ -588,19 +588,11 @@ def finite_difference_gradcheck(
     """Compare tape gradients of the configured objective against central
     differences over every trainable coordinate (a seeded subsample above
     max_coords); returns the worst relative error.
-
-    Only tangential_mode="off" is accepted: the other modes deliberately
-    change the derivative away from the derivative of the forward value, so
-    a finite-difference comparison would be measuring the wrong thing. Their
-    gradients are certified by the dedicated identity checks instead.
     """
     if step <= 0:
         raise ContractError(f"step: must be positive, got {step}")
-    if loss_cfg.tangential_mode != "off":
-        raise ContractError(
-            "finite differences need tangential_mode='off'; the tangential "
-            "modes redefine the derivative on purpose"
-        )
+    if max_coords < 1:
+        raise ContractError(f"max_coords: must be >= 1, got {max_coords}")
 
     zbar1 = forward_target(params, batch.x1)
     zbar2 = forward_target(params, batch.x2)

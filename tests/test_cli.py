@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -139,6 +142,24 @@ class TestTrainCommand:
         assert rc == 2
         assert f"{'.'.join(path)} must be" in capsys.readouterr().err
         assert not (out / "checkpoint_final.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in leaf_paths(SMALL_CONFIG) if isinstance(reduce(getitem, p, SMALL_CONFIG), float)],
+        ids=".".join,
+    )
+    def test_int_too_large_for_a_float_names_the_field(self, tmp_path, capsys, path):
+        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, path, 10**400))
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x"), "--steps", "1"])
+        assert rc == 2
+        assert f"config: {'.'.join(path)} must be" in capsys.readouterr().err
+
+    def test_int_past_the_digit_limit_is_not_valid_json(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"loss": {"alpha": 1' + "0" * 5000 + "}}")
+        rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_int_for_a_float_field_passes_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("loss", "alpha"), 2))
@@ -364,6 +385,44 @@ def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, sectio
         argv = [*argv, "--config", str(cfg)]
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert "seed: need >= 0, got -1" in capsys.readouterr().err
+
+
+def float_flags(parser, command: tuple = ()) -> list[tuple[tuple, str]]:
+    """(subcommand path, option) of every option that takes a number other
+    than an int."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += float_flags(sub, command + (name,))
+        elif action.type not in (None, int):
+            found.append((command, action.option_strings[-1]))
+    return found
+
+
+FLOAT_FLAGS = float_flags(cli.build_parser())
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "command, flag", FLOAT_FLAGS, ids=[" ".join((*c, f)) for c, f in FLOAT_FLAGS]
+)
+def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value):
+    assert len(FLOAT_FLAGS) == 9
+    with pytest.raises(SystemExit) as info:
+        run([*command, f"{flag}={value}", "--out-dir", str(tmp_path / "out")])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be a finite float, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, value):
+    rc = run(["verify", "gradcheck", "--max-coords", value, "--out-dir", str(tmp_path / "v")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"max_coords: must be >= 1, got {value}" in captured.err
+    assert "PASS" not in captured.out
 
 
 class TestMakeDataCommand:

@@ -12,7 +12,6 @@ from raftlab.evaluate import (
     EvalReport,
     ProbeConfig,
     backbone_features,
-    export_representations,
     linear_evaluation,
     metrics_report,
     train_probe,
@@ -143,25 +142,3 @@ class TestMetricsReport:
         assert payload["sample_count"] == 64
         assert payload["probe"]["holdout_fraction"] == 0.2
 
-
-class TestRepresentationExport:
-    def test_export_columns_and_unit_projections(self, tmp_path, blobs):
-        params = init_params(NET, seed=0)
-        path = tmp_path / "reps.csv"
-        export_representations(params, blobs, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 401
-        header = lines[0].split(",")
-        assert header[:10] == [f"h{i}" for i in range(10)]
-        assert header[10:16] == [f"z{i}" for i in range(6)]
-        assert header[-1] == "label"
-        fields = lines[1].split(",")
-        z = np.array([float(v) for v in fields[10:16]])
-        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
-
-    def test_export_is_reproducible(self, tmp_path, blobs):
-        params = init_params(NET, seed=0)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_representations(params, blobs, p1)
-        export_representations(params, blobs, p2)
-        assert p1.read_bytes() == p2.read_bytes()

@@ -15,7 +15,6 @@ from raftlab.losses import (
     LAMBDA_EPS,
     LossConfig,
     OBJECTIVES,
-    TANGENTIAL_MODES,
     align_loss,
     cross_model_loss,
     objective_terms,
@@ -147,15 +146,10 @@ def make_views(seed, n=6, d=5):
 class TestObjectives:
     def test_registry_contents(self):
         assert OBJECTIVES == ("byol", "byol_prime", "raft")
-        assert TANGENTIAL_MODES == ("off", "loss_trick", "gradient_filter")
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigError):
             LossConfig(objective="simsiam")
-
-    def test_unknown_tangential_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            LossConfig(tangential_mode="sideways")
 
     def test_parts_report_plain_align_and_cross(self):
         p1, p2, z1, z2 = make_views(21)
@@ -209,19 +203,3 @@ class TestObjectives:
         parts = objective_terms(cfg, p1, p2, z1, z2)
         assert parts.total.item() == pytest.approx(alpha * parts.align.item() + beta * parts.cross.item())
 
-
-class TestLossTrickMode:
-    def test_trick_mode_changes_gradient_not_geometry(self):
-        rng = np.random.default_rng(28)
-        n, d = 5, 6
-        t = tp.Tape()
-        p1 = t.leaf(random_unit_rows(rng, n, d))
-        p2 = t.leaf(random_unit_rows(rng, n, d))
-        z1 = tp.constant(random_unit_rows(rng, n, d))
-        z2 = tp.constant(random_unit_rows(rng, n, d))
-        plain = objective_terms(LossConfig(objective="byol_prime"), p1, p2, z1, z2)
-        trick = objective_terms(
-            LossConfig(objective="byol_prime", tangential_mode="loss_trick"), p1, p2, z1, z2
-        )
-        assert trick.align.item() == pytest.approx(plain.align.item())
-        assert trick.cross.item() == pytest.approx(plain.cross.item())

@@ -63,19 +63,6 @@ class TestTensorBasics:
         assert c.tape is None
         np.testing.assert_allclose(c.data, [3.0])
 
-    def test_operator_sugar_matches_functions(self):
-        t = tp.Tape()
-        a = t.leaf(np.array([2.0, -3.0]))
-        b = t.leaf(np.array([5.0, 4.0]))
-        np.testing.assert_allclose((a + b).data, [7.0, 1.0])
-        np.testing.assert_allclose((a - b).data, [-3.0, -7.0])
-        np.testing.assert_allclose((a * b).data, [10.0, -12.0])
-        np.testing.assert_allclose((a / b).data, [0.4, -0.75])
-        np.testing.assert_allclose((-a).data, [-2.0, 3.0])
-        np.testing.assert_allclose((a * 2.0).data, [4.0, -6.0])
-        np.testing.assert_allclose((a + 1.0).data, [3.0, -2.0])
-        np.testing.assert_allclose((1.0 - a).data, [-1.0, 4.0])
-
     def test_item_requires_scalar(self):
         t = tp.Tape()
         assert t.leaf(np.array(3.5)).item() == 3.5

@@ -1,9 +1,11 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
-config reader can check every field of every config dataclass, and the
-training step calls every phase the benchmark times."""
+config reader can check every field of every config dataclass, the
+training step calls every phase the benchmark times, and every train flag
+sets a config field."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -137,3 +139,14 @@ def test_train_run_calls_every_benchmarked_phase():
             func = node.func
             called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
     assert [p for p in phases if p.split(".")[1] not in called] == []
+
+
+def test_every_train_flag_sets_a_config_field():
+    # cmd_train keeps only the flags named after a LossConfig or TrainConfig
+    # field, so any other train flag would be accepted and silently ignored.
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in subparsers.choices["train"]._actions if a.option_strings}
+    fields = {f.name for cls in (LossConfig, TrainConfig) for f in dataclasses.fields(cls)}
+    assert "objective" in dests and "steps" in dests
+    assert sorted(dests - fields - {"help", "seed", "out_dir", "config"}) == []

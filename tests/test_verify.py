@@ -177,14 +177,6 @@ class TestFiniteDifferences:
         err = finite_difference_gradcheck(cfg, params, batch, max_coords=160, seed=0)
         assert err <= 1e-4
 
-    def test_tangential_modes_are_rejected(self, verify_blobs):
-        rng = np.random.default_rng(5)
-        params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
-        batch = random_batch(rng, verify_blobs)
-        cfg = LossConfig(objective="byol_prime", tangential_mode="gradient_filter")
-        with pytest.raises(ContractError):
-            finite_difference_gradcheck(cfg, params, batch)
-
 
 class TestTangentialTrickIdentity:
     def test_matched_rows_give_tangential_gradient(self):
