@@ -334,8 +334,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# Count flags of the verify subcommands; each must be at least 1.
+_VERIFY_COUNTS = ("trials", "steps", "samples", "max_coords", "batch_size")
+
+
 def _verify_start(args) -> tuple[dict, int, _Manifest]:
-    """Config file, seed and manifest of a verify subcommand."""
+    """Config file, seed and manifest of a verify subcommand. Flags are
+    checked here, so a bad one exits 2 before any check runs."""
+    for name in _VERIFY_COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')}: must be >= 1, got {value}")
+    if getattr(args, "rel_tol", 0.0) < 0:
+        raise ConfigError(f"--rel-tol: must be >= 0, got {args.rel_tol}")
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
     if seed < 0:

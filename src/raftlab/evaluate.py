@@ -78,9 +78,9 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
     if train_idx.size == 0:
         raise EvalError("probe: holdout fraction leaves no training rows")
 
-    w = np.zeros((d, n_classes))
-    b = np.zeros(n_classes)
-    state = AdamState.init({"w": w, "b": b})
+    flat = np.zeros(d * n_classes + n_classes)
+    w, b = flat[: d * n_classes].reshape(d, n_classes), flat[d * n_classes :]
+    state = AdamState.init(flat)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12]))
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(train_idx)
@@ -91,13 +91,8 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
             logits = T.add(T.matmul(T.constant(features[batch]), tw), tb)
             loss = T.softmax_cross_entropy(logits, labels[batch])
             grads = tp.backward(loss)
-            stepped, state = adam_step(
-                {"w": w, "b": b},
-                {"w": grads[tw], "b": grads[tb]},
-                state,
-                cfg.learning_rate,
-            )
-            w, b = stepped["w"], stepped["b"]
+            grad = np.concatenate([grads[tw].ravel(), grads[tb]])
+            adam_step(flat, grad, state, cfg.learning_rate)
 
     pred = np.argmax(features[hold_idx] @ w + b, axis=1)
     accuracy = float(np.mean(pred == labels[hold_idx]))

@@ -1,14 +1,16 @@
 """Online network (backbone, projector, predictor), its EMA teacher, and
 checkpoint serialization.
 
-Parameter layout is a flat ordered dict of named float64 arrays. Weight
-matrices are stored (fan_in, fan_out) and applied as x @ W. The teacher is a
-shape-identical copy of the backbone and projector under the "target." prefix;
-it is evaluated as constants, so no gradient can ever reach it.
+All parameters live in one contiguous float64 vector, exposed as an ordered
+dict of named views. Weight matrices are stored (fan_in, fan_out) and applied
+as x @ W. The teacher is a shape-identical copy of the backbone and projector
+under the "target." prefix; it is evaluated as constants, so no gradient can
+ever reach it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -80,14 +82,44 @@ class NetworkSpec:
         return list(zip(sizes[:-1], sizes[1:]))
 
 
-@dataclass
 class ModelParams:
-    """A named-parameter snapshot. Treat the arrays as immutable; every
-    update path in this package builds a new dict instead of writing in
-    place."""
+    """Network parameters in one contiguous float64 vector, `flat`.
 
-    spec: NetworkSpec
-    values: dict[str, np.ndarray]
+    `flat` holds three segments in order: the online encoder (backbone, then
+    projector), the predictor, and the teacher (the "target." copy of the
+    encoder, in the same layout). `values` maps each name to its view of
+    `flat`, in that order. Write through the views or `flat`; rebinding a
+    name in `values` detaches it from `flat`.
+    """
+
+    def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
+        """View `flat` without copying it, or a fresh vector of zeros."""
+        layout = _layout(spec)
+        size = layout[-1][1].stop
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.shape != (size,):
+            raise ShapeError(f"parameter vector: shape {flat.shape}, expected ({size},)")
+        self.spec = spec
+        self.flat = flat
+        self.values = {name: flat[span].reshape(shape) for name, span, shape in layout}
+        self._n_trainable = next(
+            span.start for name, span, _ in layout if name.startswith("target.")
+        )
+
+    @property
+    def trainable(self) -> np.ndarray:
+        """The online encoder and predictor segments: what the optimizer updates."""
+        return self.flat[: self._n_trainable]
+
+    @property
+    def teacher(self) -> np.ndarray:
+        return self.flat[self._n_trainable :]
+
+    @property
+    def encoder(self) -> np.ndarray:
+        """The online encoder segment, laid out like the teacher."""
+        return self.flat[: self.teacher.size]
 
     def trainable_names(self) -> list[str]:
         return [n for n in self.values if not n.startswith("target.")]
@@ -96,7 +128,7 @@ class ModelParams:
         return [n for n in self.values if n.startswith("target.")]
 
     def clone(self) -> "ModelParams":
-        return ModelParams(self.spec, {k: v.copy() for k, v in self.values.items()})
+        return ModelParams(self.spec, self.flat.copy())
 
 
 def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], bool]]:
@@ -125,19 +157,15 @@ def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
     around a bias-dominated direction.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    values: dict[str, np.ndarray] = {}
-    for prefix, (fan_in, fan_out), has_bias in _online_layer_names(spec):
+    params = ModelParams(spec)
+    for prefix, (fan_in, fan_out), _ in _online_layer_names(spec):
         bound = 1.0 / np.sqrt(fan_in)
         if prefix == "predictor" and spec.predictor_init == "identity":
-            values["predictor.w"] = np.eye(fan_in)
-            continue
-        values[f"{prefix}.w"] = rng.uniform(-bound, bound, (fan_in, fan_out))
-        if has_bias:
-            values[f"{prefix}.b"] = np.zeros(fan_out)
-    for name in list(values):
-        if name.startswith(("backbone.", "projector.")):
-            values[f"target.{name}"] = values[name].copy()
-    return ModelParams(spec, values)
+            params.values["predictor.w"][...] = np.eye(fan_in)
+        else:
+            params.values[f"{prefix}.w"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    params.teacher[...] = params.encoder
+    return params
 
 
 def mirror_predictor(params: ModelParams) -> ModelParams:
@@ -146,7 +174,7 @@ def mirror_predictor(params: ModelParams) -> ModelParams:
     if params.spec.predictor != "linear":
         raise ConfigError("mirror_predictor: needs the linear predictor kind")
     out = params.clone()
-    out.values["predictor.w"] = -params.values["predictor.w"]
+    np.negative(params.values["predictor.w"], out=out.values["predictor.w"])
     return out
 
 
@@ -236,16 +264,15 @@ def forward_target(params: ModelParams, x) -> Tensor:
     return T.l2_normalize(encode(params, x, teacher=True)[1])
 
 
-def ema_update(params: ModelParams, tau: float) -> ModelParams:
-    """Teacher update: target <- tau * target + (1 - tau) * online."""
+def ema_update(params: ModelParams, tau: float) -> None:
+    """Teacher update in place: target <- tau * target + (1 - tau) * online,
+    one blend of the teacher segment from the online encoder segment."""
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"ema_tau: must lie in [0, 1], got {tau}")
-    values = dict(params.values)
-    for name in params.target_names():
-        online = params.values[name[len("target."):]]
-        values[name] = tau * params.values[name] + (1.0 - tau) * online
-    return ModelParams(params.spec, values)
+    teacher = params.teacher
+    teacher *= tau
+    teacher += (1.0 - tau) * params.encoder
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +344,13 @@ def load_checkpoint(path) -> ModelParams:
             arr = np.frombuffer(r.take(n_items * 8), dtype="<f8").reshape(shape)
         except ValueError as exc:  # an empty shape with an extent numpy cannot hold
             raise FormatError(f"checkpoint: {name} has unusable shape {shape} ({exc})") from exc
-        values[name] = arr.astype(np.float64)
+        values[name] = arr
     if r.pos != len(blob):
         raise FormatError("checkpoint: trailing bytes after last parameter")
-    return ModelParams(_spec_from_values(values), values)
+    params = ModelParams(_spec_from_values(values))
+    for name, arr in values.items():
+        params.values[name][...] = arr
+    return params
 
 
 def _spec_from_values(values: dict[str, np.ndarray]) -> NetworkSpec:
@@ -350,14 +380,14 @@ def _spec_from_values(values: dict[str, np.ndarray]) -> NetworkSpec:
         )
     except (KeyError, ConfigError) as exc:
         raise FormatError(f"checkpoint: inconsistent parameter set ({exc})") from exc
-    expected = {name for name, _, _ in _expected_entries(spec)}
+    expected = {name for name, _, _ in _layout(spec)}
     got = set(values)
     if expected != got:
         raise FormatError(
             f"checkpoint: parameter names do not form a valid model "
             f"(missing {sorted(expected - got)}, extra {sorted(got - expected)})"
         )
-    for name, shape, _ in _expected_entries(spec):
+    for name, _, shape in _layout(spec):
         if values[name].shape != shape:
             raise FormatError(
                 f"checkpoint: {name} has shape {values[name].shape}, expected {shape}"
@@ -365,13 +395,20 @@ def _spec_from_values(values: dict[str, np.ndarray]) -> NetworkSpec:
     return spec
 
 
-def _expected_entries(spec: NetworkSpec):
-    out = []
+@functools.cache
+def _layout(spec: NetworkSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    """(name, span in the flat vector, shape) of every parameter, in storage
+    order."""
+    entries = []
     for prefix, (fan_in, fan_out), has_bias in _online_layer_names(spec):
-        out.append((f"{prefix}.w", (fan_in, fan_out), True))
+        entries.append((f"{prefix}.w", (fan_in, fan_out)))
         if has_bias:
-            out.append((f"{prefix}.b", (fan_out,), True))
-    for name, shape, _ in list(out):
-        if name.startswith(("backbone.", "projector.")):
-            out.append((f"target.{name}", shape, True))
-    return out
+            entries.append((f"{prefix}.b", (fan_out,)))
+    entries += [(f"target.{name}", shape) for name, shape in entries
+                if name.startswith(("backbone.", "projector."))]
+    out, lo = [], 0
+    for name, shape in entries:
+        hi = lo + math.prod(shape)
+        out.append((name, slice(lo, hi), shape))
+        lo = hi
+    return tuple(out)

@@ -1,85 +1,87 @@
-"""First-order optimizers over named parameter dictionaries.
+"""First-order optimizers over one flat float64 parameter vector.
 
-Both steppers are functional: they return fresh arrays and never mutate
-their inputs, which keeps gradient tapes and checkpoint snapshots safe to
-hold across steps.
+Both steppers update the parameter vector in place and leave the gradient
+untouched. Adam keeps its moments and two scratch vectors in AdamState and
+rewrites them in place, so its step allocates no array. Each update performs
+the textbook expression's operations in the textbook's order, so its result
+is the same bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ShapeError
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-Params = dict[str, np.ndarray]
 
-
-def _check_aligned(params: Params, grads: Params):
-    if params.keys() != grads.keys():
-        missing = sorted(params.keys() ^ grads.keys())
-        raise ContractError(f"params and grads disagree on names: {missing}")
-    for name, p in params.items():
-        if p.shape != grads[name].shape:
-            raise ShapeError(
-                f"{name}: param shape {p.shape} vs grad shape {grads[name].shape}"
-            )
-
-
-def sgd_step(params: Params, grads: Params, lr: float) -> Params:
-    """Plain gradient descent: p - lr * g for every named array."""
-    _check_aligned(params, grads)
-    lr = float(lr)
-    return {name: p - lr * grads[name] for name, p in params.items()}
+def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    """Plain gradient descent in place: params <- params - lr * grads."""
+    if params.shape != grads.shape:
+        raise ShapeError(f"param shape {params.shape} vs grad shape {grads.shape}")
+    params -= float(lr) * grads
 
 
 @dataclass
 class AdamState:
-    """Per-parameter first and second moment estimates plus the step count."""
+    """First and second moment estimates, the step count, and two scratch
+    vectors, each shaped like the parameter vector."""
 
-    m: Params = field(default_factory=dict)
-    v: Params = field(default_factory=dict)
-    t: int = 0
+    m: np.ndarray
+    v: np.ndarray
+    t: int
+    scratch: tuple[np.ndarray, np.ndarray]
 
     @classmethod
-    def init(cls, params: Params) -> "AdamState":
+    def init(cls, params: np.ndarray) -> "AdamState":
         return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
+            m=np.zeros_like(params),
+            v=np.zeros_like(params),
             t=0,
+            scratch=(np.empty_like(params), np.empty_like(params)),
         )
 
 
 def adam_step(
-    params: Params,
-    grads: Params,
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = ADAM_BETA1,
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
-) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update; returns (new params, new state)."""
-    _check_aligned(params, grads)
-    if state.m.keys() != params.keys():
-        raise ContractError("optimizer state does not match the parameter set")
-    lr = float(lr)
+) -> None:
+    """One bias-corrected Adam update of `params` in place; advances `state`.
+
+    Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+    params - lr m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t),
+    v_hat = v / (1 - beta2^t).
+    """
+    if not params.shape == grads.shape == state.m.shape:
+        raise ShapeError(
+            f"param shape {params.shape}, grad shape {grads.shape} and "
+            f"optimizer state shape {state.m.shape} differ"
+        )
     t = state.t + 1
-    new_m: Params = {}
-    new_v: Params = {}
-    new_p: Params = {}
-    for name, p in params.items():
-        g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_m[name] = m
-        new_v[name] = v
-        new_p[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_p, AdamState(m=new_m, v=new_v, t=t)
+    m, v = state.m, state.v
+    a, b = state.scratch
+    m *= beta1
+    np.multiply(grads, 1.0 - beta1, out=a)
+    m += a
+    v *= beta2
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - beta2
+    v += a
+    np.divide(v, 1.0 - beta2**t, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    np.divide(m, 1.0 - beta1**t, out=a)
+    a *= float(lr)
+    a /= b
+    params -= a
+    state.t = t

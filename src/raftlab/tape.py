@@ -9,7 +9,8 @@ bit-identical gradients.
 Conventions:
 
 * everything is float64; inputs are coerced on entry and never downcast,
-* arrays handed to an operation are treated as immutable from then on,
+* arrays handed to an operation are treated as immutable while its tape
+  is in use,
 * tensors without a tape are constants and record nothing, which makes every
   op usable for plain inference as well.
 """
@@ -264,6 +265,21 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
     ad, bd = a.data, b.data
     return _binary(a, b, ad @ bd, lambda g: g @ bd.T, lambda g: ad.T @ g)
+
+
+def row_slice(a, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi of a matrix; the VJP scatters into zeros of the full shape."""
+    a = as_tensor(a)
+    if a.ndim != 2 or not 0 <= lo < hi <= a.shape[0]:
+        raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
+    shape = a.shape
+
+    def vjp(g):
+        full = np.zeros(shape)
+        full[lo:hi] = g
+        return full
+
+    return _unary(a, a.data[lo:hi], vjp)
 
 
 def transpose(a) -> Tensor:

@@ -1,8 +1,10 @@
 """The K-step training loop shared by all three objectives.
 
-One step is: sample a positive-pair batch, run both views through the online
-network and the teacher, assemble the configured objective, backprop, update
-the online parameters with SGD or Adam, then move the teacher by EMA.
+One step is: sample a positive-pair batch, run both views, stacked into one
+batch, through the online network and the teacher, assemble the configured
+objective, backprop, update the online parameters with SGD or Adam, then move
+the teacher by EMA. The parameters, optimizer state and gradient live in flat
+vectors that each step updates in place.
 """
 
 from __future__ import annotations
@@ -197,7 +199,8 @@ def train_run(
     when checkpoint_every > 0, and checkpoint_final.ckpt at the end.
     initial_params overrides the seeded init (shapes must match cfg.network).
     step_callback observes (step, params after update, gradient arrays) once
-    per step; it must not mutate what it is handed.
+    per step; each call gets its own copy of the parameters and fresh
+    gradient arrays, so it may keep them.
     """
     if cfg.batch_size > len(dataset):
         raise ConfigError(
@@ -206,14 +209,13 @@ def train_run(
     init_seed, aug_seed = derived_seeds(cfg.master_seed)
     aug = replace(cfg.augmentation, seed=aug_seed)
     if initial_params is None:
-        params = init_params(cfg.network, init_seed)
-    else:
-        if initial_params.spec != cfg.network:
-            raise ConfigError("initial_params: spec does not match cfg.network")
-        params = initial_params.clone()
-
-    trainable = {n: params.values[n] for n in params.trainable_names()}
-    opt_state = AdamState.init(trainable) if cfg.optimizer == "adam" else None
+        initial_params = init_params(cfg.network, init_seed)
+    elif initial_params.spec != cfg.network:
+        raise ConfigError("initial_params: spec does not match cfg.network")
+    # The run updates its own copy in place; the caller's stays as it was.
+    params = initial_params.clone()
+    opt_state = AdamState.init(params.trainable) if cfg.optimizer == "adam" else None
+    grad = np.empty_like(params.trainable)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -226,13 +228,20 @@ def train_run(
     try:
         for k in range(1, cfg.steps + 1):
             batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
+            # Both views go through each network as one stacked batch.
+            n = batch.x1.shape[0]
+            x = np.concatenate((batch.x1, batch.x2))
             tp = T.Tape()
             leaves = bind_params(tp, params)
-            _, z1, p1 = forward_online(params, batch.x1, leaves=leaves)
-            _, _, p2 = forward_online(params, batch.x2, leaves=leaves)
-            zbar1 = forward_target(params, batch.x1)
-            zbar2 = forward_target(params, batch.x2)
-            parts = objective_terms(cfg.loss, p1, p2, zbar1, zbar2)
+            _, z, p = forward_online(params, x, leaves=leaves)
+            zbar = forward_target(params, x)
+            parts = objective_terms(
+                cfg.loss,
+                T.row_slice(p, 0, n),
+                T.row_slice(p, n, 2 * n),
+                T.row_slice(zbar, 0, n),
+                T.row_slice(zbar, n, 2 * n),
+            )
             loss_val = float(parts.total.data)
             if not math.isfinite(loss_val):
                 dump = _diagnostic_dump(k, parts, params)
@@ -248,23 +257,20 @@ def train_run(
 
             grads = tp.backward(parts.total)
             grad_arrays = {name: grads[leaf] for name, leaf in leaves.items()}
+            np.concatenate([g.ravel() for g in grad_arrays.values()], out=grad)
             lr_k = schedule_value(cfg.learning_rate, k)
-            current = {n: params.values[n] for n in grad_arrays}
             if cfg.optimizer == "sgd":
-                updated = sgd_step(current, grad_arrays, lr_k)
+                sgd_step(params.trainable, grad, lr_k)
             else:
-                updated, opt_state = adam_step(current, grad_arrays, opt_state, lr_k)
-            merged = dict(params.values)
-            merged.update(updated)
-            params = ModelParams(cfg.network, merged)
-            params = ema_update(params, schedule_value(cfg.ema_tau, k))
+                adam_step(params.trainable, grad, opt_state, lr_k)
+            ema_update(params, schedule_value(cfg.ema_tau, k))
 
             if step_callback is not None:
-                step_callback(k, params, grad_arrays)
+                step_callback(k, params.clone(), grad_arrays)
 
             if k % cfg.log_every == 0:
                 uni = uniform_loss(
-                    T.constant(z1.data), cfg.loss.uniformity_t
+                    T.constant(z.data[:n]), cfg.loss.uniformity_t
                 ).item()
                 rec = MetricsRecord(
                     step=k,

@@ -145,16 +145,13 @@ def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelPara
     guard."""
     s1, s2 = (int(v) for v in rng.integers(0, 2**63, size=2))
     params = init_params(spec, s1)
-    donor = init_params(spec, s2)
-    values = dict(params.values)
-    for name in params.target_names():
-        values[name] = donor.values[name]
-    for name, arr in values.items():
+    params.teacher[...] = init_params(spec, s2).teacher
+    for name, arr in params.values.items():
         if name.endswith(".b"):
-            fan_in = values[name[:-2] + ".w"].shape[0]
+            fan_in = params.values[name[:-2] + ".w"].shape[0]
             bound = 1.0 / np.sqrt(fan_in)
-            values[name] = rng.uniform(-bound, bound, size=arr.shape)
-    return ModelParams(spec, values)
+            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    return params
 
 
 def random_state_and_batch(
@@ -399,8 +396,8 @@ def trajectory_correspondence_experiment(
     batching; the optimizer can be "sgd" or "adam" (the mirror symmetry
     commutes with both: first moments negate for W, second moments match).
     """
-    if steps < 0:
-        raise ContractError(f"steps: need >= 0, got {steps}")
+    if steps < 1:
+        raise ContractError(f"steps: need >= 1, got {steps}")
     network = network or DEFAULT_VERIFY_NETWORK
     _require_linear_predictor(network)
     dataset = dataset or make_blobs(SyntheticBlobsSpec())
@@ -412,28 +409,27 @@ def trajectory_correspondence_experiment(
     grads_a: list[dict[str, np.ndarray]] = []
     grads_r: list[dict[str, np.ndarray]] = []
 
-    if steps > 0:
-        def run(objective: str, initial: ModelParams, snapshots: list, grads: list):
-            def record(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
-                snapshots.append(params.values)
-                grads.append(step_grads)
+    def run(objective: str, initial: ModelParams, snapshots: list, grads: list):
+        def record(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
+            snapshots.append(params.values)
+            grads.append(step_grads)
 
-            cfg = TrainConfig(
-                network=network,
-                loss=LossConfig(objective=objective),
-                augmentation=AugmentationSpec.symmetric(noise_sigma=0.1, scale=(0.9, 1.1)),
-                steps=steps,
-                batch_size=len(dataset),
-                optimizer=optimizer,
-                learning_rate=learning_rate,
-                ema_tau=ema_tau,
-                master_seed=seed,
-                log_every=10**9,
-            )
-            train_run(cfg, dataset, initial_params=initial, step_callback=record)
+        cfg = TrainConfig(
+            network=network,
+            loss=LossConfig(objective=objective),
+            augmentation=AugmentationSpec.symmetric(noise_sigma=0.1, scale=(0.9, 1.1)),
+            steps=steps,
+            batch_size=len(dataset),
+            optimizer=optimizer,
+            learning_rate=learning_rate,
+            ema_tau=ema_tau,
+            master_seed=seed,
+            log_every=10**9,
+        )
+        train_run(cfg, dataset, initial_params=initial, step_callback=record)
 
-        run("byol_prime", params0, snapshots_a, grads_a)
-        run("raft", mirrored0, snapshots_r, grads_r)
+    run("byol_prime", params0, snapshots_a, grads_a)
+    run("raft", mirrored0, snapshots_r, grads_r)
 
     devs = [_mirror_deviations(va, vr) for va, vr in zip(snapshots_a, snapshots_r)]
     grad_devs = [_mirror_deviations(ga, gr) for ga, gr in zip(grads_a, grads_r)]
@@ -597,40 +593,34 @@ def finite_difference_gradcheck(
     zbar1 = forward_target(params, batch.x1)
     zbar2 = forward_target(params, batch.x2)
 
-    def total_at(values: dict[str, np.ndarray], leaves=None) -> T.Tensor:
-        probe = ModelParams(params.spec, values)
+    def total_at(probe: ModelParams, leaves=None) -> T.Tensor:
         _, _, p1 = forward_online(probe, batch.x1, leaves=leaves)
         _, _, p2 = forward_online(probe, batch.x2, leaves=leaves)
         return objective_terms(loss_cfg, p1, p2, zbar1, zbar2).total
 
     tp = T.Tape()
     leaves = bind_params(tp, params)
-    grads = tp.backward(total_at(params.values, leaves))
+    grads = tp.backward(total_at(params, leaves))
+    analytic = np.concatenate([grads[leaf].ravel() for leaf in leaves.values()])
 
-    coords = [
-        (name, i)
-        for name in params.trainable_names()
-        for i in range(params.values[name].size)
-    ]
+    # Coordinates index the trainable segment of the flat parameter vector.
+    coords = range(analytic.size)
     if len(coords) > max_coords:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-        picked = rng.choice(len(coords), size=max_coords, replace=False)
-        coords = [coords[int(i)] for i in picked]
+        coords = rng.choice(len(coords), size=max_coords, replace=False)
 
+    probe = params.clone()
+    flat = probe.flat
     worst = 0.0
-    for name, i in coords:
-        base = params.values[name]
-        bumped = dict(params.values)
-        plus = base.copy()
-        plus.reshape(-1)[i] += step
-        bumped[name] = plus
-        hi = total_at(bumped).item()
-        minus = base.copy()
-        minus.reshape(-1)[i] -= step
-        bumped[name] = minus
-        lo = total_at(bumped).item()
+    for i in coords:
+        base = flat[i]
+        flat[i] = base + step
+        hi = total_at(probe).item()
+        flat[i] = base - step
+        lo = total_at(probe).item()
+        flat[i] = base
         fd = (hi - lo) / (2.0 * step)
-        an = float(grads[leaves[name]].reshape(-1)[i])
+        an = float(analytic[i])
         err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
         worst = max(worst, err)
     return worst

@@ -416,13 +416,27 @@ def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, value):
-    rc = run(["verify", "gradcheck", "--max-coords", value, "--out-dir", str(tmp_path / "v")])
+# (subcommand, flag, value) of verify flags outside their range. Most used
+# to run some checks first: printing PASS over an empty trajectory or
+# sweep, or FAIL against a negative tolerance.
+BAD_VERIFY_FLAGS = [
+    pytest.param(["gradcheck"], "--max-coords", "0", id="0"),
+    pytest.param(["gradcheck"], "--max-coords", "-1", id="-1"),
+    pytest.param(["gradcheck"], "--trials", "0", id="gradcheck --trials 0"),
+    pytest.param(["correspondence"], "--steps", "0", id="correspondence --steps 0"),
+    pytest.param(["correspondence"], "--rel-tol", "-1", id="correspondence --rel-tol -1"),
+    pytest.param(["sylvester"], "--samples", "0", id="sylvester --samples 0"),
+    pytest.param(["upper-bound"], "--batch-size", "0", id="upper-bound --batch-size 0"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", BAD_VERIFY_FLAGS)
+def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, command, flag, value):
+    rc = run(["verify", *command, flag, value, "--out-dir", str(tmp_path / "v")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"max_coords: must be >= 1, got {value}" in captured.err
-    assert "PASS" not in captured.out
+    assert f"error: {flag}: must be >= " in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
 class TestMakeDataCommand:

@@ -93,15 +93,13 @@ class TestLinearEvaluation:
 def collapsed_params():
     """A network whose projector output is the same nonzero row for every input."""
     params = init_params(NET, seed=0)
-    for name in list(params.values):
+    for name, arr in params.values.items():
         base = name[len("target."):] if name.startswith("target.") else name
         if base.endswith(".w") and not base.startswith("predictor"):
-            params.values[name] = np.zeros_like(params.values[name])
-    params.values["predictor.w"] = np.eye(params.values["predictor.w"].shape[0])
-    params.values["projector.1.b"] = np.ones_like(params.values["projector.1.b"])
-    params.values["target.projector.1.b"] = np.ones_like(
-        params.values["target.projector.1.b"]
-    )
+            arr[...] = 0.0
+    params.values["predictor.w"][...] = np.eye(params.values["predictor.w"].shape[0])
+    params.values["projector.1.b"][...] = 1.0
+    params.values["target.projector.1.b"][...] = 1.0
     return params
 
 

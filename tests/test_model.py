@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import types
+
 import numpy as np
 import pytest
 
 from raftlab import tape as tp
-from raftlab.errors import ConfigError, FormatError
+from raftlab.errors import ConfigError, FormatError, ShapeError
 from raftlab.model import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
+    ModelParams,
     NetworkSpec,
     ema_update,
     forward_online,
@@ -155,58 +158,100 @@ class TestMirror:
             mirror_predictor(init_params(small_spec(kind), seed=0))
 
 
+class TestFlatLayout:
+    @pytest.mark.parametrize("kind", ["linear", "mlp", "identity"])
+    def test_values_are_views_of_one_vector_in_segment_order(self, kind):
+        params = init_params(small_spec(kind), seed=0)
+        names = list(params.values)
+        n_online = len(params.trainable_names())
+        assert names[n_online:] == params.target_names()
+        np.testing.assert_array_equal(
+            np.concatenate([v.ravel() for v in params.values.values()]), params.flat
+        )
+        assert all(np.shares_memory(v, params.flat) for v in params.values.values())
+        assert params.trainable.size == sum(params.values[n].size for n in names[:n_online])
+        assert params.trainable.size + params.teacher.size == params.flat.size
+        # The teacher starts as a copy of the encoder, which leads the vector.
+        np.testing.assert_array_equal(params.encoder, params.teacher)
+
+    def test_wraps_a_vector_of_the_right_size_without_copying(self):
+        spec = small_spec("linear")
+        flat = init_params(spec, seed=0).flat
+        assert ModelParams(spec, flat).flat is flat
+        assert not np.any(ModelParams(spec).flat)
+        with pytest.raises(ShapeError):
+            ModelParams(spec, np.zeros(flat.size + 1))
+
+    def test_checkpoint_entries_in_any_order_load_into_the_layout(self, tmp_path):
+        params = init_params(small_spec("mlp"), seed=1)
+        reordered = types.SimpleNamespace(values=dict(reversed(list(params.values.items()))))
+        save_checkpoint(reordered, tmp_path / "reordered.ckpt")
+        loaded = load_checkpoint(tmp_path / "reordered.ckpt")
+        assert list(loaded.values) == list(params.values)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    def test_clone_is_independent(self):
+        params = init_params(small_spec("linear"), seed=0)
+        copy = params.clone()
+        copy.flat[...] = 0.0
+        assert np.any(params.flat != 0.0)
+
+
 class TestEma:
     def test_tau_one_freezes_the_target(self):
         params = init_params(small_spec("linear"), seed=0)
         before = {n: v.copy() for n, v in params.values.items() if n.startswith("target.")}
         shifted = params.clone()
-        for name in shifted.trainable_names():
-            shifted.values[name] = shifted.values[name] + 1.0
-        after = ema_update(shifted, tau=1.0)
+        shifted.trainable[...] += 1.0
+        ema_update(shifted, tau=1.0)
         for name, val in before.items():
-            np.testing.assert_array_equal(after.values[name], val)
+            np.testing.assert_array_equal(shifted.values[name], val)
 
     def test_tau_zero_copies_online_weights(self):
         params = init_params(small_spec("linear"), seed=0)
         shifted = params.clone()
-        for name in shifted.trainable_names():
-            shifted.values[name] = shifted.values[name] + 1.0
-        after = ema_update(shifted, tau=0.0)
-        for name in after.values:
+        shifted.trainable[...] += 1.0
+        ema_update(shifted, tau=0.0)
+        for name in shifted.values:
             if name.startswith("target."):
                 np.testing.assert_array_equal(
-                    after.values[name], after.values[name[len("target."):]]
+                    shifted.values[name], shifted.values[name[len("target."):]]
                 )
 
     def test_single_step_blend_value(self):
         params = init_params(small_spec("identity"), seed=0)
         shifted = params.clone()
-        for name in list(shifted.values):
-            if name.startswith("target."):
-                shifted.values[name] = np.zeros_like(shifted.values[name])
-            else:
-                shifted.values[name] = np.ones_like(shifted.values[name])
-        after = ema_update(shifted, tau=0.996)
+        shifted.trainable[...] = 1.0
+        shifted.teacher[...] = 0.0
+        ema_update(shifted, tau=0.996)
         np.testing.assert_allclose(
-            after.values["target.backbone.0.w"],
-            np.full_like(after.values["target.backbone.0.w"], 0.004),
+            shifted.values["target.backbone.0.w"],
+            np.full_like(shifted.values["target.backbone.0.w"], 0.004),
             rtol=1e-12,
         )
 
     def test_repeated_updates_converge_geometrically(self):
         params = init_params(small_spec("identity"), seed=0)
         current = params.clone()
-        for name in list(current.values):
-            if name.startswith("target."):
-                current.values[name] = np.zeros_like(current.values[name])
-            else:
-                current.values[name] = np.ones_like(current.values[name])
+        current.trainable[...] = 1.0
+        current.teacher[...] = 0.0
         tau = 0.9
         k = int(np.ceil(np.log(1e-10) / np.log(tau)))
         for _ in range(k):
-            current = ema_update(current, tau=tau)
+            ema_update(current, tau=tau)
         gap = np.max(np.abs(current.values["target.backbone.0.w"] - 1.0))
         assert gap <= 1e-10
+
+    def test_blend_matches_the_per_name_formula_bitwise(self):
+        params = init_params(small_spec("mlp"), seed=3)
+        params.trainable[...] += np.linspace(-1.0, 1.0, params.trainable.size)
+        before = params.clone()
+        ema_update(params, tau=0.37)
+        for name in params.target_names():
+            online = before.values[name[len("target."):]]
+            expected = 0.37 * before.values[name] + (1.0 - 0.37) * online
+            np.testing.assert_array_equal(params.values[name], expected)
+        np.testing.assert_array_equal(params.trainable, before.trainable)
 
 
 class TestCheckpoint:

@@ -1,4 +1,4 @@
-"""Functional SGD and Adam updates."""
+"""In-place SGD and Adam updates of a flat parameter vector."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from raftlab.errors import ContractError, ShapeError
+from raftlab.errors import ShapeError
 from raftlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -19,90 +19,91 @@ from raftlab.optim import (
 
 
 def test_sgd_moves_against_gradient():
-    out = sgd_step({"p": np.array([1.0])}, {"p": np.array([2.0])}, lr=0.1)
-    np.testing.assert_allclose(out["p"], [0.8])
+    params = np.array([1.0])
+    sgd_step(params, np.array([2.0]), lr=0.1)
+    np.testing.assert_allclose(params, [0.8])
 
 
-def test_sgd_does_not_mutate_inputs():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([2.0])}
+def test_sgd_leaves_the_gradient_unchanged():
+    params = np.array([1.0])
+    grads = np.array([2.0])
     sgd_step(params, grads, lr=0.1)
-    np.testing.assert_array_equal(params["p"], [1.0])
-    np.testing.assert_array_equal(grads["p"], [2.0])
-
-
-def test_sgd_rejects_name_mismatch():
-    with pytest.raises(ContractError):
-        sgd_step({"p": np.zeros(2)}, {"q": np.zeros(2)}, lr=0.1)
+    np.testing.assert_array_equal(grads, [2.0])
 
 
 def test_sgd_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        sgd_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, lr=0.1)
+        sgd_step(np.zeros(2), np.zeros(3), lr=0.1)
 
 
 def test_adam_first_step_is_bias_corrected_sign_step():
-    params = {"p": np.array([1.0, -1.0])}
-    grads = {"p": np.array([2.0, -0.5])}
-    out, state = adam_step(params, grads, AdamState.init(params), lr=0.1)
-    g = grads["p"]
-    expected = params["p"] - 0.1 * g / (np.abs(g) + ADAM_EPS)
-    np.testing.assert_allclose(out["p"], expected, rtol=1e-12)
+    start = np.array([1.0, -1.0])
+    g = np.array([2.0, -0.5])
+    params = start.copy()
+    state = AdamState.init(params)
+    adam_step(params, g, state, lr=0.1)
+    expected = start - 0.1 * g / (np.abs(g) + ADAM_EPS)
+    np.testing.assert_allclose(params, expected, rtol=1e-12)
     assert state.t == 1
 
 
-def test_adam_state_advances_and_inputs_stay_fixed():
-    params = {"p": np.array([1.0])}
-    grads = {"p": np.array([2.0])}
-    state0 = AdamState.init(params)
-    out1, state1 = adam_step(params, grads, state0, lr=0.01)
-    out2, state2 = adam_step(out1, grads, state1, lr=0.01)
-    assert (state0.t, state1.t, state2.t) == (0, 1, 2)
-    np.testing.assert_array_equal(params["p"], [1.0])
-    assert out2["p"][0] < out1["p"][0] < params["p"][0]
-
-
-def test_adam_rejects_name_mismatch():
-    with pytest.raises(ContractError):
-        adam_step({"p": np.zeros(2)}, {"q": np.zeros(2)}, AdamState.init({"p": np.zeros(2)}), lr=0.1)
+def test_adam_state_advances_and_grads_stay_fixed():
+    params = np.array([1.0])
+    grads = np.array([2.0])
+    state = AdamState.init(params)
+    m, v = state.m, state.v
+    after = []
+    for t in (1, 2):
+        adam_step(params, grads, state, lr=0.01)
+        assert state.t == t
+        after.append(params[0])
+    np.testing.assert_array_equal(grads, [2.0])
+    assert state.m is m and state.v is v
+    assert after[1] < after[0] < 1.0
 
 
 def test_adam_rejects_shape_mismatch():
     with pytest.raises(ShapeError):
-        adam_step({"p": np.zeros((2, 2))}, {"p": np.zeros(2)}, AdamState.init({"p": np.zeros((2, 2))}), lr=0.1)
+        adam_step(np.zeros(4), np.zeros(2), AdamState.init(np.zeros(4)), lr=0.1)
+
+
+def test_adam_rejects_state_of_another_size():
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros(2), np.zeros(2), AdamState.init(np.zeros(3)), lr=0.1)
 
 
 def test_adam_moment_recursion_matches_reference():
+    # The in-place update performs the textbook expression's operations in
+    # the same order, so it must agree bit for bit, not just closely.
     rng = np.random.default_rng(0)
-    params = {"w": rng.normal(size=(3, 2))}
+    params = rng.normal(size=6)
     state = AdamState.init(params)
-    m = np.zeros((3, 2))
-    v = np.zeros((3, 2))
-    current = params
+    m = np.zeros(6)
+    v = np.zeros(6)
     for t in range(1, 6):
-        g = rng.normal(size=(3, 2))
+        g = rng.normal(size=6)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
         mhat = m / (1 - ADAM_BETA1**t)
         vhat = v / (1 - ADAM_BETA2**t)
-        expected = current["w"] - 0.05 * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        current, state = adam_step(current, {"w": g}, state, lr=0.05)
-        np.testing.assert_allclose(current["w"], expected, rtol=1e-12)
+        expected = params - 0.05 * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        adam_step(params, g, state, lr=0.05)
+        np.testing.assert_array_equal(params, expected)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
 
 
 @given(st.floats(min_value=0.01, max_value=0.5))
 def test_descent_on_quadratic(lr):
-    params = {"x": np.array([3.0])}
+    params = np.array([3.0])
     for _ in range(50):
-        grads = {"x": 2.0 * params["x"]}
-        params = sgd_step(params, grads, lr=lr)
-    assert abs(params["x"][0]) < 3.0
+        sgd_step(params, 2.0 * params, lr=lr)
+    assert abs(params[0]) < 3.0
 
 
 def test_adam_shrinks_quadratic_objective():
-    params = {"x": np.array([3.0, -2.0])}
-    state = AdamState.init({"x": np.array([3.0, -2.0])})
+    params = np.array([3.0, -2.0])
+    state = AdamState.init(params)
     for _ in range(200):
-        grads = {"x": 2.0 * params["x"]}
-        params, state = adam_step(params, grads, state, lr=0.05)
-    assert np.all(np.abs(params["x"]) < 0.2)
+        adam_step(params, 2.0 * params, state, lr=0.05)
+    assert np.all(np.abs(params) < 0.2)

@@ -186,6 +186,15 @@ class TestForwardValues:
         with pytest.raises(DegenerateRepresentationError):
             tp.l2_normalize(tp.constant([[0.0, 0.0]]))
 
+    def test_row_slice_takes_rows_and_checks_bounds(self):
+        a = np.arange(12.0).reshape(4, 3)
+        np.testing.assert_array_equal(tp.row_slice(tp.constant(a), 1, 3).data, a[1:3])
+        for lo, hi in ((2, 2), (-1, 2), (0, 5)):
+            with pytest.raises(ShapeError):
+                tp.row_slice(tp.constant(a), lo, hi)
+        with pytest.raises(ShapeError):
+            tp.row_slice(tp.constant(np.zeros(3)), 0, 1)
+
     def test_transpose_round_trip(self):
         a = np.arange(6, dtype=np.float64).reshape(2, 3)
         out = tp.transpose(tp.transpose(tp.constant(a)))
@@ -329,6 +338,22 @@ class TestFiniteDifferenceGradients:
             lambda t, xs: tp.sum_all(tp.scale_rows(xs[0], xs[1])), [a, s]
         )
         self.check(lambda t, xs: tp.sum_all(tp.row_add(xs[0], xs[1])), [a, s])
+
+    def test_row_slices_split_and_recombine(self):
+        # Two slices of one matrix feed a nonlinear loss, as the two views of
+        # a stacked batch do; a slice that skips rows leaves them zero.
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(6, 3))
+        self.check(
+            lambda t, xs: tp.batch_mean(
+                tp.squared_distance(
+                    tp.l2_normalize(tp.row_slice(xs[0], 0, 3)),
+                    tp.row_slice(xs[0], 3, 6),
+                )
+            ),
+            [a],
+        )
+        self.check(lambda t, xs: tp.sum_all(tp.exp(tp.row_slice(xs[0], 1, 4))), [a])
 
     def test_bias_broadcast_add(self):
         rng = np.random.default_rng(6)

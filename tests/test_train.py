@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs
+from raftlab import cli
+from raftlab import tape as T
+from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs, sample_positive_batch
 from raftlab.errors import ConfigError, ScheduleError, TrainingDivergedError
-from raftlab.losses import LossConfig
-from raftlab.model import NetworkSpec, init_params, load_checkpoint
+from raftlab.losses import LossConfig, objective_terms, uniform_loss
+from raftlab.model import (
+    NetworkSpec,
+    bind_params,
+    forward_online,
+    forward_target,
+    init_params,
+    load_checkpoint,
+)
 from raftlab.train import (
     DEFAULT_EMA_TAU,
     DEFAULT_LEARNING_RATE,
@@ -21,6 +35,9 @@ from raftlab.train import (
     schedule_value,
     train_run,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED_CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 SMALL_NET = NetworkSpec(
     input_dim=8,
@@ -164,6 +181,29 @@ class TestLoopBehavior:
         expected = set(init_params(SMALL_NET, 0).trainable_names())
         assert all(keys == expected for _, keys in seen)
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_step_callback_may_keep_what_it_is_handed(self, small_blobs, optimizer):
+        # The run updates one parameter vector in place; every snapshot it
+        # hands out must stay as it was at the call.
+        kept, copies = [], []
+
+        def keep(step, params, grads):
+            kept.append((params.values, grads))
+            copies.append(
+                ({n: v.copy() for n, v in params.values.items()},
+                 {n: g.copy() for n, g in grads.items()})
+            )
+
+        train_run(small_config(steps=6, optimizer=optimizer), small_blobs, step_callback=keep)
+        assert len(kept) == 6
+        for (values, grads), (values_then, grads_then) in zip(kept, copies):
+            for name, arr in values_then.items():
+                np.testing.assert_array_equal(values[name], arr)
+            for name, arr in grads_then.items():
+                np.testing.assert_array_equal(grads[name], arr)
+        first, last = kept[0][0], kept[-1][0]
+        assert np.any(first["predictor.w"] != last["predictor.w"])
+
     def test_initial_params_override_is_used(self, small_blobs):
         custom = init_params(SMALL_NET, seed=1234)
         cfg = small_config(steps=1, learning_rate=0.0)
@@ -230,3 +270,84 @@ class TestEmaInsideTheLoop:
                 np.testing.assert_array_equal(
                     params.values[name], params.values[name[len("target."):]]
                 )
+
+
+class TestFusedStep:
+    """train_run sends both views through each network as one stacked batch.
+    The reference below is the per-view step, built from the public
+    forwards."""
+
+    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
+    def test_matches_the_per_view_step(self, path):
+        cfg, dataset, _ = cli.train_config(path, steps=1, log_every=1)
+        handed = {}
+        _, records = train_run(
+            cfg, dataset, step_callback=lambda k, params, grads: handed.update(grads)
+        )
+
+        init_seed, aug_seed = derived_seeds(cfg.master_seed)
+        params = init_params(cfg.network, init_seed)
+        aug = replace(cfg.augmentation, seed=aug_seed)
+        batch = sample_positive_batch(dataset, aug, cfg.batch_size, 0)
+        tp = T.Tape()
+        leaves = bind_params(tp, params)
+        per_view = [forward_online(params, x, leaves=leaves) for x in (batch.x1, batch.x2)]
+        targets = [forward_target(params, x) for x in (batch.x1, batch.x2)]
+        parts = objective_terms(
+            cfg.loss, per_view[0][2], per_view[1][2], targets[0], targets[1]
+        )
+
+        # Forward rows are bitwise those of the per-view forwards.
+        stacked = np.concatenate((batch.x1, batch.x2))
+        for fused, (one, two) in zip(forward_online(params, stacked), zip(*per_view)):
+            np.testing.assert_array_equal(fused.data, np.concatenate((one.data, two.data)))
+        np.testing.assert_array_equal(
+            forward_target(params, stacked).data,
+            np.concatenate([t.data for t in targets]),
+        )
+
+        # So is the loss the step logged, and its uniformity of view 1.
+        rec = records[0]
+        assert rec.loss_total == float(parts.total.data)
+        assert rec.loss_align == float(parts.align.data)
+        assert rec.loss_cross_model == float(parts.cross.data)
+        assert rec.uniformity == uniform_loss(
+            T.constant(per_view[0][1].data), cfg.loss.uniformity_t
+        ).item()
+
+        # Gradients sum both views in one product, so they agree only up to
+        # rounding.
+        grads = tp.backward(parts.total)
+        assert set(handed) == set(leaves)
+        for name, leaf in leaves.items():
+            ref = grads[leaf]
+            assert np.max(np.abs(handed[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # A short run of the attract config: its stacked 128-row products are
+    # large enough for OpenBLAS to split them across threads.
+    payload = json.loads((ROOT / "configs" / "collapse_byol_np.json").read_text())
+    payload["train"].update(steps=50, log_every=10)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+            ),
+        }
+        subprocess.run(
+            [sys.executable, "-m", "raftlab.cli", "train", "--config", str(config),
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(
+            [(out / name).read_bytes() for name in ("metrics.jsonl", "checkpoint_final.ckpt")]
+        )
+    assert len(outputs[0][0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
