@@ -6,14 +6,16 @@
     raftlab verify correspondence --steps 200
     raftlab verify sylvester
     raftlab verify gradcheck
+    raftlab verify all
     raftlab make-data --dim 8 --classes 4
 
 Every command writes a manifest.json into its output directory recording the
 resolved configuration (flags beat the --config file, which beats defaults),
 the seed, the artifact paths, and wall-clock start/end. Verification commands
 print one PASS/FAIL line per check, record each under the manifest's "checks",
-and exit 0 only when every check passes; configuration and precondition
-errors exit 2 with the violated condition named on stderr. RAFTLAB_LOG
+and exit 0 only when every check passes; `verify all` runs each of them and
+writes verification_report.json. Configuration and precondition errors exit
+2 with the violated condition named on stderr. RAFTLAB_LOG
 (error, info, debug) controls stderr verbosity.
 """
 
@@ -26,19 +28,17 @@ import logging
 import math
 import os
 import sys
+import time
 import types
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, verify
 from .data import (
     AugmentationSpec,
     Dataset,
     SyntheticBlobsSpec,
-    estimate_aug_moments,
     export_dataset_csv,
     load_cifar10,
     make_blobs,
@@ -172,18 +172,6 @@ def _network_from(file_cfg: dict, input_dim: int) -> NetworkSpec:
     return _from_json(NetworkSpec, section, "network")
 
 
-def _verify_network(file_cfg: dict) -> NetworkSpec:
-    if "network" not in file_cfg:
-        return verify.DEFAULT_VERIFY_NETWORK
-    return _network_from(file_cfg, verify.DEFAULT_VERIFY_NETWORK.input_dim)
-
-
-def _verify_dataset(file_cfg: dict) -> tuple[Dataset, dict]:
-    if "data" not in file_cfg:
-        return make_blobs(SyntheticBlobsSpec()), {"kind": "default-blobs"}
-    return _dataset_from(file_cfg["data"])
-
-
 def _out_dir(args, default_leaf: str) -> Path:
     out = Path(args.out_dir) if args.out_dir else Path("runs") / default_leaf
     out.mkdir(parents=True, exist_ok=True)
@@ -206,11 +194,10 @@ class _Manifest:
         self.artifacts.append(str(path))
         return path
 
-    def check(self, name: str, passed: bool, detail: str):
-        """Print one PASS/FAIL line and record it as {name, passed, detail}."""
-        passed = bool(passed)
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-        self.checks.append({"name": name, "passed": passed, "detail": detail})
+    def check(self, record: verify.Check):
+        """Print the record's PASS/FAIL line and keep all its fields."""
+        print(f"{'PASS' if record.passed else 'FAIL'}  {record.name}: {record.detail}")
+        self.checks.append(dataclasses.asdict(record))
 
     def exit_status(self) -> int:
         """0 when every recorded check passed, else 1."""
@@ -337,227 +324,101 @@ def cmd_eval(args) -> int:
 # Count flags of the verify subcommands; each must be at least 1.
 _VERIFY_COUNTS = ("trials", "steps", "samples", "max_coords", "batch_size")
 
+# verify subcommand -> the config sections its certification reads. Each
+# runs raftlab.verify.certify_<subcommand>, looked up when it runs, with the
+# seed, those inputs and the subcommand's own flags.
+_CERTIFICATIONS = {
+    "upper-bound": ("network",),
+    "correspondence": ("network", "data"),
+    "sylvester": ("data",),
+    "gradcheck": ("network",),
+}
+# Parsed arguments that are not flags of one certification.
+_SHARED_ARGS = ("command", "check", "func", "seed", "out_dir", "config")
 
-def _verify_start(args) -> tuple[dict, int, _Manifest]:
-    """Config file, seed and manifest of a verify subcommand. Flags are
-    checked here, so a bad one exits 2 before any check runs."""
+
+def _verify_start(args) -> tuple[dict, int]:
+    """Config file and seed of a verify subcommand. Flags are checked here,
+    so a bad one exits 2 before any check runs."""
     for name in _VERIFY_COUNTS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ConfigError(f"--{name.replace('_', '-')}: must be >= 1, got {value}")
+    dim = getattr(args, "dim", None)
+    if dim is not None and not 1 <= dim <= verify.MAX_SYLVESTER_DIM:
+        raise ConfigError(f"--dim: must be >= 1 and <= {verify.MAX_SYLVESTER_DIM}, got {dim}")
     if getattr(args, "rel_tol", 0.0) < 0:
         raise ConfigError(f"--rel-tol: must be >= 0, got {args.rel_tol}")
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigError(f"seed: need >= 0, got {seed}")
+    return file_cfg, seed
+
+
+def _certify(args) -> _Manifest:
+    """Run one verify subcommand: write the artifacts of its certification,
+    print and record each check, and write the manifest."""
+    file_cfg, seed = _verify_start(args)
+    settings = {key: value for key, value in vars(args).items() if key not in _SHARED_ARGS}
+    inputs, echo = {}, {}  # a config section the certification reads replaces its default
+    if "network" in _CERTIFICATIONS[args.check]:
+        network = verify.DEFAULT_VERIFY_NETWORK
+        if "network" in file_cfg:
+            network = _network_from(file_cfg, network.input_dim)
+        inputs["network"], echo["network"] = network, dataclasses.asdict(network)
+    if "data" in _CERTIFICATIONS[args.check]:
+        if "data" in file_cfg:
+            inputs["dataset"], echo["data"] = _dataset_from(file_cfg["data"])
+        else:
+            inputs["dataset"] = make_blobs(SyntheticBlobsSpec())
+            echo["data"] = {"kind": "default-blobs"}
     out = _out_dir(args, f"verify-{args.check}")
-    return file_cfg, seed, _Manifest(f"verify {args.check}", out, seed)
+    (out / "manifest.json").unlink(missing_ok=True)  # no stale verdict if this run fails
+    manifest = _Manifest(f"verify {args.check}", out, seed)
+    certify = getattr(verify, "certify_" + args.check.replace("-", "_"))
+    result = certify(seed=seed, **inputs, **settings)
+    for name, text in result.artifacts.items():
+        manifest.add(out / name).write_text(text)
+    for check in result.checks:
+        manifest.check(check)
+    manifest.write({**settings, **result.config, **echo})
+    return manifest
 
 
-def cmd_verify_upper_bound(args) -> int:
-    file_cfg, seed, manifest = _verify_start(args)
-    network = _verify_network(file_cfg)
-    log.info("sweeping %d random states over a %d-point weight grid", args.trials, len(verify.DEFAULT_WEIGHT_GRID) ** 2)
-    report = verify.upper_bound_sweep(
-        trials=args.trials, seed=seed, network=network, batch_size=args.batch_size
-    )
-    manifest.add(manifest.out_dir / "upper_bound.json").write_text(report.to_json() + "\n")
-    manifest.check(
-        "upper-bound",
-        report.passed,
-        f"min margin {report.min_margin:.3e} over {report.trials} states "
-        f"(worst at trial {report.worst_trial}, alpha {report.worst_alpha}, "
-        f"beta {report.worst_beta}; tolerance -{verify.MARGIN_TOLERANCE:.0e})",
-    )
-    manifest.write(
-        {
-            "trials": args.trials,
-            "batch_size": args.batch_size,
-            "grid": list(report.grid),
-            "network": dataclasses.asdict(network),
-        }
-    )
-    return manifest.exit_status()
+def cmd_verify(args) -> int:
+    return _certify(args).exit_status()
 
 
-def cmd_verify_correspondence(args) -> int:
-    file_cfg, seed, manifest = _verify_start(args)
-    network = _verify_network(file_cfg)
-    dataset, data_echo = _verify_dataset(file_cfg)
-    out = manifest.out_dir
-
-    log.info("one-step mirror check, filter on, %d trials", args.trials)
-    on = verify.gradient_correspondence_sweep(
-        trials=args.trials, seed=seed, apply_filter=True, network=network
-    )
-    worst_on = max(max(d.theta_dev, d.w_dev) for d in on)
-    manifest.check(
-        "mirror gradients (filter on)",
-        worst_on <= verify.ONESTEP_MATCH_TOL,
-        f"worst deviation {worst_on:.3e} over {args.trials} trials "
-        f"(tolerance {verify.ONESTEP_MATCH_TOL:.0e})",
-    )
-
-    log.info("one-step mirror check, filter off, %d trials", args.trials)
-    off = verify.gradient_correspondence_sweep(
-        trials=args.trials, seed=seed, apply_filter=False, network=network
-    )
-    hits = sum(
-        1 for d in off if max(d.theta_dev, d.w_dev) > verify.CONTROL_MIN_DEVIATION
-    )
-    needed = int(np.ceil(verify.CONTROL_REQUIRED_FRACTION * args.trials))
-    manifest.check(
-        "negative control (filter off)",
-        hits >= needed,
-        f"{hits}/{args.trials} trials deviate beyond "
-        f"{verify.CONTROL_MIN_DEVIATION:.0e} (need {needed})",
-    )
-
-    log.info("trajectory experiment: %d steps, optimizer %s", args.steps, args.optimizer)
-    traj = verify.trajectory_correspondence_experiment(
-        network=network,
-        steps=args.steps,
-        seed=seed,
-        optimizer=args.optimizer,
-        learning_rate=args.learning_rate,
-        ema_tau=args.ema_tau,
-        dataset=dataset,
-    )
-    manifest.check(
-        "trajectories",
-        traj.within_relative(args.rel_tol),
-        f"max theta deviation {traj.max_theta_dev:.3e} (scale {traj.theta_scale:.3e}), "
-        f"max W-sum deviation {traj.max_w_dev:.3e} (scale {traj.w_scale:.3e}) "
-        f"over {traj.steps} {traj.optimizer} steps, relative tolerance {args.rel_tol:.0e}",
-    )
-
-    onestep_payload = {
-        "trials": args.trials,
-        "filter_on_worst": worst_on,
-        "filter_off_exceeding": hits,
-        "filter_off_deviations": [max(d.theta_dev, d.w_dev) for d in off],
-    }
-    manifest.add(out / "onestep.json").write_text(
-        json.dumps(onestep_payload, indent=2) + "\n"
-    )
-    manifest.add(out / "trajectory.json").write_text(traj.to_json() + "\n")
-    verify.write_deviation_csv(traj, manifest.add(out / "deviations.csv"))
-    manifest.write(
-        {
-            "trials": args.trials,
-            "steps": args.steps,
-            "optimizer": args.optimizer,
-            "learning_rate": args.learning_rate,
-            "ema_tau": args.ema_tau,
-            "rel_tol": args.rel_tol,
-            "network": dataclasses.asdict(network),
-            "data": data_echo,
-        }
-    )
-    return manifest.exit_status()
-
-
-def cmd_verify_sylvester(args) -> int:
-    file_cfg, seed, manifest = _verify_start(args)
-    case_payload = []
-    for label, w, a, b, expected in verify.analytic_sylvester_cases(args.dim):
-        report = verify.sylvester_null_space(w, a, b)
-        manifest.check(
-            f"fixed-point case '{label}'",
-            report.null_dim == expected,
-            f"null dimension {report.null_dim} (expected {expected}, "
-            f"system {report.system_dim}x{report.system_dim})",
-        )
-        case_payload.append(
-            {
-                "label": label,
-                "null_dim": report.null_dim,
-                "expected": expected,
-                "rank": report.rank,
-                "system_dim": report.system_dim,
-            }
-        )
-
-    dataset, data_echo = _verify_dataset(file_cfg)
-    identity_aug = AugmentationSpec(seed=seed)
-    log.info("estimating view moments from %d identity-augmented draws", args.samples)
-    est = estimate_aug_moments(dataset, identity_aug, args.samples, seed=seed)
-    bound = 5.0 / np.sqrt(args.samples)
-    gap = float(np.abs(est.a - est.b).max())
-    manifest.check(
-        "moment agreement",
-        gap <= bound,
-        f"max |A - B| entry {gap:.3e} under identity views "
-        f"(Monte-Carlo bound {bound:.3e}, {args.samples} draws)",
-    )
-    log.info(
-        "moment ratio distance from identity: %.3e",
-        float(np.abs(np.linalg.solve(est.a.T, est.b.T).T - np.eye(dataset.dim)).max()),
-    )
-
-    payload = {
-        "cases": case_payload,
-        "moment_gap": gap,
-        "moment_bound": bound,
-        "samples": args.samples,
-        "rank_deficient_moments": est.rank_deficient,
-    }
-    manifest.add(manifest.out_dir / "sylvester.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    manifest.write({"dim": args.dim, "samples": args.samples, "data": data_echo})
-    return manifest.exit_status()
-
-
-def cmd_verify_gradcheck(args) -> int:
-    file_cfg, seed, manifest = _verify_start(args)
-    network = _verify_network(file_cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
-    params, batch = verify.random_state_and_batch(network, rng, args.batch_size)
-    errors = {}
-    for objective in ("byol", "byol_prime", "raft"):
-        cfg = LossConfig(objective=objective)
-        log.info("central differences for objective %s", objective)
-        err = verify.finite_difference_gradcheck(
-            cfg, params, batch, step=args.step, max_coords=args.max_coords, seed=seed
-        )
-        errors[objective] = err
-        manifest.check(
-            f"gradcheck '{objective}'",
-            err <= verify.FD_REL_TOL,
-            f"worst relative error {err:.3e} at step {args.step:.0e} "
-            f"(tolerance {verify.FD_REL_TOL:.0e})",
-        )
-
-    log.info("gradient identity for the scale-invariant cross form, %d trials", args.trials)
-    trick_dev = verify.trick_identity_sweep(trials=args.trials, seed=seed)
-    manifest.check(
-        "scale-invariant cross gradient",
-        trick_dev <= verify.TRICK_IDENTITY_TOL,
-        f"worst deviation from filtered plain gradient {trick_dev:.3e} "
-        f"over {args.trials} trials (tolerance {verify.TRICK_IDENTITY_TOL:.0e})",
-    )
-
-    payload = {
-        "objective_errors": errors,
-        "trick_deviation": trick_dev,
-        "step": args.step,
-        "batch_size": args.batch_size,
-    }
-    manifest.add(manifest.out_dir / "gradcheck.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-    manifest.write(
-        {
-            "step": args.step,
-            "max_coords": args.max_coords,
-            "batch_size": args.batch_size,
-            "trials": args.trials,
-            "network": dataclasses.asdict(network),
-        }
-    )
-    return manifest.exit_status()
+def cmd_verify_all(args) -> int:
+    """Every verify subcommand at its default flags, each into
+    <out>/<subcommand>/. Writes verification_report.json from their records
+    and returns the highest of their exit statuses."""
+    start = time.monotonic()
+    _verify_start(args)  # a bad --seed or --config exits 2 before any check runs
+    out = _out_dir(args, "verify-all")
+    given = {"seed": args.seed, "config": args.config}
+    shared = [f"--{key}={value}" for key, value in given.items() if value is not None]
+    parser = build_parser()
+    status, checks = 0, []
+    for check in _CERTIFICATIONS:
+        sub_args = parser.parse_args(["verify", check, *shared, "--out-dir", str(out / check)])
+        try:
+            manifest = _certify(sub_args)
+        except RaftLabError as exc:  # reported as `verify <check>` reports it; the rest still run
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+            continue
+        status = max(status, manifest.exit_status())
+        checks += [{"command": manifest.command, **c} for c in manifest.checks]
+    elapsed = time.monotonic() - start
+    all_ok = status == 0
+    print(f"\n{'all checks passed' if all_ok else 'CHECKS FAILED'} in {elapsed:.1f}s")
+    report = {"checks": checks, "wall_seconds": elapsed, "all_ok": all_ok}
+    path = out / "verification_report.json"
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"report written to {path}")
+    return status
 
 
 def cmd_make_data(args) -> int:
@@ -652,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=16)
-    p.set_defaults(func=cmd_verify_upper_bound)
+    p.set_defaults(func=cmd_verify)
 
     p = vsub.add_parser(
         "correspondence",
@@ -665,14 +526,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", type=_finite_float, default=1e-2)
     p.add_argument("--ema-tau", type=_finite_float, default=0.996)
     p.add_argument("--rel-tol", type=_finite_float, default=verify.TRAJECTORY_REL_TOL)
-    p.set_defaults(func=cmd_verify_correspondence)
+    p.set_defaults(func=cmd_verify)
 
     p = vsub.add_parser(
         "sylvester", parents=[common], help="fixed-point system rank analysis"
     )
     p.add_argument("--dim", type=int, default=4, help="side length of analytic cases")
     p.add_argument("--samples", type=int, default=20000, help="moment draws")
-    p.set_defaults(func=cmd_verify_sylvester)
+    p.set_defaults(func=cmd_verify)
 
     p = vsub.add_parser(
         "gradcheck", parents=[common], help="tape gradients against central differences"
@@ -681,7 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-coords", type=int, default=10000)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--trials", type=int, default=100, help="gradient identity trials")
-    p.set_defaults(func=cmd_verify_gradcheck)
+    p.set_defaults(func=cmd_verify)
+
+    p = vsub.add_parser("all", parents=[common], help="every certification above, one report")
+    p.set_defaults(func=cmd_verify_all)
 
     p = sub.add_parser("make-data", parents=[common], help="write the synthetic dataset")
     p.add_argument("--dim", type=int, default=None)

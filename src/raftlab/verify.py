@@ -19,18 +19,26 @@
 3. Fixed-point analysis: the linear fixed-point equation W theta =
    theta (B A^-1) has non-trivial solutions exactly when W and B A^-1 share
    an eigenvalue; detected via the rank of the explicit Kronecker system.
+
+The certify_* functions at the end are what the `raftlab verify`
+subcommands run: each decides its verdicts here and returns them as Check
+records, with the artifacts it measured them from.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import logging
+import time
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import tape as T
-from .data import AugmentationSpec, Dataset, PositiveBatch, make_blobs, SyntheticBlobsSpec
+from .data import (
+    AugmentationSpec, Dataset, PositiveBatch, SyntheticBlobsSpec, estimate_aug_moments, make_blobs
+)
 from .errors import ContractError, ShapeError, SingularMomentError
 from .losses import LossConfig, cross_model_loss, objective_terms, tangential_cross_model
 from .model import (
@@ -44,6 +52,8 @@ from .model import (
     mirror_predictor,
 )
 from .train import TrainConfig, train_run
+
+log = logging.getLogger(__name__)
 
 # Margin below -MARGIN_TOLERANCE falsifies the upper bound.
 MARGIN_TOLERANCE = 1e-9
@@ -124,14 +134,6 @@ class UpperBoundReport:
     worst_trial: int
     worst_alpha: float
     worst_beta: float
-
-    @property
-    def passed(self) -> bool:
-        return self.min_margin >= -MARGIN_TOLERANCE
-
-    def to_json(self) -> str:
-        payload = {**asdict(self), "margin_tolerance": MARGIN_TOLERANCE, "passed": self.passed}
-        return json.dumps(payload, indent=2)
 
 
 def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelParams:
@@ -359,25 +361,6 @@ class CorrespondenceReport:
     def max_w_dev(self) -> float:
         return max(self.w_dev)
 
-    def within_relative(self, rel_tol: float) -> bool:
-        return (
-            self.max_theta_dev <= rel_tol * self.theta_scale
-            and self.max_w_dev <= rel_tol * self.w_scale
-        )
-
-    def to_json(self) -> str:
-        payload = {
-            **asdict(self), "max_theta_dev": self.max_theta_dev, "max_w_dev": self.max_w_dev
-        }
-        return json.dumps(payload, indent=2)
-
-
-def write_deviation_csv(report: CorrespondenceReport, path):
-    with open(path, "w") as fh:
-        fh.write("step,theta_dev,w_dev\n")
-        for k, (td, wd) in enumerate(zip(report.theta_dev, report.w_dev)):
-            fh.write(f"{k},{td!r},{wd!r}\n")
-
 
 def trajectory_correspondence_experiment(
     network: NetworkSpec | None = None,
@@ -457,9 +440,6 @@ def trajectory_correspondence_experiment(
 class SylvesterReport:
     """Rank analysis of M = I_m (x) W - (B A^-1)^T (x) I_n."""
 
-    a: np.ndarray
-    b: np.ndarray
-    ba_inv: np.ndarray
     system_dim: int
     rank: int
     null_dim: int
@@ -539,9 +519,6 @@ def sylvester_null_space(
     rank = pivoted_rank(system, pivot_tol)
     null_dim = n * m - rank
     return SylvesterReport(
-        a=a,
-        b=b,
-        ba_inv=ba_inv,
         system_dim=n * m,
         rank=rank,
         null_dim=null_dim,
@@ -624,3 +601,170 @@ def finite_difference_gradcheck(
         err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
         worst = max(worst, err)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# certifications
+
+
+@dataclass(frozen=True)
+class Check:
+    """One certified claim: `value` measured against `tolerance`.
+
+    `margin` is the signed slack, >= 0 exactly when `passed`: tolerance -
+    value for an upper limit, value - tolerance for a lower one, and
+    -|value - tolerance| for an exact count. `seconds` is the wall time of
+    the work that measured `value`; `detail` is the line printed after the
+    verdict."""
+
+    name: str
+    value: float
+    tolerance: float
+    margin: float
+    passed: bool
+    seconds: float
+    detail: str
+
+
+def _at_most(name: str, value, tol, seconds: float, detail: str) -> Check:
+    return Check(name, value, tol, tol - value, bool(value <= tol), seconds, detail)
+
+
+def _at_least(name: str, value, tol, seconds: float, detail: str) -> Check:
+    return Check(name, value, tol, value - tol, bool(value >= tol), seconds, detail)
+
+
+@dataclass(frozen=True)
+class Certification:
+    """A certify_* result: its checks in order, its artifacts (file name ->
+    contents) and the settings it resolved beyond its arguments."""
+
+    checks: list[Check]
+    artifacts: dict[str, str]
+    config: dict = field(default_factory=dict)
+
+
+def _timed(fn, *args, **kwargs):
+    start = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - start
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def certify_upper_bound(
+    seed: int, network: NetworkSpec, trials: int, batch_size: int
+) -> Certification:
+    """The bound holds over `trials` random states and the weight grid."""
+    log.info("sweeping %d random states over a %d-point weight grid",
+             trials, len(DEFAULT_WEIGHT_GRID) ** 2)
+    report, seconds = _timed(upper_bound_sweep, trials, seed, network=network,
+                             batch_size=batch_size)
+    check = _at_least("upper-bound", report.min_margin, -MARGIN_TOLERANCE, seconds,
+                      f"min margin {report.min_margin:.3e} over {report.trials} states "
+                      f"(worst at trial {report.worst_trial}, alpha {report.worst_alpha}, "
+                      f"beta {report.worst_beta}; tolerance -{MARGIN_TOLERANCE:.0e})")
+    payload = {**asdict(report), "margin_tolerance": MARGIN_TOLERANCE, "passed": check.passed}
+    return Certification([check], {"upper_bound.json": _json(payload)}, {"grid": list(report.grid)})
+
+
+def certify_correspondence(
+    seed: int, network: NetworkSpec, dataset: Dataset, trials: int, steps: int,
+    optimizer: str, learning_rate: float, ema_tau: float, rel_tol: float,
+) -> Certification:
+    """One-step gradient mirroring with the filter on, its negative control
+    with the filter off, and mirrored trajectories within `rel_tol` of the
+    parameter scale."""
+    log.info("one-step mirror check, filter on, %d trials", trials)
+    on, on_seconds = _timed(gradient_correspondence_sweep, trials, seed, apply_filter=True,
+                            network=network)
+    worst_on = max(max(d.theta_dev, d.w_dev) for d in on)
+    log.info("one-step mirror check, filter off, %d trials", trials)
+    off, off_seconds = _timed(gradient_correspondence_sweep, trials, seed, apply_filter=False,
+                              network=network)
+    off_devs = [max(d.theta_dev, d.w_dev) for d in off]
+    hits = sum(1 for dev in off_devs if dev > CONTROL_MIN_DEVIATION)
+    needed = int(np.ceil(CONTROL_REQUIRED_FRACTION * trials))
+    log.info("trajectory experiment: %d steps, optimizer %s", steps, optimizer)
+    traj, traj_seconds = _timed(trajectory_correspondence_experiment, network, steps, seed,
+                                optimizer, learning_rate, ema_tau, dataset)
+    # Both deviations must stay within rel_tol of their scale; the record
+    # holds the one with less slack.
+    deviation, budget = min((traj.max_theta_dev, rel_tol * traj.theta_scale),
+                            (traj.max_w_dev, rel_tol * traj.w_scale), key=lambda p: p[1] - p[0])
+    checks = [
+        _at_most("mirror gradients (filter on)", worst_on, ONESTEP_MATCH_TOL, on_seconds,
+                 f"worst deviation {worst_on:.3e} over {trials} trials "
+                 f"(tolerance {ONESTEP_MATCH_TOL:.0e})"),
+        _at_least("negative control (filter off)", hits, needed, off_seconds,
+                  f"{hits}/{trials} trials deviate beyond {CONTROL_MIN_DEVIATION:.0e} "
+                  f"(need {needed})"),
+        _at_most("trajectories", deviation, budget, traj_seconds,
+                 f"max theta deviation {traj.max_theta_dev:.3e} (scale {traj.theta_scale:.3e}), "
+                 f"max W-sum deviation {traj.max_w_dev:.3e} (scale {traj.w_scale:.3e}) "
+                 f"over {traj.steps} {traj.optimizer} steps, relative tolerance {rel_tol:.0e}"),
+    ]
+    onestep = {"trials": trials, "filter_on_worst": worst_on, "filter_off_exceeding": hits,
+               "filter_off_deviations": off_devs}
+    trajectory = {**asdict(traj), "max_theta_dev": traj.max_theta_dev,
+                  "max_w_dev": traj.max_w_dev}
+    rows = enumerate(zip(traj.theta_dev, traj.w_dev))
+    csv = "step,theta_dev,w_dev\n" + "".join(f"{k},{td!r},{wd!r}\n" for k, (td, wd) in rows)
+    return Certification(checks, {"onestep.json": _json(onestep),
+                                  "trajectory.json": _json(trajectory), "deviations.csv": csv})
+
+
+def certify_sylvester(seed: int, dataset: Dataset, dim: int, samples: int) -> Certification:
+    """Exact null dimensions of the analytic fixed-point cases of side
+    `dim`, and the two view moments of `dataset` agreeing under identity
+    augmentations within a Monte-Carlo bound."""
+    checks, cases = [], []
+    for label, w, a, b, expected in analytic_sylvester_cases(dim):
+        report, seconds = _timed(sylvester_null_space, w, a, b)
+        got, size = report.null_dim, report.system_dim
+        checks.append(Check(f"fixed-point case '{label}'", got, expected, -abs(got - expected),
+                            got == expected, seconds,
+                            f"null dimension {got} (expected {expected}, system {size}x{size})"))
+        cases.append({"label": label, "null_dim": got, "expected": expected,
+                      "rank": report.rank, "system_dim": size})
+    log.info("estimating view moments from %d identity-augmented draws", samples)
+    est, seconds = _timed(estimate_aug_moments, dataset, AugmentationSpec(seed=seed), samples, seed)
+    bound = float(5.0 / np.sqrt(samples))
+    gap = float(np.abs(est.a - est.b).max())
+    checks.append(_at_most("moment agreement", gap, bound, seconds,
+                           f"max |A - B| entry {gap:.3e} under identity views "
+                           f"(Monte-Carlo bound {bound:.3e}, {samples} draws)"))
+    ratio = np.linalg.solve(est.a.T, est.b.T).T
+    log.info("moment ratio distance from identity: %.3e",
+             float(np.abs(ratio - np.eye(dataset.dim)).max()))
+    payload = {"cases": cases, "moment_gap": gap, "moment_bound": bound, "samples": samples,
+               "rank_deficient_moments": est.rank_deficient}
+    return Certification(checks, {"sylvester.json": _json(payload)})
+
+
+def certify_gradcheck(
+    seed: int, network: NetworkSpec, step: float, max_coords: int, batch_size: int, trials: int
+) -> Certification:
+    """Central differences of each objective at one random state, and the
+    scale-invariant cross gradient against the filtered plain one."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
+    params, batch = random_state_and_batch(network, rng, batch_size)
+    checks, errors = [], {}
+    for objective in ("byol", "byol_prime", "raft"):
+        log.info("central differences for objective %s", objective)
+        err, seconds = _timed(finite_difference_gradcheck, LossConfig(objective=objective),
+                              params, batch, step, max_coords, seed)
+        errors[objective] = err
+        checks.append(_at_most(f"gradcheck '{objective}'", err, FD_REL_TOL, seconds,
+                               f"worst relative error {err:.3e} at step {step:.0e} "
+                               f"(tolerance {FD_REL_TOL:.0e})"))
+    log.info("gradient identity for the scale-invariant cross form, %d trials", trials)
+    trick_dev, seconds = _timed(trick_identity_sweep, trials, seed)
+    checks.append(_at_most("scale-invariant cross gradient", trick_dev, TRICK_IDENTITY_TOL, seconds,
+                           f"worst deviation from filtered plain gradient {trick_dev:.3e} "
+                           f"over {trials} trials (tolerance {TRICK_IDENTITY_TOL:.0e})"))
+    payload = {"objective_errors": errors, "trick_deviation": trick_dev, "step": step,
+               "batch_size": batch_size}
+    return Certification(checks, {"gradcheck.json": _json(payload)})

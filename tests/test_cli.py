@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import SMALL_CONFIG
 
-from raftlab import __version__, cli
+from raftlab import __version__, cli, verify
 
 # Wrong-typed, negative, non-finite and some in-range stand-ins for every
 # leaf of SMALL_CONFIG.
@@ -287,6 +287,12 @@ class TestVerifyCommands:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out
+        checks = json.loads((tmp_path / "v" / "manifest.json").read_text())["checks"]
+        failed = [c for c in checks if not c["passed"]]
+        assert failed
+        for c in failed:
+            assert c["margin"] < 0
+            assert c["value"] > c["tolerance"]
 
     def test_correspondence_requires_linear_predictor(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SMALL_CONFIG))
@@ -340,12 +346,69 @@ class TestVerifyCommands:
         assert [
             f"{'PASS' if c['passed'] else 'FAIL'}  {c['name']}: {c['detail']}" for c in checks
         ] == printed
+        for c in checks:
+            assert {"value", "tolerance", "margin", "seconds"} <= set(c)
+            assert c["passed"] == (c["margin"] >= 0)
+            assert c["seconds"] >= 0
 
     def test_verify_writes_a_manifest_too(self, tmp_path):
         out = tmp_path / "v"
         assert run(["verify", "upper-bound", "--trials", "5", "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"].startswith("verify")
+
+    def test_hooked_names_are_looked_up_when_called(self, tmp_path, monkeypatch):
+        # A profiler marks the end of set-up by wrapping
+        # verify.upper_bound_sweep and times training steps through
+        # verify.train_run, so both must be looked up when a check runs.
+        calls = {"upper_bound_sweep": 0, "train_run": 0}
+
+        def counting(name):
+            inner = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counting(name))
+        assert run(["verify", "upper-bound", "--trials", "5",
+                    "--out-dir", str(tmp_path / "ub")]) == 0
+        assert run(["verify", "correspondence", "--trials", "2", "--steps", "3",
+                    "--out-dir", str(tmp_path / "c")]) == 0
+        assert calls == {"upper_bound_sweep": 1, "train_run": 2}
+
+    def test_verify_all_reports_every_check_of_the_four_subcommands(self, tmp_path, capsys):
+        assert run(["verify", "all", "--out-dir", str(tmp_path)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        report = json.loads((tmp_path / "verification_report.json").read_text())
+        assert report["all_ok"] is True
+        assert len(report["checks"]) == 12
+        assert all(c["passed"] for c in report["checks"])
+        for sub in ("upper-bound", "correspondence", "sylvester", "gradcheck"):
+            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+            entries = [c for c in report["checks"] if c["command"] == f"verify {sub}"]
+            assert [{k: v for k, v in c.items() if k != "command"} for c in entries] == (
+                manifest["checks"]
+            )
+
+    def test_verify_all_exits_2_when_a_certification_rejects_the_config(
+        self, tmp_path, capsys
+    ):
+        bad = json.loads(json.dumps(SMALL_CONFIG))
+        bad["network"]["predictor"] = "mlp"
+        cfg = write_config(tmp_path, bad)
+        out = tmp_path / "v"
+        assert run(["verify", "all", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert "predictor must be linear" in capsys.readouterr().err
+        report = json.loads((out / "verification_report.json").read_text())
+        assert report["all_ok"] is False
+        assert {c["command"] for c in report["checks"]} == {
+            "verify upper-bound", "verify sylvester", "verify gradcheck"
+        }
+        assert not (out / "correspondence" / "manifest.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -427,6 +490,8 @@ BAD_VERIFY_FLAGS = [
     pytest.param(["correspondence"], "--rel-tol", "-1", id="correspondence --rel-tol -1"),
     pytest.param(["sylvester"], "--samples", "0", id="sylvester --samples 0"),
     pytest.param(["upper-bound"], "--batch-size", "0", id="upper-bound --batch-size 0"),
+    pytest.param(["sylvester"], "--dim", "0", id="sylvester --dim 0"),
+    pytest.param(["sylvester"], "--dim", "13", id="sylvester --dim 13"),
 ]
 
 

@@ -9,19 +9,6 @@ from conftest import SMALL_CONFIG, load_script
 from raftlab import cli
 
 
-def test_run_verification_reports_every_check_of_the_four_subcommands(tmp_path):
-    script = load_script("run_verification")
-    rc = script.main([
-        "--trials", "20", "--mirror-trials", "10", "--steps", "20",
-        "--moment-samples", "2000", "--out-dir", str(tmp_path),
-    ])
-    assert rc == 0
-    report = json.loads((tmp_path / "verification_report.json").read_text())
-    assert len(report["checks"]) == 12
-    assert all(c["passed"] for c in report["checks"])
-    assert report["all_ok"]
-
-
 def test_collapse_arm_evaluates_what_raftlab_eval_evaluates(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(
