@@ -373,6 +373,10 @@ def _certify(args) -> _Manifest:
         else:
             inputs["dataset"] = make_blobs(SyntheticBlobsSpec())
             echo["data"] = {"kind": "default-blobs"}
+    if args.check == "sylvester" and args.samples < inputs["dataset"].dim ** 2:
+        # The moment estimate needs d^2 draws for d-dimensional data.
+        raise ConfigError(f"--samples: must be >= {inputs['dataset'].dim ** 2} (the data "
+                          f"dimension squared), got {args.samples}")
     out = _out_dir(args, f"verify-{args.check}")
     (out / "manifest.json").unlink(missing_ok=True)  # no stale verdict if this run fails
     manifest = _Manifest(f"verify {args.check}", out, seed)

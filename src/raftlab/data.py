@@ -8,6 +8,7 @@ reproducible bit for bit no matter what ran before it.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,15 @@ def batches_per_epoch(dataset_size: int, batch_size: int) -> int:
     return -(-dataset_size // batch_size)
 
 
+@functools.lru_cache(maxsize=4)
+def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
+    """The shuffle of one epoch, drawn once and shared read-only by its steps."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_SHUFFLE, epoch]))
+    perm = rng.permutation(n)
+    perm.flags.writeable = False
+    return perm
+
+
 def sample_positive_batch(
     dataset: Dataset, aug: AugmentationSpec, batch_size: int, step_index: int
 ) -> PositiveBatch:
@@ -189,10 +199,7 @@ def sample_positive_batch(
         raise ContractError(f"step_index: must be >= 0, got {step_index}")
     per_epoch = batches_per_epoch(n, batch_size)
     epoch, slot = divmod(step_index, per_epoch)
-    perm_rng = np.random.default_rng(
-        np.random.SeedSequence([aug.seed, _TAG_SHUFFLE, epoch])
-    )
-    idx = perm_rng.permutation(n)[slot * batch_size : (slot + 1) * batch_size]
+    idx = _epoch_permutation(aug.seed, epoch, n)[slot * batch_size : (slot + 1) * batch_size]
     raw = dataset.samples[idx]
     rng1 = np.random.default_rng(
         np.random.SeedSequence([aug.seed, _TAG_VIEW1, step_index])

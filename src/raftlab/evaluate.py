@@ -80,6 +80,9 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
 
     flat = np.zeros(d * n_classes + n_classes)
     w, b = flat[: d * n_classes].reshape(d, n_classes), flat[d * n_classes :]
+    # Each backward pass writes the gradients of w and b into their views of `grad`.
+    grad = np.empty_like(flat)
+    gw, gb = grad[: d * n_classes].reshape(d, n_classes), grad[d * n_classes :]
     state = AdamState.init(flat)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12]))
     for _ in range(cfg.epochs):
@@ -87,11 +90,9 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
         for lo in range(0, order.size, cfg.batch_size):
             batch = order[lo : lo + cfg.batch_size]
             tp = T.Tape()
-            tw, tb = tp.leaf(w), tp.leaf(b)
-            logits = T.add(T.matmul(T.constant(features[batch]), tw), tb)
-            loss = T.softmax_cross_entropy(logits, labels[batch])
-            grads = tp.backward(loss)
-            grad = np.concatenate([grads[tw].ravel(), grads[tb]])
+            x = T.constant(features[batch])
+            logits = T.matmul(x, tp.leaf(w, grad=gw), tp.leaf(b, grad=gb))
+            tp.backward(T.softmax_cross_entropy(logits, labels[batch]))
             adam_step(flat, grad, state, cfg.learning_rate)
 
     pred = np.argmax(features[hold_idx] @ w + b, axis=1)

@@ -121,6 +121,16 @@ class ModelParams:
         """The online encoder segment, laid out like the teacher."""
         return self.flat[: self.teacher.size]
 
+    def trainable_views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out like `trainable`, such as a
+        gradient."""
+        if vec.shape != (self._n_trainable,):
+            raise ShapeError(
+                f"trainable vector: shape {vec.shape}, expected ({self._n_trainable},)"
+            )
+        return {name: vec[span].reshape(shape) for name, span, shape in _layout(self.spec)
+                if span.stop <= self._n_trainable}
+
     def trainable_names(self) -> list[str]:
         return [n for n in self.values if not n.startswith("target.")]
 
@@ -178,13 +188,19 @@ def mirror_predictor(params: ModelParams) -> ModelParams:
     return out
 
 
-def bind_params(tp: Tape, params: ModelParams) -> dict[str, Tensor]:
+def bind_params(
+    tp: Tape, params: ModelParams, grads: Mapping[str, np.ndarray] | None = None
+) -> dict[str, Tensor]:
     """Register every trainable array as a leaf on the tape.
 
     Bind once per tape and reuse across both view forwards so gradient
-    contributions from the two views accumulate onto the same leaves.
+    contributions from the two views accumulate onto the same leaves. With
+    `grads` (for example `params.trainable_views` of a gradient vector), each
+    backward pass writes every leaf's gradient into its array there.
     """
-    return {name: tp.leaf(params.values[name]) for name in params.trainable_names()}
+    grads = grads or {}
+    return {name: tp.leaf(params.values[name], grad=grads.get(name))
+            for name in params.trainable_names()}
 
 
 def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
@@ -201,8 +217,7 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
 def apply_mlp(table: Mapping, prefix: str, x, n_layers: int, activation_last: bool):
     out = x
     for i in range(n_layers):
-        out = T.add(T.matmul(out, T.as_tensor(table[f"{prefix}.{i}.w"])),
-                    T.as_tensor(table[f"{prefix}.{i}.b"]))
+        out = T.matmul(out, table[f"{prefix}.{i}.w"], table[f"{prefix}.{i}.b"])
         if activation_last or i + 1 < n_layers:
             out = T.relu(out)
     return out
@@ -251,7 +266,7 @@ def forward_online(
     if spec.predictor == "identity":
         return h, z, z
     if spec.predictor == "linear":
-        p_pre = T.matmul(z_pre, T.as_tensor(table["predictor.w"]))
+        p_pre = T.matmul(z_pre, table["predictor.w"])
     else:
         p_pre = apply_mlp(table, "predictor", z_pre, 2, False)
     return h, z, T.l2_normalize(p_pre)

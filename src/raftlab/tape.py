@@ -6,6 +6,11 @@ products into a per-node gradient table. The replay order is fixed by the
 recording order, so two backward passes over the same tape produce
 bit-identical gradients.
 
+A leaf may be bound to a destination array (``Tape.leaf(data, grad=...)``):
+the backward pass then writes that leaf's gradient straight into it, by the
+VJP's ``out=`` where it has one, so a caller can collect every gradient in
+one preallocated vector.
+
 Conventions:
 
 * everything is float64; inputs are coerced on entry and never downcast,
@@ -78,13 +83,17 @@ def as_tensor(x) -> Tensor:
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "vjp")
+    __slots__ = ("out", "inputs", "vjp", "into")
 
-    def __init__(self, out: int, inputs: tuple[int, ...], vjp: Callable):
+    def __init__(self, out: int, inputs: tuple[int, ...], vjp: Callable, into: bool):
         self.out = out
         self.inputs = inputs
-        # vjp(upstream) returns one contribution per entry of `inputs`.
+        # vjp(upstream, outs) returns one contribution per entry of `inputs`.
+        # With `into`, `outs` may hold, per input, an array the contribution
+        # is to be written into (the VJP then returns that array) or None;
+        # otherwise it is None.
         self.vjp = vjp
+        self.into = into
 
 
 class Gradients:
@@ -92,7 +101,9 @@ class Gradients:
 
     Indexing by a tracked tensor returns its gradient array; leaves the loss
     never touched (for example anything behind a stop_gradient) resolve to
-    zeros of the right shape. Treat returned arrays as read-only.
+    zeros of the right shape. A leaf bound with a destination returns that
+    array, which the next backward pass over the tape overwrites. Treat
+    returned arrays as read-only.
     """
 
     def __init__(self, table: dict[int, np.ndarray], tape: "Tape"):
@@ -116,23 +127,37 @@ class Tape:
     def __init__(self):
         self._n = 0
         self._records: list[_Record] = []
+        self._dests: dict[int, np.ndarray] = {}
 
     def _new_node(self) -> int:
         node = self._n
         self._n += 1
         return node
 
-    def leaf(self, data) -> Tensor:
-        """Register an input tensor gradients should be collected for."""
-        return Tensor(data, self, self._new_node())
+    def leaf(self, data, grad: np.ndarray | None = None) -> Tensor:
+        """Register an input tensor gradients should be collected for.
 
-    def _emit(self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable) -> Tensor:
+        With `grad`, an array of the leaf's shape, every backward pass writes
+        the leaf's gradient into it (zeros if the loss does not reach it)."""
+        t = Tensor(data, self, self._new_node())
+        if grad is not None:
+            if grad.shape != t.shape:
+                raise ShapeError(f"leaf: gradient destination {grad.shape} for shape {t.shape}")
+            self._dests[t.node] = grad
+        return t
+
+    def _emit(
+        self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable, into: bool = False
+    ) -> Tensor:
         out = Tensor(data, self, self._new_node())
-        self._records.append(_Record(out.node, inputs, vjp))
+        self._records.append(_Record(out.node, inputs, vjp, into))
         return out
 
     def backward(self, loss: Tensor) -> Gradients:
-        """Accumulate d(loss)/d(node) for every node that feeds the loss."""
+        """Accumulate d(loss)/d(node) for every node that feeds the loss.
+
+        A bound leaf's gradient is written into its destination; every other
+        in-place addition goes into an accumulator this call allocated."""
         if loss.tape is not self:
             raise ContractError("loss was not computed on this tape")
         if loss.node is None:
@@ -142,18 +167,39 @@ class Tape:
                 f"backward needs a scalar loss, got shape {loss.data.shape}"
             )
         table: dict[int, np.ndarray] = {loss.node: np.ones(())}
+        # Nodes whose table entry this call allocated or owns as a bound
+        # destination; only those are added into in place. A contribution
+        # may be an array a VJP also handed to another node (add returns its
+        # upstream twice), so ownership is per node, never per array.
+        owned: set[int] = set()
+        # Bound leaves whose destination has not been written yet.
+        pending = dict(self._dests)
         for rec in reversed(self._records):
             upstream = table.get(rec.out)
             if upstream is None:
                 continue
-            contribs = rec.vjp(upstream)
+            outs = tuple(map(pending.get, rec.inputs)) if rec.into and pending else None
+            contribs = rec.vjp(upstream, outs)
             for node, g in zip(rec.inputs, contribs):
                 if g is None:
                     continue
                 have = table.get(node)
-                # `+` allocates a fresh array, so stored gradients are never
-                # mutated in place and repeated backward calls match bitwise.
-                table[node] = g if have is None else have + g
+                if have is None:
+                    dest = pending.pop(node, None)
+                    if dest is not None:
+                        if g is not dest:
+                            np.copyto(dest, g)
+                        g = dest
+                        owned.add(node)
+                    table[node] = g
+                elif node in owned:
+                    have += g
+                else:
+                    table[node] = have + g
+                    owned.add(node)
+        for node, dest in pending.items():
+            dest.fill(0.0)
+            table[node] = dest
         return Gradients(table, self)
 
 
@@ -173,26 +219,39 @@ def _unary(a: Tensor, data: np.ndarray, vjp_a: Callable) -> Tensor:
     tape = _tape_of(a)
     if tape is None:
         return Tensor(data)
-    return tape._emit(data, (a.node,), lambda g: (vjp_a(g),))
+    return tape._emit(data, (a.node,), lambda g, outs: (vjp_a(g),))
 
 
 def _binary(a: Tensor, b: Tensor, data, vjp_a, vjp_b) -> Tensor:
     tape = _tape_of(a, b)
     if tape is None:
         return Tensor(data)
-    inputs = []
-    slots = []
-    if a.node is not None:
-        inputs.append(a.node)
-        slots.append(vjp_a)
-    if b.node is not None:
-        inputs.append(b.node)
-        slots.append(vjp_b)
+    if a.node is None:
+        return tape._emit(data, (b.node,), lambda g, outs: (vjp_b(g),))
+    if b.node is None:
+        return tape._emit(data, (a.node,), lambda g, outs: (vjp_a(g),))
+    return tape._emit(data, (a.node, b.node), lambda g, outs: (vjp_a(g), vjp_b(g)))
 
-    def vjp(g):
-        return tuple(fn(g) for fn in slots)
 
-    return tape._emit(data, tuple(inputs), vjp)
+def _op(data: np.ndarray, operands) -> Tensor:
+    """Record an op over (tensor, vjp(g, out)) pairs whose VJPs can write
+    into a destination: each returns its operand's contribution, computed
+    into `out` when that is not None."""
+    tape = _tape_of(*(t for t, _ in operands))
+    if tape is None:
+        return Tensor(data)
+    live = [(t.node, fn) for t, fn in operands if t.node is not None]
+    inputs = tuple(node for node, _ in live)
+    fns = tuple(fn for _, fn in live)
+
+    nones = (None,) * len(fns)
+
+    def vjp(g, outs):
+        return tuple([fn(g, out) for fn, out in zip(fns, outs or nones)])
+
+    # A node fed in twice gets two contributions; neither may claim its
+    # destination, or the second would overwrite the first.
+    return tape._emit(data, inputs, vjp, into=len(set(inputs)) == len(inputs))
 
 
 def _require_same_shape(a: Tensor, b: Tensor, opname: str):
@@ -257,14 +316,29 @@ def add_scalar(a, c: float) -> Tensor:
 # linear algebra
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, bias=None) -> Tensor:
+    """a @ b, plus a 1-D bias added to every row when given.
+
+    The bias is added in place on the product, so the result is bitwise that
+    of add(matmul(a, b), bias) from one tape record."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: needs 2-D operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
     ad, bd = a.data, b.data
-    return _binary(a, b, ad @ bd, lambda g: g @ bd.T, lambda g: ad.T @ g)
+    out = ad @ bd
+    operands = [
+        (a, lambda g, o: np.matmul(g, bd.T, out=o)),
+        (b, lambda g, o: np.matmul(ad.T, g, out=o)),
+    ]
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (out.shape[1],):
+            raise ShapeError(f"matmul: bias shape {bias.shape} for output {out.shape}")
+        out += bias.data
+        operands.append((bias, lambda g, o: np.add.reduce(g, axis=0, out=o)))
+    return _op(out, operands)
 
 
 def row_slice(a, lo: int, hi: int) -> Tensor:
@@ -294,10 +368,12 @@ def transpose(a) -> Tensor:
 
 
 def relu(a) -> Tensor:
+    """max(a, 0). A NaN entry stays NaN, so a broken input surfaces as a
+    non-finite loss instead of vanishing."""
     a = as_tensor(a)
-    # Derivative at exactly zero is defined as zero.
-    mask = a.data > 0.0
-    return _unary(a, np.where(mask, a.data, 0.0), lambda g: g * mask)
+    out = np.maximum(a.data, 0.0)
+    # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
+    return _unary(a, out, lambda g: g * (out > 0.0))
 
 
 def exp(a) -> Tensor:
@@ -347,13 +423,16 @@ def squared_distance(a, b) -> Tensor:
         raise ShapeError(f"squared_distance: needs matrices, got shape {a.shape}")
     diff = a.data - b.data
     out = np.einsum("ij,ij->i", diff, diff)
-    return _binary(
-        a,
-        b,
-        out,
-        lambda g: 2.0 * diff * g[:, None],
-        lambda g: -2.0 * diff * g[:, None],
-    )
+
+    def scaled_diff(c):
+        def vjp(g):
+            t = c * diff
+            t *= g[:, None]
+            return t
+
+        return vjp
+
+    return _binary(a, b, out, scaled_diff(2.0), scaled_diff(-2.0))
 
 
 def row_dot(a, b) -> Tensor:
@@ -412,7 +491,10 @@ def l2_normalize(a) -> Tensor:
 
     def vjp(g):
         radial = np.einsum("ij,ij->i", g, out)
-        return (g - radial[:, None] * out) / norms[:, None]
+        t = radial[:, None] * out
+        np.subtract(g, t, out=t)
+        t /= norms[:, None]
+        return t
 
     return _unary(a, out, vjp)
 
@@ -427,7 +509,7 @@ def stop_gradient(a) -> Tensor:
     tape = _tape_of(a)
     if tape is None:
         return Tensor(a.data)
-    return tape._emit(a.data, (a.node,), lambda g: (None,))
+    return tape._emit(a.data, (a.node,), lambda g, outs: (None,))
 
 
 def tangent_gate(a) -> Tensor:
@@ -448,7 +530,7 @@ def tangent_gate(a) -> Tensor:
     safe = np.where(norms < NORM_EPS, 1.0, norms)
     dirs = np.where(norms[:, None] < NORM_EPS, 0.0, a.data / safe[:, None])
 
-    def vjp(g):
+    def vjp(g, outs):
         radial = np.einsum("ij,ij->i", g, dirs)
         return (g - radial[:, None] * dirs,)
 

@@ -199,8 +199,8 @@ def train_run(
     when checkpoint_every > 0, and checkpoint_final.ckpt at the end.
     initial_params overrides the seeded init (shapes must match cfg.network).
     step_callback observes (step, params after update, gradient arrays) once
-    per step; each call gets its own copy of the parameters and fresh
-    gradient arrays, so it may keep them.
+    per step; each call gets its own copy of the parameters and of the
+    gradient vector (the arrays are named views of it), so it may keep them.
     """
     if cfg.batch_size > len(dataset):
         raise ConfigError(
@@ -215,7 +215,9 @@ def train_run(
     # The run updates its own copy in place; the caller's stays as it was.
     params = initial_params.clone()
     opt_state = AdamState.init(params.trainable) if cfg.optimizer == "adam" else None
+    # Every backward pass writes the leaf gradients into their views of `grad`.
     grad = np.empty_like(params.trainable)
+    grad_views = params.trainable_views(grad)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -232,7 +234,7 @@ def train_run(
             n = batch.x1.shape[0]
             x = np.concatenate((batch.x1, batch.x2))
             tp = T.Tape()
-            leaves = bind_params(tp, params)
+            leaves = bind_params(tp, params, grad_views)
             _, z, p = forward_online(params, x, leaves=leaves)
             zbar = forward_target(params, x)
             parts = objective_terms(
@@ -255,9 +257,7 @@ def train_run(
                     dump_path=dump_path,
                 )
 
-            grads = tp.backward(parts.total)
-            grad_arrays = {name: grads[leaf] for name, leaf in leaves.items()}
-            np.concatenate([g.ravel() for g in grad_arrays.values()], out=grad)
+            tp.backward(parts.total)
             lr_k = schedule_value(cfg.learning_rate, k)
             if cfg.optimizer == "sgd":
                 sgd_step(params.trainable, grad, lr_k)
@@ -266,7 +266,7 @@ def train_run(
             ema_update(params, schedule_value(cfg.ema_tau, k))
 
             if step_callback is not None:
-                step_callback(k, params.clone(), grad_arrays)
+                step_callback(k, params.clone(), params.trainable_views(grad.copy()))
 
             if k % cfg.log_every == 0:
                 uni = uniform_loss(

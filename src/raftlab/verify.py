@@ -148,12 +148,18 @@ def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelPara
     s1, s2 = (int(v) for v in rng.integers(0, 2**63, size=2))
     params = init_params(spec, s1)
     params.teacher[...] = init_params(spec, s2).teacher
+    _draw_biases(params, rng)
+    return params
+
+
+def _draw_biases(params: ModelParams, rng: np.random.Generator) -> None:
+    """Redraw every bias, teacher ones included, from its layer's weight law
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
     for name, arr in params.values.items():
         if name.endswith(".b"):
             fan_in = params.values[name[:-2] + ".w"].shape[0]
             bound = 1.0 / np.sqrt(fan_in)
             arr[...] = rng.uniform(-bound, bound, size=arr.shape)
-    return params
 
 
 def random_state_and_batch(
@@ -384,7 +390,12 @@ def trajectory_correspondence_experiment(
     network = network or DEFAULT_VERIFY_NETWORK
     _require_linear_predictor(network)
     dataset = dataset or make_blobs(SyntheticBlobsSpec())
+    # Biases from the weight law, as in random_model_state: with init_params'
+    # zero biases one augmented row can switch off every projector ReLU and
+    # leave nothing to normalize. The teacher starts as the online encoder.
     params0 = init_params(network, seed)
+    _draw_biases(params0, np.random.default_rng(np.random.SeedSequence([seed, 24])))
+    params0.teacher[...] = params0.encoder
     mirrored0 = mirror_predictor(params0)
 
     snapshots_a: list[dict[str, np.ndarray]] = [params0.values]

@@ -294,6 +294,17 @@ class TestVerifyCommands:
             assert c["margin"] < 0
             assert c["value"] > c["tolerance"]
 
+    # Seeds at which the trajectory experiment used to start from zero
+    # biases and, at its first step, met an augmented row that switched off
+    # every projector ReLU and could not be normalized (exit 2).
+    @pytest.mark.parametrize("seed", [32, 40, 43, 70, 86, 87, 103, 138, 168])
+    def test_correspondence_holds_where_zero_biases_left_a_dead_row(self, tmp_path, seed):
+        rc = run([
+            "verify", "correspondence", "--seed", str(seed), "--trials", "2",
+            "--steps", "1", "--out-dir", str(tmp_path / "v"),
+        ])
+        assert rc == 0
+
     def test_correspondence_requires_linear_predictor(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SMALL_CONFIG))
         bad["network"]["predictor"] = "mlp"
@@ -489,6 +500,7 @@ BAD_VERIFY_FLAGS = [
     pytest.param(["correspondence"], "--steps", "0", id="correspondence --steps 0"),
     pytest.param(["correspondence"], "--rel-tol", "-1", id="correspondence --rel-tol -1"),
     pytest.param(["sylvester"], "--samples", "0", id="sylvester --samples 0"),
+    pytest.param(["sylvester"], "--samples", "10", id="sylvester --samples below dim^2"),
     pytest.param(["upper-bound"], "--batch-size", "0", id="upper-bound --batch-size 0"),
     pytest.param(["sylvester"], "--dim", "0", id="sylvester --dim 0"),
     pytest.param(["sylvester"], "--dim", "13", id="sylvester --dim 13"),

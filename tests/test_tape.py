@@ -105,6 +105,19 @@ class TestBackwardContract:
         g2 = t.backward(loss)[a]
         assert g1.tobytes() == g2.tobytes()
 
+    def test_shared_contribution_is_not_added_into(self):
+        # add hands one upstream array to both a and b; a's later
+        # contribution must not be added into the array b also holds.
+        rng = np.random.default_rng(13)
+        c, d = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        t = tp.Tape()
+        a, b = t.leaf(rng.normal(size=(2, 3))), t.leaf(rng.normal(size=(2, 3)))
+        u = tp.mul(a, tp.constant(c))
+        v = tp.add(a, b)
+        g = t.backward(tp.sum_all(tp.mul(tp.add(u, v), tp.constant(d))))
+        np.testing.assert_array_equal(g[b], d)
+        np.testing.assert_allclose(g[a], d * (1.0 + c))
+
     def test_sum_backward_is_ones(self):
         t = tp.Tape()
         a = t.leaf(np.zeros((3, 2)))
@@ -116,6 +129,81 @@ class TestBackwardContract:
         a = t.leaf(np.array([1.0, 2.0]))
         loss = tp.sum_all(tp.mul(a, a))
         np.testing.assert_allclose(t.backward(loss)[a], [2.0, 4.0])
+
+
+class TestGradientDestinations:
+    """Leaves bound with `grad=` receive their gradient in that array."""
+
+    @staticmethod
+    def two_layer_loss(x, w, b, s, v):
+        # Two uses of w, as the two views of a per-view step make, and a
+        # row scaling whose VJP has no out= path.
+        def branch(rows):
+            h = tp.relu(tp.matmul(rows, w, b))
+            return tp.l2_normalize(tp.matmul(tp.scale_rows(h, s), v))
+
+        return tp.batch_mean(tp.squared_distance(branch(x[0]), branch(x[1])))
+
+    def arrays(self):
+        rng = np.random.default_rng(11)
+        x = [tp.constant(rng.normal(size=(5, 4))) for _ in range(2)]
+        return x, [rng.normal(size=(4, 6)), rng.normal(size=6),
+                   rng.uniform(0.5, 2.0, size=5), rng.normal(size=(6, 3))]
+
+    def gradients(self, bound: bool):
+        x, params = self.arrays()
+        t = tp.Tape()
+        dests = [np.full_like(p, np.nan) for p in params] if bound else [None] * len(params)
+        leaves = [t.leaf(p, grad=d) for p, d in zip(params, dests)]
+        loss = self.two_layer_loss(x, *leaves)
+        return t, loss, leaves, dests
+
+    def test_bound_leaf_receives_the_table_bits(self):
+        t, loss, leaves, _ = self.gradients(bound=False)
+        table = t.backward(loss)
+        t2, loss2, leaves2, dests = self.gradients(bound=True)
+        bound = t2.backward(loss2)
+        for leaf, leaf2, dest in zip(leaves, leaves2, dests):
+            assert bound[leaf2] is dest
+            assert dest.tobytes() == table[leaf].tobytes()
+
+    def test_leaf_used_twice_accumulates_both_contributions(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(3, 3))
+        x1, x2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        # Twice in one record, where add hands the same upstream to both.
+        t = tp.Tape()
+        dest = np.full((3, 3), np.nan)
+        leaf = t.leaf(a, grad=dest)
+        t.backward(tp.sum_all(tp.add(leaf, leaf)))
+        np.testing.assert_array_equal(dest, np.full((3, 3), 2.0))
+        # Twice in one matmul record, and across two records.
+        for build in (lambda w: tp.matmul(w, w),
+                      lambda w: tp.add(tp.matmul(x1, w), tp.matmul(x2, w))):
+            t, t_ref = tp.Tape(), tp.Tape()
+            dest = np.full((3, 3), np.nan)
+            leaf, ref = t.leaf(a, grad=dest), t_ref.leaf(a)
+            t.backward(tp.sum_all(build(leaf)))
+            expected = t_ref.backward(tp.sum_all(build(ref)))[ref]
+            assert dest.tobytes() == expected.tobytes()
+        np.testing.assert_allclose(dest, (x1 + x2).T @ np.ones((4, 3)))
+
+    def test_two_backwards_on_one_tape_are_bit_identical(self):
+        t, loss, _, dests = self.gradients(bound=True)
+        unused_dest = np.full((2, 2), np.nan)
+        unused = t.leaf(np.ones((2, 2)), grad=unused_dest)
+        t.backward(loss)
+        first = [d.copy() for d in dests]
+        for d in dests + [unused_dest]:
+            d.fill(np.nan)
+        t.backward(loss)
+        for d, d_first in zip(dests, first):
+            assert d.tobytes() == d_first.tobytes()
+        np.testing.assert_array_equal(t.backward(loss)[unused], np.zeros((2, 2)))
+
+    def test_destination_must_match_the_leaf(self):
+        with pytest.raises(ShapeError):
+            tp.Tape().leaf(np.zeros((2, 3)), grad=np.zeros(6))
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +231,30 @@ class TestForwardValues:
     def test_relu_clamps_negatives(self):
         out = tp.relu(tp.constant([-1.0, 0.0, 2.0]))
         np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_relu_propagates_nan(self):
+        out = tp.relu(tp.constant([np.nan, -1.0, 2.0]))
+        assert np.isnan(out.data[0])
+        np.testing.assert_array_equal(out.data[1:], [0.0, 2.0])
+
+    def test_matmul_bias_is_bitwise_add_of_matmul(self):
+        rng = np.random.default_rng(9)
+        a, w, b = rng.normal(size=(5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        t, t_ref = tp.Tape(), tp.Tape()
+        fused = [t.leaf(v) for v in (a, w, b)]
+        split = [t_ref.leaf(v) for v in (a, w, b)]
+        out = tp.matmul(*fused)
+        ref = tp.add(tp.matmul(split[0], split[1]), split[2])
+        assert out.data.tobytes() == ref.data.tobytes()
+        g = t.backward(tp.sum_all(tp.mul(out, out)))
+        g_ref = t_ref.backward(tp.sum_all(tp.mul(ref, ref)))
+        for leaf, leaf_ref in zip(fused, split):
+            assert g[leaf].tobytes() == g_ref[leaf_ref].tobytes()
+
+    def test_matmul_bias_shape_checked(self):
+        with pytest.raises(ShapeError):
+            tp.matmul(tp.constant(np.ones((2, 3))), tp.constant(np.ones((3, 4))),
+                      tp.constant(np.ones(3)))
 
     def test_relu_derivative_zero_at_kink(self):
         t = tp.Tape()
@@ -354,6 +466,11 @@ class TestFiniteDifferenceGradients:
             [a],
         )
         self.check(lambda t, xs: tp.sum_all(tp.exp(tp.row_slice(xs[0], 1, 4))), [a])
+
+    def test_matmul_with_bias(self):
+        rng = np.random.default_rng(10)
+        a, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
+        self.check(lambda t, xs: tp.sum_all(tp.relu(tp.matmul(*xs))), [a, w, b])
 
     def test_bias_broadcast_add(self):
         rng = np.random.default_rng(6)

@@ -1,7 +1,7 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
 config reader can check every field of every config dataclass, the
-training step calls every phase the benchmark times, and every train flag
-sets a config field."""
+training step calls every phase and tape op the benchmark times, and every
+train flag sets a config field."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from raftlab import cli, optim, train
+from raftlab import cli, optim, tape, train
 from raftlab.data import SyntheticBlobsSpec
 from raftlab.evaluate import ProbeConfig
 from raftlab.losses import LossConfig
@@ -142,6 +142,33 @@ def test_train_run_calls_every_benchmarked_phase():
         if inspect.isfunction(obj) and obj.__module__ == optim.__name__ and not name.startswith("_")
     }
     assert public_optim & called_names(step_loop)
+
+
+def benchmark_tape_ops() -> list[str]:
+    """The ops of each BENCHMARK.json per-layer `tape.op.<op>.calls_per_step`."""
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    return [name.split(".")[2] for name in names
+            if name.startswith("tape.op.") and name.endswith(".calls_per_step")]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_train_run_calls_every_benchmarked_tape_op_each_step(path, monkeypatch):
+    # A traced benchmark run fails when a named op goes unmeasured, for
+    # example once a fused op has taken over all of its calls.
+    ops = benchmark_tape_ops()
+    assert {"matmul", "add", "relu"} <= set(ops)
+    calls = dict.fromkeys(ops, 0)
+    for op in ops:
+        def counted(*args, _op=op, _inner=getattr(tape, op), **kwargs):
+            calls[_op] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(tape, op, counted)
+    seen = []
+    cfg, dataset, _ = cli.train_config(path, steps=2)
+    train.train_run(cfg, dataset, step_callback=lambda k, params, grads: seen.append(dict(calls)))
+    first, second = seen
+    assert [op for op in ops if first[op] < 1 or second[op] <= first[op]] == []
 
 
 def called_names(tree) -> set:

@@ -14,7 +14,13 @@ import pytest
 
 from raftlab import cli
 from raftlab import tape as T
-from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs, sample_positive_batch
+from raftlab.data import (
+    AugmentationSpec,
+    Dataset,
+    SyntheticBlobsSpec,
+    make_blobs,
+    sample_positive_batch,
+)
 from raftlab.errors import ConfigError, ScheduleError, TrainingDivergedError
 from raftlab.losses import LossConfig, objective_terms, uniform_loss
 from raftlab.model import (
@@ -250,6 +256,18 @@ class TestArtifacts:
         dump = json.loads((tmp_path / "divergence_dump.json").read_text())
         assert str(tmp_path / "divergence_dump.json") == str(err.dump_path)
         assert dump["step"] == err.step
+
+
+    def test_nan_sample_surfaces_as_divergence(self, small_blobs):
+        # relu keeps a NaN pre-activation, so a broken input row ends the
+        # run at its first batch instead of silently dropping out of it.
+        samples = small_blobs.samples.copy()
+        samples[3, 0] = np.nan
+        broken = Dataset(samples=samples, labels=small_blobs.labels)
+        cfg = small_config(steps=3, batch_size=len(broken))
+        with pytest.raises(TrainingDivergedError) as info:
+            train_run(cfg, broken)
+        assert info.value.step == 1
 
 
 class TestEmaInsideTheLoop:
