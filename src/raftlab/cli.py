@@ -349,6 +349,8 @@ def _verify_start(args) -> tuple[dict, int]:
         raise ConfigError(f"--dim: must be >= 1 and <= {verify.MAX_SYLVESTER_DIM}, got {dim}")
     if getattr(args, "rel_tol", 0.0) < 0:
         raise ConfigError(f"--rel-tol: must be >= 0, got {args.rel_tol}")
+    if getattr(args, "step", 1.0) <= 0:
+        raise ConfigError(f"--step: must be > 0, got {args.step}")
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
     if seed < 0:

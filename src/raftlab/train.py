@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tape as T
 from .data import AugmentationSpec, Dataset, batches_per_epoch, sample_positive_batch
-from .errors import ConfigError, ScheduleError, TrainingDivergedError
+from .errors import ConfigError, RaftLabError, ScheduleError, TrainingDivergedError
 from .losses import (
     COLLAPSE_UNIFORMITY_THRESHOLD,
     LossConfig,
@@ -173,16 +173,20 @@ def derived_seeds(master_seed: int) -> tuple[int, int]:
     return init_seed, aug_seed
 
 
-def _diagnostic_dump(step: int, parts, params: ModelParams) -> dict:
-    return {
-        "step": step,
-        "loss_total": float(parts.total.data),
-        "loss_align": float(parts.align.data),
-        "loss_cross_model": float(parts.cross.data),
-        "param_norms": {
-            name: float(np.linalg.norm(arr)) for name, arr in params.values.items()
-        },
+def _diagnostic_dump(step: int, error: RaftLabError, parts, params: ModelParams) -> dict:
+    """What divergence_dump.json holds: the failed step, the error, the loss
+    terms when the step got as far as a loss, and the parameter norms."""
+    dump = {"step": step, "error": type(error).__name__, "message": str(error)}
+    if parts is not None:
+        dump.update(
+            loss_total=float(parts.total.data),
+            loss_align=float(parts.align.data),
+            loss_cross_model=float(parts.cross.data),
+        )
+    dump["param_norms"] = {
+        name: float(np.linalg.norm(arr)) for name, arr in params.values.items()
     }
+    return dump
 
 
 def train_run(
@@ -196,7 +200,11 @@ def train_run(
     parameters plus the metrics log.
 
     With out_dir set, writes metrics.jsonl as it goes, periodic checkpoints
-    when checkpoint_every > 0, and checkpoint_final.ckpt at the end.
+    when checkpoint_every > 0, and checkpoint_final.ckpt at the end. A
+    RaftLabError raised inside a step (a non-finite loss raises
+    TrainingDivergedError) first writes divergence_dump.json and
+    checkpoint_last_good.ckpt, the parameters the failed step started from,
+    then propagates.
     initial_params overrides the seeded init (shapes must match cfg.network).
     step_callback observes (step, params after update, gradient arrays) once
     per step; each call gets its own copy of the parameters and of the
@@ -220,8 +228,10 @@ def train_run(
     grad_views = params.trainable_views(grad)
 
     out_path = Path(out_dir) if out_dir is not None else None
+    dump_path = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        dump_path = out_path / "divergence_dump.json"
     records: list[MetricsRecord] = []
     bpe = batches_per_epoch(len(dataset), cfg.batch_size)
     t0 = time.perf_counter()
@@ -229,35 +239,43 @@ def train_run(
     metrics_fh = open(out_path / "metrics.jsonl", "w") if out_path is not None else None
     try:
         for k in range(1, cfg.steps + 1):
-            batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
-            # Both views go through each network as one stacked batch.
-            n = batch.x1.shape[0]
-            x = np.concatenate((batch.x1, batch.x2))
-            tp = T.Tape()
-            leaves = bind_params(tp, params, grad_views)
-            _, z, p = forward_online(params, x, leaves=leaves)
-            zbar = forward_target(params, x)
-            parts = objective_terms(
-                cfg.loss,
-                T.row_slice(p, 0, n),
-                T.row_slice(p, n, 2 * n),
-                T.row_slice(zbar, 0, n),
-                T.row_slice(zbar, n, 2 * n),
-            )
-            loss_val = float(parts.total.data)
-            if not math.isfinite(loss_val):
-                dump = _diagnostic_dump(k, parts, params)
-                dump_path = None
-                if out_path is not None:
-                    dump_path = out_path / "divergence_dump.json"
-                    dump_path.write_text(json.dumps(dump, indent=2))
-                raise TrainingDivergedError(
-                    f"loss became non-finite ({loss_val}) at step {k}",
-                    step=k,
-                    dump_path=dump_path,
+            # This step's loss terms once it has them, for the dump. `parts`
+            # stays bound, so the last step's graph is still freed only when
+            # the next loss replaces it, as before.
+            step_parts = None
+            try:
+                batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
+                # Both views go through each network as one stacked batch.
+                n = batch.x1.shape[0]
+                x = np.concatenate((batch.x1, batch.x2))
+                tp = T.Tape()
+                leaves = bind_params(tp, params, grad_views)
+                _, z, p = forward_online(params, x, leaves=leaves)
+                zbar = forward_target(params, x)
+                parts = objective_terms(
+                    cfg.loss,
+                    T.row_slice(p, 0, n),
+                    T.row_slice(p, n, 2 * n),
+                    T.row_slice(zbar, 0, n),
+                    T.row_slice(zbar, n, 2 * n),
                 )
+                step_parts = parts
+                loss_val = float(parts.total.data)
+                if not math.isfinite(loss_val):
+                    raise TrainingDivergedError(
+                        f"loss became non-finite ({loss_val}) at step {k}",
+                        step=k,
+                        dump_path=dump_path,
+                    )
+                tp.backward(parts.total)
+            except RaftLabError as exc:
+                # Nothing has been updated yet: params are the last good state.
+                if out_path is not None:
+                    dump = _diagnostic_dump(k, exc, step_parts, params)
+                    dump_path.write_text(json.dumps(dump, indent=2))
+                    save_checkpoint(params, out_path / "checkpoint_last_good.ckpt")
+                raise
 
-            tp.backward(parts.total)
             lr_k = schedule_value(cfg.learning_rate, k)
             if cfg.optimizer == "sgd":
                 sgd_step(params.trainable, grad, lr_k)

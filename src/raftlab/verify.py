@@ -101,18 +101,27 @@ def _require_linear_predictor(spec: NetworkSpec):
         raise ContractError(LINEAR_PREDICTOR_MESSAGE)
 
 
+def _stacked_views(batch: PositiveBatch) -> tuple[np.ndarray, int]:
+    # Both views as one batch (view 1 rows first), as train_run runs them,
+    # and the view size; _split_views takes an output's rows apart again.
+    return np.concatenate((batch.x1, batch.x2)), batch.x1.shape[0]
+
+
+def _split_views(t: T.Tensor, n: int) -> tuple[T.Tensor, T.Tensor]:
+    return T.row_slice(t, 0, n), T.row_slice(t, n, 2 * n)
+
+
 # ---------------------------------------------------------------------------
 # upper bound
 
 
 def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple[float, float, float]:
     """(align, same-view cross, crossed-view objective) of the byol
-    objective on one shared forward pass."""
-    _, _, p1 = forward_online(params, batch.x1)
-    _, _, p2 = forward_online(params, batch.x2)
-    zbar1 = forward_target(params, batch.x1)
-    zbar2 = forward_target(params, batch.x2)
-    parts = objective_terms(LossConfig(objective="byol"), p1, p2, zbar1, zbar2)
+    objective on one shared forward pass of both views stacked."""
+    x, n = _stacked_views(batch)
+    _, _, p = forward_online(params, x)
+    parts = objective_terms(LossConfig(objective="byol"), *_split_views(p, n),
+                            *_split_views(forward_target(params, x), n))
     return parts.align.item(), parts.cross.item(), parts.total.item()
 
 
@@ -561,17 +570,21 @@ def analytic_sylvester_cases(n: int = 4) -> list[tuple[str, np.ndarray, np.ndarr
 # finite differences
 
 
-def finite_difference_gradcheck(
-    loss_cfg: LossConfig,
+def finite_difference_gradchecks(
+    loss_cfgs: Sequence[LossConfig],
     params: ModelParams,
     batch: PositiveBatch,
     step: float = 1e-5,
     max_coords: int = 10_000,
     seed: int = 0,
-) -> float:
-    """Compare tape gradients of the configured objective against central
+) -> list[float]:
+    """Compare tape gradients of each configured objective against central
     differences over every trainable coordinate (a seeded subsample above
-    max_coords); returns the worst relative error.
+    max_coords); returns each objective's worst relative error, in order.
+
+    Each analytic gradient comes from its own tape with one forward per
+    view. The difference sweep is shared: each bump runs one forward of
+    both views stacked and scores every objective on its rows.
     """
     if step <= 0:
         raise ContractError(f"step: must be positive, got {step}")
@@ -581,37 +594,55 @@ def finite_difference_gradcheck(
     zbar1 = forward_target(params, batch.x1)
     zbar2 = forward_target(params, batch.x2)
 
-    def total_at(probe: ModelParams, leaves=None) -> T.Tensor:
-        _, _, p1 = forward_online(probe, batch.x1, leaves=leaves)
-        _, _, p2 = forward_online(probe, batch.x2, leaves=leaves)
-        return objective_terms(loss_cfg, p1, p2, zbar1, zbar2).total
+    analytic = []
+    for cfg in loss_cfgs:
+        tp = T.Tape()
+        leaves = bind_params(tp, params)
+        _, _, p1 = forward_online(params, batch.x1, leaves=leaves)
+        _, _, p2 = forward_online(params, batch.x2, leaves=leaves)
+        grads = tp.backward(objective_terms(cfg, p1, p2, zbar1, zbar2).total)
+        analytic.append(np.concatenate([grads[leaf].ravel() for leaf in leaves.values()]))
 
-    tp = T.Tape()
-    leaves = bind_params(tp, params)
-    grads = tp.backward(total_at(params, leaves))
-    analytic = np.concatenate([grads[leaf].ravel() for leaf in leaves.values()])
+    x, n = _stacked_views(batch)
+
+    def totals_at(probe: ModelParams) -> list[float]:
+        p1, p2 = _split_views(forward_online(probe, x)[2], n)
+        return [objective_terms(cfg, p1, p2, zbar1, zbar2).total.item() for cfg in loss_cfgs]
 
     # Coordinates index the trainable segment of the flat parameter vector.
-    coords = range(analytic.size)
+    coords = range(analytic[0].size)
     if len(coords) > max_coords:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
         coords = rng.choice(len(coords), size=max_coords, replace=False)
 
     probe = params.clone()
     flat = probe.flat
-    worst = 0.0
+    worst = [0.0] * len(loss_cfgs)
     for i in coords:
         base = flat[i]
         flat[i] = base + step
-        hi = total_at(probe).item()
+        his = totals_at(probe)
         flat[i] = base - step
-        lo = total_at(probe).item()
+        los = totals_at(probe)
         flat[i] = base
-        fd = (hi - lo) / (2.0 * step)
-        an = float(analytic[i])
-        err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-        worst = max(worst, err)
+        for j, (hi, lo) in enumerate(zip(his, los)):
+            fd = (hi - lo) / (2.0 * step)
+            an = float(analytic[j][i])
+            err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
+            worst[j] = max(worst[j], err)
     return worst
+
+
+def finite_difference_gradcheck(
+    loss_cfg: LossConfig,
+    params: ModelParams,
+    batch: PositiveBatch,
+    step: float = 1e-5,
+    max_coords: int = 10_000,
+    seed: int = 0,
+) -> float:
+    """finite_difference_gradchecks for one objective."""
+    return finite_difference_gradchecks([loss_cfg], params, batch, step, max_coords, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +656,9 @@ class Check:
     `margin` is the signed slack, >= 0 exactly when `passed`: tolerance -
     value for an upper limit, value - tolerance for a lower one, and
     -|value - tolerance| for an exact count. `seconds` is the wall time of
-    the work that measured `value`; `detail` is the line printed after the
-    verdict."""
+    the work that measured `value` (checks measured by one shared pass,
+    such as the three gradchecks, each carry its time); `detail` is the
+    line printed after the verdict."""
 
     name: str
     value: float
@@ -762,15 +794,17 @@ def certify_gradcheck(
     scale-invariant cross gradient against the filtered plain one."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
     params, batch = random_state_and_batch(network, rng, batch_size)
-    checks, errors = [], {}
-    for objective in ("byol", "byol_prime", "raft"):
-        log.info("central differences for objective %s", objective)
-        err, seconds = _timed(finite_difference_gradcheck, LossConfig(objective=objective),
-                              params, batch, step, max_coords, seed)
-        errors[objective] = err
-        checks.append(_at_most(f"gradcheck '{objective}'", err, FD_REL_TOL, seconds,
-                               f"worst relative error {err:.3e} at step {step:.0e} "
-                               f"(tolerance {FD_REL_TOL:.0e})"))
+    objectives = ("byol", "byol_prime", "raft")
+    log.info("central differences for objectives %s", ", ".join(objectives))
+    # One sweep measures all three, so each record carries its seconds.
+    errs, seconds = _timed(finite_difference_gradchecks,
+                           [LossConfig(objective=o) for o in objectives],
+                           params, batch, step, max_coords, seed)
+    errors = dict(zip(objectives, errs))
+    checks = [_at_most(f"gradcheck '{objective}'", err, FD_REL_TOL, seconds,
+                       f"worst relative error {err:.3e} at step {step:.0e} "
+                       f"(tolerance {FD_REL_TOL:.0e})")
+              for objective, err in errors.items()]
     log.info("gradient identity for the scale-invariant cross form, %d trials", trials)
     trick_dev, seconds = _timed(trick_identity_sweep, trials, seed)
     checks.append(_at_most("scale-invariant cross gradient", trick_dev, TRICK_IDENTITY_TOL, seconds,

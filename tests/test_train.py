@@ -21,7 +21,12 @@ from raftlab.data import (
     make_blobs,
     sample_positive_batch,
 )
-from raftlab.errors import ConfigError, ScheduleError, TrainingDivergedError
+from raftlab.errors import (
+    ConfigError,
+    DegenerateRepresentationError,
+    ScheduleError,
+    TrainingDivergedError,
+)
 from raftlab.losses import LossConfig, objective_terms, uniform_loss
 from raftlab.model import (
     NetworkSpec,
@@ -256,6 +261,35 @@ class TestArtifacts:
         dump = json.loads((tmp_path / "divergence_dump.json").read_text())
         assert str(tmp_path / "divergence_dump.json") == str(err.dump_path)
         assert dump["step"] == err.step
+        assert dump["error"] == "TrainingDivergedError"
+        assert dump["message"] == str(err)
+        assert {"loss_total", "loss_align", "loss_cross_model", "param_norms"} <= set(dump)
+        last_good = load_checkpoint(tmp_path / "checkpoint_last_good.ckpt")
+        with np.errstate(over="ignore"):  # the diverging norms overflow
+            norms = {name: float(np.linalg.norm(arr)) for name, arr in last_good.values.items()}
+        assert dump["param_norms"] == norms
+
+    def test_mid_run_error_dumps_state_and_last_good_checkpoint(self, tmp_path, small_blobs):
+        # Biases start at zero, so an all-zero input row (no noise to move
+        # it) has a zero projector output that cannot be normalized.
+        samples = small_blobs.samples.copy()
+        samples[3] = 0.0
+        broken = Dataset(samples=samples, labels=small_blobs.labels)
+        cfg = small_config(steps=3, batch_size=len(broken),
+                           augmentation=AugmentationSpec.symmetric(noise_sigma=0.0))
+        with pytest.raises(DegenerateRepresentationError) as info:
+            train_run(cfg, broken, out_dir=tmp_path)
+        dump = json.loads((tmp_path / "divergence_dump.json").read_text())
+        assert dump["step"] == 1
+        assert dump["error"] == "DegenerateRepresentationError"
+        assert dump["message"] == str(info.value)
+        assert "loss_total" not in dump
+        start = init_params(SMALL_NET, derived_seeds(cfg.master_seed)[0])
+        assert dump["param_norms"] == {
+            name: float(np.linalg.norm(arr)) for name, arr in start.values.items()
+        }
+        last_good = load_checkpoint(tmp_path / "checkpoint_last_good.ckpt")
+        np.testing.assert_array_equal(last_good.flat, start.flat)
 
 
     def test_nan_sample_surfaces_as_divergence(self, small_blobs):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from raftlab import verify
 from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs, sample_positive_batch
 from raftlab.errors import ContractError
-from raftlab.losses import LossConfig
-from raftlab.model import NetworkSpec, init_params
+from raftlab.losses import LossConfig, objective_terms
+from raftlab.model import NetworkSpec, forward_online, forward_target, init_params
 from raftlab.verify import (
     CONTROL_MIN_DEVIATION,
     DEFAULT_VERIFY_NETWORK,
@@ -18,11 +19,13 @@ from raftlab.verify import (
     TRICK_IDENTITY_TOL,
     analytic_sylvester_cases,
     finite_difference_gradcheck,
+    finite_difference_gradchecks,
     gradient_correspondence_check,
     gradient_correspondence_sweep,
     margin_from_losses,
     pivoted_rank,
     random_model_state,
+    random_state_and_batch,
     state_losses,
     sylvester_null_space,
     trajectory_correspondence_experiment,
@@ -82,6 +85,18 @@ class TestUpperBound:
         assert byol >= 0.0
         margin = margin_from_losses(1.0, 1.0, losses)
         assert margin == pytest.approx(margin_from_losses(1.0, 1.0, state_losses(params, batch)))
+
+    def test_stacked_views_give_the_per_view_losses_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            params, batch = random_state_and_batch(DEFAULT_VERIFY_NETWORK, rng, 16)
+            _, _, p1 = forward_online(params, batch.x1)
+            _, _, p2 = forward_online(params, batch.x2)
+            parts = objective_terms(LossConfig(objective="byol"), p1, p2,
+                                    forward_target(params, batch.x1),
+                                    forward_target(params, batch.x2))
+            per_view = (parts.align.item(), parts.cross.item(), parts.total.item())
+            assert state_losses(params, batch) == per_view
 
 
 class TestMirroredGradients:
@@ -177,6 +192,38 @@ class TestFiniteDifferences:
         err = finite_difference_gradcheck(cfg, params, batch, max_coords=160, seed=0)
         assert err <= 1e-4
 
+    def test_shared_sweep_gives_each_objective_its_own_result(self, verify_blobs):
+        rng = np.random.default_rng(5)
+        params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
+        batch = random_batch(rng, verify_blobs)
+        cfgs = [LossConfig(objective=o, alpha=1.3, beta=0.8)
+                for o in ("byol", "byol_prime", "raft")]
+        shared = finite_difference_gradchecks(cfgs, params, batch, max_coords=60, seed=3)
+        alone = [finite_difference_gradcheck(cfg, params, batch, max_coords=60, seed=3)
+                 for cfg in cfgs]
+        assert shared == alone
+
+    @pytest.mark.parametrize("objectives", [("raft",), ("byol", "byol_prime", "raft")])
+    def test_one_stacked_forward_per_bump(self, objectives, verify_blobs, monkeypatch):
+        # Two forwards (one per view) per objective for the analytic
+        # gradient, then one forward of both views per +-step bump, shared
+        # by every objective.
+        calls = []
+
+        def counting(params, x, leaves=None):
+            calls.append(len(x))
+            return forward_online(params, x, leaves=leaves)
+
+        monkeypatch.setattr(verify, "forward_online", counting)
+        rng = np.random.default_rng(6)
+        params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
+        batch = random_batch(rng, verify_blobs)
+        coords = 7
+        finite_difference_gradchecks([LossConfig(objective=o) for o in objectives],
+                                     params, batch, max_coords=coords, seed=0)
+        assert len(calls) == 2 * coords + 2 * len(objectives)
+        assert calls[-2 * coords:] == [2 * len(batch.x1)] * (2 * coords)
+
 
 class TestTangentialTrickIdentity:
     def test_matched_rows_give_tangential_gradient(self):
@@ -199,3 +246,33 @@ class TestRandomStates:
         rng = np.random.default_rng(8)
         params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
         assert params.spec.projection_dim == DEFAULT_VERIFY_NETWORK.projection_dim
+
+
+class TestCertificationRecords:
+    @pytest.fixture(scope="class")
+    def certifications(self, verify_blobs):
+        net = DEFAULT_VERIFY_NETWORK
+        return [
+            verify.certify_upper_bound(seed=0, network=net, trials=5, batch_size=16),
+            verify.certify_correspondence(
+                seed=0, network=net, dataset=verify_blobs, trials=3, steps=3,
+                optimizer="sgd", learning_rate=1e-2, ema_tau=0.996, rel_tol=1e-6,
+            ),
+            verify.certify_sylvester(seed=0, dataset=verify_blobs, dim=3, samples=200),
+            verify.certify_gradcheck(seed=0, network=net, step=1e-5, max_coords=20,
+                                     batch_size=4, trials=3),
+        ]
+
+    def test_every_detail_is_built_from_its_value(self, certifications):
+        checks = [check for cert in certifications for check in cert.checks]
+        assert len(checks) == 12
+        for check in checks:
+            if isinstance(check.value, (int, np.integer)):
+                shown = str(int(check.value))
+            else:
+                shown = f"{check.value:.3e}"
+            assert shown in check.detail, check.name
+
+    def test_the_three_gradchecks_share_one_sweep_time(self, certifications):
+        seconds = {c.seconds for c in certifications[-1].checks if c.name.startswith("gradcheck")}
+        assert len(seconds) == 1
