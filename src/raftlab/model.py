@@ -272,6 +272,17 @@ def forward_online(
     return h, z, T.l2_normalize(p_pre)
 
 
+def stack_views(x1, x2) -> tuple[np.ndarray, int]:
+    """Both views as one batch, view 1's rows first, and the view size;
+    split_views takes an output's rows apart again."""
+    return np.concatenate((x1, x2)), x1.shape[0]
+
+
+def split_views(t: Tensor, n: int) -> tuple[Tensor, Tensor]:
+    """(view 1, view 2) rows of a network output on a stack_views batch."""
+    return T.row_slice(t, 0, n), T.row_slice(t, n, 2 * n)
+
+
 def forward_target(params: ModelParams, x) -> Tensor:
     """Teacher forward: backbone+projector under the target parameters,
     normalized. Evaluated entirely as constants, which is what makes the

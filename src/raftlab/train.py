@@ -36,6 +36,8 @@ from .model import (
     forward_target,
     init_params,
     save_checkpoint,
+    split_views,
+    stack_views,
 )
 from .optim import AdamState, adam_step, sgd_step
 
@@ -239,26 +241,17 @@ def train_run(
     metrics_fh = open(out_path / "metrics.jsonl", "w") if out_path is not None else None
     try:
         for k in range(1, cfg.steps + 1):
-            # This step's loss terms once it has them, for the dump. `parts`
-            # stays bound, so the last step's graph is still freed only when
-            # the next loss replaces it, as before.
+            # This step's loss terms, once computed, for the dump.
             step_parts = None
             try:
                 batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
                 # Both views go through each network as one stacked batch.
-                n = batch.x1.shape[0]
-                x = np.concatenate((batch.x1, batch.x2))
+                x, n = stack_views(batch.x1, batch.x2)
                 tp = T.Tape()
                 leaves = bind_params(tp, params, grad_views)
                 _, z, p = forward_online(params, x, leaves=leaves)
                 zbar = forward_target(params, x)
-                parts = objective_terms(
-                    cfg.loss,
-                    T.row_slice(p, 0, n),
-                    T.row_slice(p, n, 2 * n),
-                    T.row_slice(zbar, 0, n),
-                    T.row_slice(zbar, n, 2 * n),
-                )
+                parts = objective_terms(cfg.loss, *split_views(p, n), *split_views(zbar, n))
                 step_parts = parts
                 loss_val = float(parts.total.data)
                 if not math.isfinite(loss_val):

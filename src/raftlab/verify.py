@@ -50,6 +50,8 @@ from .model import (
     forward_target,
     init_params,
     mirror_predictor,
+    split_views,
+    stack_views,
 )
 from .train import TrainConfig, train_run
 
@@ -101,16 +103,6 @@ def _require_linear_predictor(spec: NetworkSpec):
         raise ContractError(LINEAR_PREDICTOR_MESSAGE)
 
 
-def _stacked_views(batch: PositiveBatch) -> tuple[np.ndarray, int]:
-    # Both views as one batch (view 1 rows first), as train_run runs them,
-    # and the view size; _split_views takes an output's rows apart again.
-    return np.concatenate((batch.x1, batch.x2)), batch.x1.shape[0]
-
-
-def _split_views(t: T.Tensor, n: int) -> tuple[T.Tensor, T.Tensor]:
-    return T.row_slice(t, 0, n), T.row_slice(t, n, 2 * n)
-
-
 # ---------------------------------------------------------------------------
 # upper bound
 
@@ -118,10 +110,10 @@ def _split_views(t: T.Tensor, n: int) -> tuple[T.Tensor, T.Tensor]:
 def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple[float, float, float]:
     """(align, same-view cross, crossed-view objective) of the byol
     objective on one shared forward pass of both views stacked."""
-    x, n = _stacked_views(batch)
+    x, n = stack_views(batch.x1, batch.x2)
     _, _, p = forward_online(params, x)
-    parts = objective_terms(LossConfig(objective="byol"), *_split_views(p, n),
-                            *_split_views(forward_target(params, x), n))
+    parts = objective_terms(LossConfig(objective="byol"), *split_views(p, n),
+                            *split_views(forward_target(params, x), n))
     return parts.align.item(), parts.cross.item(), parts.total.item()
 
 
@@ -603,10 +595,10 @@ def finite_difference_gradchecks(
         grads = tp.backward(objective_terms(cfg, p1, p2, zbar1, zbar2).total)
         analytic.append(np.concatenate([grads[leaf].ravel() for leaf in leaves.values()]))
 
-    x, n = _stacked_views(batch)
+    x, n = stack_views(batch.x1, batch.x2)
 
     def totals_at(probe: ModelParams) -> list[float]:
-        p1, p2 = _split_views(forward_online(probe, x)[2], n)
+        p1, p2 = split_views(forward_online(probe, x)[2], n)
         return [objective_terms(cfg, p1, p2, zbar1, zbar2).total.item() for cfg in loss_cfgs]
 
     # Coordinates index the trainable segment of the flat parameter vector.

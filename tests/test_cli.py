@@ -494,27 +494,27 @@ def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag
 # to run some checks first: printing PASS over an empty trajectory or
 # sweep, or FAIL against a negative tolerance.
 BAD_VERIFY_FLAGS = [
-    pytest.param(["gradcheck"], "--max-coords", "0", id="0"),
-    pytest.param(["gradcheck"], "--max-coords", "-1", id="-1"),
-    pytest.param(["gradcheck"], "--trials", "0", id="gradcheck --trials 0"),
-    pytest.param(["correspondence"], "--steps", "0", id="correspondence --steps 0"),
-    pytest.param(["correspondence"], "--rel-tol", "-1", id="correspondence --rel-tol -1"),
-    pytest.param(["sylvester"], "--samples", "0", id="sylvester --samples 0"),
-    pytest.param(["sylvester"], "--samples", "10", id="sylvester --samples below dim^2"),
-    pytest.param(["upper-bound"], "--batch-size", "0", id="upper-bound --batch-size 0"),
-    pytest.param(["sylvester"], "--dim", "0", id="sylvester --dim 0"),
-    pytest.param(["sylvester"], "--dim", "13", id="sylvester --dim 13"),
-    pytest.param(["gradcheck"], "--step", "0", id="gradcheck --step 0"),
-    pytest.param(["gradcheck"], "--step", "-0.5", id="gradcheck --step -0.5"),
+    pytest.param(["gradcheck"], "--max-coords", "0", ">= ", id="0"),
+    pytest.param(["gradcheck"], "--max-coords", "-1", ">= ", id="-1"),
+    pytest.param(["gradcheck"], "--trials", "0", ">= ", id="gradcheck --trials 0"),
+    pytest.param(["correspondence"], "--steps", "0", ">= ", id="correspondence --steps 0"),
+    pytest.param(["correspondence"], "--rel-tol", "-1", ">= ", id="correspondence --rel-tol -1"),
+    pytest.param(["sylvester"], "--samples", "0", ">= ", id="sylvester --samples 0"),
+    pytest.param(["sylvester"], "--samples", "10", ">= ", id="sylvester --samples below dim^2"),
+    pytest.param(["upper-bound"], "--batch-size", "0", ">= ", id="upper-bound --batch-size 0"),
+    pytest.param(["sylvester"], "--dim", "0", ">= ", id="sylvester --dim 0"),
+    pytest.param(["sylvester"], "--dim", "13", ">= ", id="sylvester --dim 13"),
+    pytest.param(["gradcheck"], "--step", "0", "> 0", id="gradcheck --step 0"),
+    pytest.param(["gradcheck"], "--step", "-0.5", "> 0", id="gradcheck --step -0.5"),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value", BAD_VERIFY_FLAGS)
-def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, command, flag, value):
+@pytest.mark.parametrize("command, flag, value, bound", BAD_VERIFY_FLAGS)
+def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, command, flag, value, bound):
     rc = run(["verify", *command, flag, value, "--out-dir", str(tmp_path / "v")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"error: {flag}: must be >" in captured.err
+    assert f"error: {flag}: must be {bound}" in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
 
 
