@@ -82,7 +82,9 @@ def _load_config_file(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path} ({exc.strerror})")
-    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
+    # Bad JSON or UTF-8, an int past Python's digit limit, or nesting past the
+    # recursion limit.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config: {path} is not valid JSON ({exc})")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config: {path} must hold a JSON object")

@@ -362,6 +362,8 @@ def load_checkpoint(path) -> ModelParams:
         except UnicodeDecodeError as exc:
             raise FormatError(f"checkpoint: parameter name is not UTF-8 ({exc})") from exc
         rank = r.u32()
+        if name.endswith(".w") and rank != 2:
+            raise FormatError(f"checkpoint: {name} has rank {rank}, expected a 2-D weight")
         shape = tuple(r.u64() for _ in range(rank))
         # math.prod cannot overflow, so take() sees the true byte count and
         # rejects one larger than what is left of the file.

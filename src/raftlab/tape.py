@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A ``Tape`` records every operation in execution order as it happens.
-``Tape.backward`` replays the records in reverse, accumulating vector-Jacobian
-products into a per-node gradient table. The replay order is fixed by the
+A ``Tape`` records every operation in execution order as it happens, each
+through ``_op`` with one vector-Jacobian product per live operand.
+``Tape.backward`` replays the records in reverse, accumulating the VJPs'
+contributions into a per-node gradient table. The replay order is fixed by the
 recording order, so two backward passes over the same tape produce
 bit-identical gradients.
 
@@ -83,17 +84,15 @@ def as_tensor(x) -> Tensor:
 
 
 class _Record:
-    __slots__ = ("out", "inputs", "vjp", "into")
+    __slots__ = ("out", "inputs", "vjps")
 
-    def __init__(self, out: int, inputs: tuple[int, ...], vjp: Callable, into: bool):
+    def __init__(self, out: int, inputs: list[int], vjps: list[Callable]):
         self.out = out
         self.inputs = inputs
-        # vjp(upstream, outs) returns one contribution per entry of `inputs`.
-        # With `into`, `outs` may hold, per input, an array the contribution
-        # is to be written into (the VJP then returns that array) or None;
-        # otherwise it is None.
-        self.vjp = vjp
-        self.into = into
+        # vjps[i](upstream, out) returns inputs[i]'s contribution, or None for
+        # none. `out` is None or an array the contribution may be computed
+        # into; a VJP that uses it returns it.
+        self.vjps = vjps
 
 
 class Gradients:
@@ -146,13 +145,6 @@ class Tape:
             self._dests[t.node] = grad
         return t
 
-    def _emit(
-        self, data: np.ndarray, inputs: tuple[int, ...], vjp: Callable, into: bool = False
-    ) -> Tensor:
-        out = Tensor(data, self, self._new_node())
-        self._records.append(_Record(out.node, inputs, vjp, into))
-        return out
-
     def backward(self, loss: Tensor) -> Gradients:
         """Accumulate d(loss)/d(node) for every node that feeds the loss.
 
@@ -172,18 +164,18 @@ class Tape:
         # may be an array a VJP also handed to another node (add returns its
         # upstream twice), so ownership is per node, never per array.
         owned: set[int] = set()
-        # Bound leaves whose destination has not been written yet.
+        # Bound leaves whose destination has not been written yet. Only a
+        # node's first contribution is offered it: add(a, a) adds the second.
         pending = dict(self._dests)
         for rec in reversed(self._records):
             upstream = table.get(rec.out)
             if upstream is None:
                 continue
-            outs = tuple(map(pending.get, rec.inputs)) if rec.into and pending else None
-            contribs = rec.vjp(upstream, outs)
-            for node, g in zip(rec.inputs, contribs):
+            for node, vjp in zip(rec.inputs, rec.vjps):
+                have = table.get(node)
+                g = vjp(upstream, pending.get(node) if have is None else None)
                 if g is None:
                     continue
-                have = table.get(node)
                 if have is None:
                     dest = pending.pop(node, None)
                     if dest is not None:
@@ -203,55 +195,26 @@ class Tape:
         return Gradients(table, self)
 
 
-def _tape_of(*tensors: Tensor) -> Tape | None:
+def _op(data: np.ndarray, operands) -> Tensor:
+    """Record an op over (tensor, vjp(upstream, out)) pairs; constant
+    operands are skipped, and with no live operand the result is a constant."""
     tape = None
-    for t in tensors:
+    inputs = []
+    vjps = []
+    for t, vjp in operands:
         if t.node is None:
             continue
         if tape is None:
             tape = t.tape
         elif t.tape is not tape:
             raise ContractError("operands live on different tapes")
-    return tape
-
-
-def _unary(a: Tensor, data: np.ndarray, vjp_a: Callable) -> Tensor:
-    tape = _tape_of(a)
+        inputs.append(t.node)
+        vjps.append(vjp)
     if tape is None:
         return Tensor(data)
-    return tape._emit(data, (a.node,), lambda g, outs: (vjp_a(g),))
-
-
-def _binary(a: Tensor, b: Tensor, data, vjp_a, vjp_b) -> Tensor:
-    tape = _tape_of(a, b)
-    if tape is None:
-        return Tensor(data)
-    if a.node is None:
-        return tape._emit(data, (b.node,), lambda g, outs: (vjp_b(g),))
-    if b.node is None:
-        return tape._emit(data, (a.node,), lambda g, outs: (vjp_a(g),))
-    return tape._emit(data, (a.node, b.node), lambda g, outs: (vjp_a(g), vjp_b(g)))
-
-
-def _op(data: np.ndarray, operands) -> Tensor:
-    """Record an op over (tensor, vjp(g, out)) pairs whose VJPs can write
-    into a destination: each returns its operand's contribution, computed
-    into `out` when that is not None."""
-    tape = _tape_of(*(t for t, _ in operands))
-    if tape is None:
-        return Tensor(data)
-    live = [(t.node, fn) for t, fn in operands if t.node is not None]
-    inputs = tuple(node for node, _ in live)
-    fns = tuple(fn for _, fn in live)
-
-    nones = (None,) * len(fns)
-
-    def vjp(g, outs):
-        return tuple([fn(g, out) for fn, out in zip(fns, outs or nones)])
-
-    # A node fed in twice gets two contributions; neither may claim its
-    # destination, or the second would overwrite the first.
-    return tape._emit(data, inputs, vjp, into=len(set(inputs)) == len(inputs))
+    out = Tensor(data, tape, tape._new_node())
+    tape._records.append(_Record(out.node, inputs, vjps))
+    return out
 
 
 def _require_same_shape(a: Tensor, b: Tensor, opname: str):
@@ -267,49 +230,47 @@ def add(a, b) -> Tensor:
     """Elementwise sum; also accepts a 1-D bias broadcast over matrix rows."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape:
-        return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+        return _op(a.data + b.data, [(a, lambda g, o: g), (b, lambda g, o: g)])
     if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _binary(
-            a, b, a.data + b.data, lambda g: g, lambda g: g.sum(axis=0)
-        )
+        return _op(a.data + b.data, [(a, lambda g, o: g), (b, lambda g, o: g.sum(axis=0))])
     raise ShapeError(f"add: cannot combine shapes {a.shape} and {b.shape}")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "sub")
-    return _binary(a, b, a.data - b.data, lambda g: g, lambda g: -g)
+    return _op(a.data - b.data, [(a, lambda g, o: g), (b, lambda g, o: -g)])
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _binary(a, b, ad * bd, lambda g: g * bd, lambda g: g * ad)
+    return _op(ad * bd, [(a, lambda g, o: g * bd), (b, lambda g, o: g * ad)])
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "div")
     ad, bd = a.data, b.data
-    return _binary(a, b, ad / bd, lambda g: g / bd, lambda g: -g * ad / (bd * bd))
+    return _op(ad / bd, [(a, lambda g, o: g / bd), (b, lambda g, o: -g * ad / (bd * bd))])
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _unary(a, -a.data, lambda g: -g)
+    return _op(-a.data, [(a, lambda g, o: -g)])
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _unary(a, a.data * c, lambda g: g * c)
+    return _op(a.data * c, [(a, lambda g, o: g * c)])
 
 
 def add_scalar(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _unary(a, a.data + c, lambda g: g)
+    return _op(a.data + c, [(a, lambda g, o: g)])
 
 
 # ---------------------------------------------------------------------------
@@ -348,19 +309,19 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
         raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
     shape = a.shape
 
-    def vjp(g):
+    def vjp(g, o):
         full = np.zeros(shape)
         full[lo:hi] = g
         return full
 
-    return _unary(a, a.data[lo:hi], vjp)
+    return _op(a.data[lo:hi], [(a, vjp)])
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: needs a matrix, got shape {a.shape}")
-    return _unary(a, a.data.T.copy(), lambda g: g.T)
+    return _op(a.data.T.copy(), [(a, lambda g, o: g.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -373,13 +334,13 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     out = np.maximum(a.data, 0.0)
     # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
-    return _unary(a, out, lambda g: g * (out > 0.0))
+    return _op(out, [(a, lambda g, o: g * (out > 0.0))])
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _unary(a, out, lambda g: g * out)
+    return _op(out, [(a, lambda g, o: g * out)])
 
 
 def log(a) -> Tensor:
@@ -387,7 +348,7 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: input has non-positive entries")
     ad = a.data
-    return _unary(a, np.log(ad), lambda g: g / ad)
+    return _op(np.log(ad), [(a, lambda g, o: g / ad)])
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +358,7 @@ def log(a) -> Tensor:
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     shape = a.shape
-    return _unary(a, a.data.sum(), lambda g: np.broadcast_to(g, shape))
+    return _op(a.data.sum(), [(a, lambda g, o: np.broadcast_to(g, shape))])
 
 
 def batch_mean(a) -> Tensor:
@@ -408,7 +369,7 @@ def batch_mean(a) -> Tensor:
     n = a.shape[0]
     if n == 0:
         raise EmptyBatchError("batch_mean: empty batch")
-    return _unary(a, a.data.mean(), lambda g: np.broadcast_to(g / n, (n,)))
+    return _op(a.data.mean(), [(a, lambda g, o: np.broadcast_to(g / n, (n,)))])
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +386,14 @@ def squared_distance(a, b) -> Tensor:
     out = np.einsum("ij,ij->i", diff, diff)
 
     def scaled_diff(c):
-        def vjp(g):
+        def vjp(g, o):
             t = c * diff
             t *= g[:, None]
             return t
 
         return vjp
 
-    return _binary(a, b, out, scaled_diff(2.0), scaled_diff(-2.0))
+    return _op(out, [(a, scaled_diff(2.0)), (b, scaled_diff(-2.0))])
 
 
 def row_dot(a, b) -> Tensor:
@@ -443,7 +404,7 @@ def row_dot(a, b) -> Tensor:
         raise ShapeError(f"row_dot: needs matrices, got shape {a.shape}")
     ad, bd = a.data, b.data
     out = np.einsum("ij,ij->i", ad, bd)
-    return _binary(a, b, out, lambda g: bd * g[:, None], lambda g: ad * g[:, None])
+    return _op(out, [(a, lambda g, o: bd * g[:, None]), (b, lambda g, o: ad * g[:, None])])
 
 
 def scale_rows(a, s) -> Tensor:
@@ -452,12 +413,12 @@ def scale_rows(a, s) -> Tensor:
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape} disagree")
     ad, sd = a.data, s.data
-    return _binary(
-        a,
-        s,
+    return _op(
         ad * sd[:, None],
-        lambda g: g * sd[:, None],
-        lambda g: np.einsum("ij,ij->i", g, ad),
+        [
+            (a, lambda g, o: g * sd[:, None]),
+            (s, lambda g, o: np.einsum("ij,ij->i", g, ad)),
+        ],
     )
 
 
@@ -466,8 +427,8 @@ def row_add(a, s) -> Tensor:
     a, s = as_tensor(a), as_tensor(s)
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"row_add: shapes {a.shape} and {s.shape} disagree")
-    return _binary(
-        a, s, a.data + s.data[:, None], lambda g: g, lambda g: g.sum(axis=1)
+    return _op(
+        a.data + s.data[:, None], [(a, lambda g, o: g), (s, lambda g, o: g.sum(axis=1))]
     )
 
 
@@ -489,14 +450,14 @@ def l2_normalize(a) -> Tensor:
         )
     out = a.data / norms[:, None]
 
-    def vjp(g):
+    def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, out)
         t = radial[:, None] * out
         np.subtract(g, t, out=t)
         t /= norms[:, None]
         return t
 
-    return _unary(a, out, vjp)
+    return _op(out, [(a, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +467,7 @@ def l2_normalize(a) -> Tensor:
 def stop_gradient(a) -> Tensor:
     """Identity forward; contributes nothing to any gradient."""
     a = as_tensor(a)
-    tape = _tape_of(a)
-    if tape is None:
-        return Tensor(a.data)
-    return tape._emit(a.data, (a.node,), lambda g, outs: (None,))
+    return _op(a.data, [(a, lambda g, o: None)])
 
 
 def tangent_gate(a) -> Tensor:
@@ -523,18 +481,17 @@ def tangent_gate(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"tangent_gate: needs a matrix, got shape {a.shape}")
-    tape = _tape_of(a)
-    if tape is None:
+    if a.node is None:
         return Tensor(a.data)
     norms = np.linalg.norm(a.data, axis=1)
     safe = np.where(norms < NORM_EPS, 1.0, norms)
     dirs = np.where(norms[:, None] < NORM_EPS, 0.0, a.data / safe[:, None])
 
-    def vjp(g, outs):
+    def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, dirs)
-        return (g - radial[:, None] * dirs,)
+        return g - radial[:, None] * dirs
 
-    return tape._emit(a.data, (a.node,), vjp)
+    return _op(a.data, [(a, vjp)])
 
 
 def tangential_filter(grad: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -585,9 +542,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     out = np.asarray(nll.mean())
     probs = np.exp(shifted - lse[:, None])
 
-    def vjp(g):
+    def vjp(g, o):
         gl = probs.copy()
         gl[np.arange(n), lab] -= 1.0
         return gl * (g / n)
 
-    return _unary(logits, out, vjp)
+    return _op(out, [(logits, vjp)])

@@ -458,41 +458,6 @@ class SylvesterReport:
     nontrivial: bool
 
 
-def pivoted_rank(mat: np.ndarray, rel_tol: float = DEFAULT_PIVOT_TOL) -> int:
-    """Numerical rank by Gaussian elimination with partial pivoting; pivots
-    are kept when they exceed rel_tol times the largest pivot."""
-    if rel_tol <= 0:
-        raise ContractError(f"rel_tol: must be positive, got {rel_tol}")
-    a = np.array(mat, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"pivoted_rank: needs a matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    scale = float(np.abs(a).max()) if a.size else 0.0
-    if scale == 0.0:
-        return 0
-    r = 0
-    pivots: list[float] = []
-    for c in range(cols):
-        if r == rows:
-            break
-        lead = r + int(np.argmax(np.abs(a[r:, c])))
-        piv = abs(a[lead, c])
-        # Columns numerically dead relative to the matrix scale are skipped
-        # instead of being eliminated with a noise pivot.
-        if piv <= rel_tol * scale:
-            continue
-        if lead != r:
-            a[[r, lead]] = a[[lead, r]]
-        pivots.append(abs(a[r, c]))
-        factors = a[r + 1 :, c] / a[r, c]
-        a[r + 1 :, c:] -= np.outer(factors, a[r, c:])
-        r += 1
-    if not pivots:
-        return 0
-    largest = max(pivots)
-    return sum(1 for p in pivots if p > rel_tol * largest)
-
-
 def sylvester_null_space(
     w: np.ndarray,
     a: np.ndarray,
@@ -528,7 +493,7 @@ def sylvester_null_space(
         )
     ba_inv = np.linalg.solve(a.T, b.T).T
     system = np.kron(np.eye(m), w) - np.kron(ba_inv.T, np.eye(n))
-    rank = pivoted_rank(system, pivot_tol)
+    rank = int(np.linalg.matrix_rank(system, rtol=pivot_tol))
     null_dim = n * m - rank
     return SylvesterReport(
         system_dim=n * m,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import types
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli, verify
+from raftlab.errors import FormatError
+from raftlab.model import load_checkpoint, save_checkpoint
 
 # Wrong-typed, negative, non-finite and some in-range stand-ins for every
 # leaf of SMALL_CONFIG.
@@ -154,12 +157,17 @@ class TestTrainCommand:
         assert rc == 2
         assert f"config: {'.'.join(path)} must be" in capsys.readouterr().err
 
-    def test_int_past_the_digit_limit_is_not_valid_json(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text",
+        ['{"loss": {"alpha": 1' + "0" * 5000 + "}}", "[" * 100_000],
+        ids=["int-past-the-digit-limit", "nested-past-the-recursion-limit"],
+    )
+    def test_unparsable_config_is_not_valid_json(self, tmp_path, capsys, text):
         cfg = tmp_path / "config.json"
-        cfg.write_text('{"loss": {"alpha": 1' + "0" * 5000 + "}}")
+        cfg.write_text(text)
         rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == 2
-        assert "is not valid JSON" in capsys.readouterr().err
+        assert f"{cfg} is not valid JSON" in capsys.readouterr().err
 
     def test_int_for_a_float_field_passes_unchanged(self, tmp_path):
         cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("loss", "alpha"), 2))
@@ -241,6 +249,20 @@ class TestEvalCommand:
         ])
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["backbone.0.w", "projector.1.w"])
+    def test_weight_that_is_not_a_matrix_exits_2_naming_it(
+        self, tmp_path, capsys, tiny_params, name
+    ):
+        values = dict(tiny_params.values)
+        values[name] = values[name].ravel()
+        ckpt = tmp_path / "flat.ckpt"
+        save_checkpoint(types.SimpleNamespace(values=values), ckpt)
+        with pytest.raises(FormatError, match=name):
+            load_checkpoint(ckpt)
+        rc = run(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "eval")])
+        assert rc == 2
+        assert name in capsys.readouterr().err
 
     def test_corrupted_checkpoint_is_a_format_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)

@@ -83,6 +83,14 @@ class TestBackwardContract:
         with pytest.raises(ContractError):
             t1.backward(loss)
 
+    @pytest.mark.parametrize("op", [tp.add, tp.mul, tp.matmul])
+    def test_operands_on_two_tapes_are_rejected(self, op):
+        a, b = tp.Tape().leaf(np.eye(2)), tp.Tape().leaf(np.eye(2))
+        with pytest.raises(ContractError, match="different tapes"):
+            op(a, b)
+        with pytest.raises(ContractError, match="different tapes"):
+            op(a, tp.add(tp.constant(np.eye(2)), b))
+
     def test_constant_lookup_rejected(self):
         t = tp.Tape()
         a = t.leaf(np.array([1.0]))
@@ -187,6 +195,33 @@ class TestGradientDestinations:
             expected = t_ref.backward(tp.sum_all(build(ref)))[ref]
             assert dest.tobytes() == expected.tobytes()
         np.testing.assert_allclose(dest, (x1 + x2).T @ np.ones((4, 3)))
+
+    def test_stop_gradient_leaves_the_destination_to_the_live_path(self):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(3, 3))
+        x1, x2 = tp.constant(rng.normal(size=(4, 3))), tp.constant(rng.normal(size=(4, 3)))
+
+        def frozen(w):
+            return tp.matmul(x1, tp.stop_gradient(w))
+
+        def live(w):
+            return tp.matmul(x2, w)
+
+        t = tp.Tape()
+        dest = np.full((3, 3), np.nan)
+        t.backward(tp.sum_all(frozen(t.leaf(a, grad=dest))))
+        np.testing.assert_array_equal(dest, np.zeros((3, 3)))
+        # In the first build the stop_gradient record replays first: its VJP
+        # is offered the destination and must leave it to the live matmul.
+        for build in (lambda w: tp.add(live(w), frozen(w)),
+                      lambda w: tp.add(frozen(w), live(w))):
+            t, t_ref = tp.Tape(), tp.Tape()
+            dest = np.full((3, 3), np.nan)
+            leaf, ref = t.leaf(a, grad=dest), t_ref.leaf(a)
+            t.backward(tp.sum_all(build(leaf)))
+            expected = t_ref.backward(tp.sum_all(build(ref)))[ref]
+            assert dest.tobytes() == expected.tobytes()
+            np.testing.assert_allclose(dest, x2.data.T @ np.ones((4, 3)))
 
     def test_two_backwards_on_one_tape_are_bit_identical(self):
         t, loss, _, dests = self.gradients(bound=True)

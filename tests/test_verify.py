@@ -23,7 +23,6 @@ from raftlab.verify import (
     gradient_correspondence_check,
     gradient_correspondence_sweep,
     margin_from_losses,
-    pivoted_rank,
     random_model_state,
     random_state_and_batch,
     state_losses,
@@ -175,11 +174,6 @@ class TestNullSpaces:
         n = 13
         with pytest.raises(ContractError):
             sylvester_null_space(np.eye(n), np.eye(n), np.eye(n))
-
-    def test_pivoted_rank_on_known_matrices(self):
-        assert pivoted_rank(np.zeros((3, 3))) == 0
-        assert pivoted_rank(np.eye(3)) == 3
-        assert pivoted_rank(np.outer(np.ones(3), np.ones(3))) == 1
 
 
 class TestFiniteDifferences:
