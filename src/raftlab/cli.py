@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-import types
 import typing
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,6 +38,7 @@ from .data import (
     AugmentationSpec,
     Dataset,
     SyntheticBlobsSpec,
+    check_elements,
     export_dataset_csv,
     load_cifar10,
     make_blobs,
@@ -71,7 +71,7 @@ def _configure_logging():
 
 
 SECTIONS = ("data", "network", "loss", "augmentation", "train", "probe")
-_SCALARS = (int, float, str, bool)
+_SCALARS = (int, float, str)
 
 
 def _load_config_file(path) -> dict:
@@ -107,19 +107,13 @@ def _typed(hint, value, where: str):
     if dataclasses.is_dataclass(hint):
         if isinstance(value, dict):
             return _from_json(hint, value, where)
-    elif isinstance(hint, types.UnionType):
-        for member in typing.get_args(hint):
-            try:
-                return _typed(member, value, where)
-            except ConfigError:
-                pass
     elif typing.get_origin(hint) is tuple:
         if isinstance(value, list):
             item = typing.get_args(hint)[0]
             return tuple(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
     elif hint in _SCALARS:
         accepted = (int, float) if hint is float else hint
-        if isinstance(value, accepted) and (hint is bool or not isinstance(value, bool)):
+        if isinstance(value, accepted) and not isinstance(value, bool):
             # exact int/float comparison: no OverflowError, and NaN fails it
             if hint is not float or abs(value) <= sys.float_info.max:
                 return value
@@ -287,6 +281,8 @@ def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
     params = load_checkpoint(args.checkpoint)
     dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    check_elements(f"--sample-count {args.sample_count} x data dimension {dataset.dim}",
+                   args.sample_count * dataset.dim)
     augmentation = _from_json(
         AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
     )
@@ -381,6 +377,10 @@ def _certify(args) -> _Manifest:
         # The moment estimate needs d^2 draws for d-dimensional data.
         raise ConfigError(f"--samples: must be >= {inputs['dataset'].dim ** 2} (the data "
                           f"dimension squared), got {args.samples}")
+    dim = inputs["dataset"].dim if "dataset" in inputs else inputs["network"].input_dim
+    for flag in ("samples", "batch_size"):  # each draws that many rows of the data
+        rows = settings.get(flag, 0)
+        check_elements(f"--{flag.replace('_', '-')} {rows} x data dimension {dim}", rows * dim)
     out = _out_dir(args, f"verify-{args.check}")
     (out / "manifest.json").unlink(missing_ok=True)  # no stale verdict if this run fails
     manifest = _Manifest(f"verify {args.check}", out, seed)

@@ -27,6 +27,16 @@ CIFAR_PIXELS = 3072
 # Condition numbers above this mark a moment matrix as rank deficient.
 MOMENT_COND_LIMIT = 1e12
 
+# Most elements (2 GiB of float64) that an array sized by a config field or a
+# size flag may hold; not the machine's free memory, so verdicts never vary.
+MAX_ELEMENTS = 2**28
+
+
+def check_elements(what: str, count: int) -> None:
+    """Raise a ConfigError naming `what` when `count` exceeds MAX_ELEMENTS."""
+    if count > MAX_ELEMENTS:
+        raise ConfigError(f"{what}: {count} elements exceed the limit of {MAX_ELEMENTS}")
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -73,6 +83,7 @@ class SyntheticBlobsSpec:
             raise ConfigError(f"noise_sigma: must be >= 0, got {self.noise_sigma}")
         if self.center_seed < 0:
             raise ConfigError(f"center_seed: need >= 0, got {self.center_seed}")
+        check_elements("classes * per_class * dim", self.classes * self.per_class * self.dim)
 
 
 def make_blobs(spec: SyntheticBlobsSpec) -> Dataset:
@@ -98,12 +109,11 @@ def make_blobs(spec: SyntheticBlobsSpec) -> Dataset:
 
 @dataclass(frozen=True)
 class ViewAugmentation:
-    """One view's perturbation family: x -> mask * (scale * x + noise)."""
+    """One view's perturbation family: x -> scale * x + noise."""
 
     noise_sigma: float = 0.0
     scale_lo: float = 1.0
     scale_hi: float = 1.0
-    mask_prob: float = 0.0
 
     def __post_init__(self):
         if not self.noise_sigma >= 0:
@@ -111,10 +121,6 @@ class ViewAugmentation:
         if not 0 < self.scale_lo <= self.scale_hi:
             raise ConfigError(
                 f"scale range: need 0 < lo <= hi, got [{self.scale_lo}, {self.scale_hi}]"
-            )
-        if not 0 <= self.mask_prob < 1:
-            raise ConfigError(
-                f"mask_prob: must lie in [0, 1), got {self.mask_prob}"
             )
 
 
@@ -135,15 +141,9 @@ class AugmentationSpec:
         cls,
         noise_sigma: float = 0.0,
         scale: tuple[float, float] = (1.0, 1.0),
-        mask_prob: float = 0.0,
         seed: int = 0,
     ) -> "AugmentationSpec":
-        view = ViewAugmentation(
-            noise_sigma=noise_sigma,
-            scale_lo=scale[0],
-            scale_hi=scale[1],
-            mask_prob=mask_prob,
-        )
+        view = ViewAugmentation(noise_sigma=noise_sigma, scale_lo=scale[0], scale_hi=scale[1])
         return cls(view1=view, view2=view, seed=seed)
 
 
@@ -158,12 +158,11 @@ class PositiveBatch:
 
 def _apply_view(x: np.ndarray, view: ViewAugmentation, rng: np.random.Generator) -> np.ndarray:
     n, d = x.shape
-    # Fixed draw order (scale, noise, mask) so changing one knob's value
-    # never shifts the other streams.
+    # Fixed draw order (scale, then noise) so changing one knob's value never
+    # shifts the other stream.
     s = rng.uniform(view.scale_lo, view.scale_hi, size=(n, 1))
     noise = view.noise_sigma * rng.normal(size=(n, d))
-    keep = rng.uniform(size=(n, d)) >= view.mask_prob
-    return keep * (s * x + noise)
+    return s * x + noise
 
 
 def batches_per_epoch(dataset_size: int, batch_size: int) -> int:

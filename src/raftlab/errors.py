@@ -41,10 +41,6 @@ class ConfigError(RaftLabError):
     """A configuration value is invalid; the message names the field."""
 
 
-class ScheduleError(ConfigError):
-    """A per-step schedule was indexed outside its declared range."""
-
-
 class FormatError(RaftLabError):
     """Bytes on disk do not match the declared file format."""
 

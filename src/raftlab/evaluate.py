@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tape as T
 from .data import AugmentationSpec, Dataset, draw_augmented_pairs
-from .errors import ContractError, EvalError
+from .errors import ConfigError, ContractError, EvalError
 from .losses import (
     COLLAPSE_UNIFORMITY_THRESHOLD,
     DEFAULT_UNIFORMITY_T,
@@ -36,17 +36,17 @@ class ProbeConfig:
 
     def __post_init__(self):
         if not self.learning_rate >= 0:
-            raise ContractError(f"learning_rate: got {self.learning_rate}")
+            raise ConfigError(f"learning_rate: got {self.learning_rate}")
         if self.epochs < 1:
-            raise ContractError(f"epochs: need >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs: need >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise ContractError(f"batch_size: need >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size: need >= 1, got {self.batch_size}")
         if not 0 < self.holdout_fraction < 1:
-            raise ContractError(
+            raise ConfigError(
                 f"holdout_fraction: must lie in (0, 1), got {self.holdout_fraction}"
             )
         if self.seed < 0:
-            raise ContractError(f"seed: need >= 0, got {self.seed}")
+            raise ConfigError(f"seed: need >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ class LossConfig:
     alpha: float = 1.0
     beta: float = 1.0
     uniformity_t: float = DEFAULT_UNIFORMITY_T
-    symmetrize_views: bool = True
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -132,22 +131,17 @@ def objective_terms(cfg: LossConfig, p1, p2, zbar1, zbar2) -> LossParts:
     """Assemble the configured objective from the four view outputs.
 
     p1, p2 are the online outputs of the two views; zbar1, zbar2 the target
-    outputs of the matching views.
+    outputs of the matching views. Each online-target term is the mean over
+    both views.
     """
     align = align_loss(p1, p2)
-    cross = _paired(cross_model_loss, (p1, zbar1), (p2, zbar2), cfg.symmetrize_views)
+    cross = T.scale(T.add(cross_model_loss(p1, zbar1), cross_model_loss(p2, zbar2)), 0.5)
 
     if cfg.objective == "byol":
         # Crossed pairing: online view 1 against target view 2 and vice versa.
-        total = _paired(cross_model_loss, (p1, zbar2), (p2, zbar1), cfg.symmetrize_views)
+        total = T.scale(T.add(cross_model_loss(p1, zbar2), cross_model_loss(p2, zbar1)), 0.5)
     elif cfg.objective == "byol_prime":
         total = T.add(T.scale(align, cfg.alpha), T.scale(cross, cfg.beta))
     else:  # raft
         total = T.sub(T.scale(align, cfg.alpha), T.scale(cross, cfg.beta))
     return LossParts(total=total, align=align, cross=cross)
-
-
-def _paired(term, first, second, symmetrize: bool) -> Tensor:
-    if not symmetrize:
-        return term(*first)
-    return T.scale(T.add(term(*first), term(*second)), 0.5)

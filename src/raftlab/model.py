@@ -19,11 +19,11 @@ from typing import Mapping
 import numpy as np
 
 from . import tape as T
+from .data import check_elements
 from .errors import ConfigError, EmptyBatchError, FormatError, ShapeError
 from .tape import Tape, Tensor
 
 PREDICTOR_KINDS = ("mlp", "linear", "identity")
-PREDICTOR_INITS = ("random", "identity")
 
 CHECKPOINT_MAGIC = b"RAFTCKPT"
 CHECKPOINT_VERSION = 1
@@ -47,31 +47,23 @@ class NetworkSpec:
     representation_dim: int = 32
     projection_dim: int = 16
     predictor: str = "linear"
-    predictor_init: str = "random"
 
     def __post_init__(self):
+        # A tuple, so that the spec hashes for _layout's cache.
         object.__setattr__(self, "backbone_widths", tuple(self.backbone_widths))
         for field_name in ("input_dim", "representation_dim", "projection_dim"):
             v = getattr(self, field_name)
-            if not isinstance(v, int) or v < 1:
+            if v < 1:
                 raise ConfigError(f"{field_name}: must be a positive int, got {v!r}")
         for w in self.backbone_widths:
-            if not isinstance(w, int) or w < 1:
+            if w < 1:
                 raise ConfigError(f"backbone_widths: bad width {w!r}")
         if self.predictor not in PREDICTOR_KINDS:
             raise ConfigError(
                 f"predictor: unknown kind {self.predictor!r}, expected one of {PREDICTOR_KINDS}"
             )
-        if self.predictor_init not in PREDICTOR_INITS:
-            raise ConfigError(
-                f"predictor_init: unknown mode {self.predictor_init!r}, "
-                f"expected one of {PREDICTOR_INITS}"
-            )
-        if self.predictor_init == "identity" and self.predictor != "linear":
-            raise ConfigError(
-                f"predictor_init: {self.predictor_init!r} needs the linear predictor "
-                f"(a square matrix), got kind {self.predictor!r}"
-            )
+        check_elements("network parameters (input_dim, backbone_widths, representation_dim, "
+                       "projection_dim)", _layout(self)[-1][1].stop)
 
     @property
     def predictor_hidden(self) -> int:
@@ -170,10 +162,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
     params = ModelParams(spec)
     for prefix, (fan_in, fan_out), _ in _online_layer_names(spec):
         bound = 1.0 / np.sqrt(fan_in)
-        if prefix == "predictor" and spec.predictor_init == "identity":
-            params.values["predictor.w"][...] = np.eye(fan_in)
-        else:
-            params.values[f"{prefix}.w"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+        params.values[f"{prefix}.w"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
     params.teacher[...] = params.encoder
     return params
 
@@ -214,11 +203,12 @@ def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def apply_mlp(table: Mapping, prefix: str, x, n_layers: int, activation_last: bool):
+def apply_mlp(table: Mapping, prefix: str, x, n_layers: int):
+    """ReLU after every layer but the last, which stays linear."""
     out = x
     for i in range(n_layers):
         out = T.matmul(out, table[f"{prefix}.{i}.w"], table[f"{prefix}.{i}.b"])
-        if activation_last or i + 1 < n_layers:
+        if i + 1 < n_layers:
             out = T.relu(out)
     return out
 
@@ -242,8 +232,8 @@ def encode(
         table, prefix = params.values, "target."
     else:
         table, prefix = (leaves if leaves is not None else params.values), ""
-    h = apply_mlp(table, f"{prefix}backbone", x, len(spec.backbone_dims()), False)
-    return h, apply_mlp(table, f"{prefix}projector", h, 2, False)
+    h = apply_mlp(table, f"{prefix}backbone", x, len(spec.backbone_dims()))
+    return h, apply_mlp(table, f"{prefix}projector", h, 2)
 
 
 def forward_online(
@@ -268,7 +258,7 @@ def forward_online(
     if spec.predictor == "linear":
         p_pre = T.matmul(z_pre, table["predictor.w"])
     else:
-        p_pre = apply_mlp(table, "predictor", z_pre, 2, False)
+        p_pre = apply_mlp(table, "predictor", z_pre, 2)
     return h, z, T.l2_normalize(p_pre)
 
 
@@ -341,8 +331,7 @@ class _Reader:
 
 def load_checkpoint(path) -> ModelParams:
     """Parse a checkpoint and rebuild the NetworkSpec from the stored names
-    and shapes. The predictor init mode is not stored (it only matters at
-    init time) and comes back as "random"."""
+    and shapes."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tape as T
 from .data import AugmentationSpec, Dataset, batches_per_epoch, sample_positive_batch
-from .errors import ConfigError, RaftLabError, ScheduleError, TrainingDivergedError
+from .errors import ConfigError, RaftLabError, TrainingDivergedError
 from .losses import (
     COLLAPSE_UNIFORMITY_THRESHOLD,
     LossConfig,
@@ -46,41 +46,14 @@ OPTIMIZERS = ("sgd", "adam")
 DEFAULT_LEARNING_RATE = 3e-4
 DEFAULT_EMA_TAU = 0.996
 
-Schedule = float | tuple[float, ...]
-
-
-def schedule_value(schedule: Schedule, k: int) -> float:
-    """Value of a constant-or-per-step schedule at 1-based step k."""
-    if k < 1:
-        raise ScheduleError(f"schedule step: must be >= 1, got {k}")
-    if isinstance(schedule, (int, float)):
-        return float(schedule)
-    if k > len(schedule):
-        raise ScheduleError(
-            f"schedule step: {k} exceeds schedule length {len(schedule)}"
-        )
-    return float(schedule[k - 1])
-
-
-def _normalize_schedule(value, steps: int, field_name: str) -> Schedule:
-    if isinstance(value, (int, float)):
-        return float(value)
-    sched = tuple(float(v) for v in value)
-    if len(sched) != steps:
-        raise ConfigError(
-            f"{field_name}: schedule length {len(sched)} does not match steps {steps}"
-        )
-    return sched
-
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything train_run needs apart from the dataset itself.
 
-    learning_rate and ema_tau accept either a constant or a per-step list of
-    length `steps`. master_seed alone determines the run: it derives the
-    parameter init stream and re-seeds the augmentation streams (the seed
-    field inside `augmentation` is overridden).
+    master_seed alone determines the run: it derives the parameter init
+    stream and re-seeds the augmentation streams (the seed field inside
+    `augmentation` is overridden).
     """
 
     network: NetworkSpec
@@ -89,8 +62,8 @@ class TrainConfig:
     steps: int = 2000
     batch_size: int = 64
     optimizer: str = "adam"
-    learning_rate: Schedule = DEFAULT_LEARNING_RATE
-    ema_tau: Schedule = DEFAULT_EMA_TAU
+    learning_rate: float = DEFAULT_LEARNING_RATE
+    ema_tau: float = DEFAULT_EMA_TAU
     master_seed: int = 0
     log_every: int = 50
     checkpoint_every: int = 0
@@ -112,24 +85,11 @@ class TrainConfig:
             )
         if self.master_seed < 0:
             raise ConfigError(f"master_seed: need >= 0, got {self.master_seed}")
-        object.__setattr__(
-            self,
-            "learning_rate",
-            _normalize_schedule(self.learning_rate, self.steps, "learning_rate"),
-        )
-        object.__setattr__(
-            self, "ema_tau", _normalize_schedule(self.ema_tau, self.steps, "ema_tau")
-        )
-        # One comparison per schedule; a constant one is checked as step 1.
-        lr = np.atleast_1d(self.learning_rate)
-        tau = np.atleast_1d(self.ema_tau)
-        for name, values, ok, problem in (
-            ("learning_rate", lr, lr >= 0, "is not >= 0"),
-            ("ema_tau", tau, (tau >= 0.0) & (tau <= 1.0), "is outside [0, 1]"),
-        ):
-            if not ok.all():
-                k = int(np.argmin(ok))
-                raise ConfigError(f"{name}: value {values[k]} at step {k + 1} {problem}")
+        # Written so that NaN fails both.
+        if not self.learning_rate >= 0:
+            raise ConfigError(f"learning_rate: must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.ema_tau <= 1.0:
+            raise ConfigError(f"ema_tau: must lie in [0, 1], got {self.ema_tau}")
 
 
 _METRIC_KEYS = (
@@ -269,12 +229,11 @@ def train_run(
                     save_checkpoint(params, out_path / "checkpoint_last_good.ckpt")
                 raise
 
-            lr_k = schedule_value(cfg.learning_rate, k)
             if cfg.optimizer == "sgd":
-                sgd_step(params.trainable, grad, lr_k)
+                sgd_step(params.trainable, grad, cfg.learning_rate)
             else:
-                adam_step(params.trainable, grad, opt_state, lr_k)
-            ema_update(params, schedule_value(cfg.ema_tau, k))
+                adam_step(params.trainable, grad, opt_state, cfg.learning_rate)
+            ema_update(params, cfg.ema_tau)
 
             if step_callback is not None:
                 step_callback(k, params.clone(), params.trainable_views(grad.copy()))

@@ -14,6 +14,7 @@ import pytest
 from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli, verify
+from raftlab.data import MAX_ELEMENTS
 from raftlab.errors import FormatError
 from raftlab.model import load_checkpoint, save_checkpoint
 
@@ -48,6 +49,17 @@ def substituted(payload: dict, path: tuple, value) -> dict:
         node = node[key]
     node[path[-1]] = value
     return out
+
+
+# Settings that no longer exist, each given a value it used to accept: the
+# removed keys are unknown, and a per-step list is not a float.
+REMOVED_SETTINGS = [
+    ("network.predictor_init", "identity", "unknown keys ['network.predictor_init']"),
+    ("loss.symmetrize_views", False, "unknown keys ['loss.symmetrize_views']"),
+    ("augmentation.view1.mask_prob", 0.0, "unknown keys ['augmentation.view1.mask_prob']"),
+    ("train.learning_rate", [3e-4] * 20, "train.learning_rate must be a finite float"),
+    ("train.ema_tau", [0.996] * 20, "train.ema_tau must be a finite float"),
+]
 
 
 class TestTrainCommand:
@@ -129,11 +141,20 @@ class TestTrainCommand:
         assert escaped == []
 
     def test_wrong_typed_value_names_the_field(self, tmp_path, capsys):
-        bad = substituted(SMALL_CONFIG, ("loss", "symmetrize_views"), "no")
+        bad = substituted(SMALL_CONFIG, ("loss", "objective"), 5)
         cfg = write_config(tmp_path, bad)
         rc = run(["train", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
         assert rc == 2
-        assert "loss.symmetrize_views must be bool" in capsys.readouterr().err
+        assert "loss.objective must be str" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", REMOVED_SETTINGS,
+                             ids=[path for path, _, _ in REMOVED_SETTINGS])
+    def test_removed_setting_exits_2_naming_it(self, tmp_path, capsys, path, value, message):
+        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, tuple(path.split(".")), value))
+        out = tmp_path / "x"
+        assert run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert f"error: config: {message}" in capsys.readouterr().err
+        assert not (out / "checkpoint_final.ckpt").exists()
 
     @pytest.mark.parametrize(
         "path", [("train", "learning_rate"), ("data", "noise_sigma")], ids=".".join
@@ -481,6 +502,39 @@ def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, sectio
         argv = [*argv, "--config", str(cfg)]
     assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
     assert "seed: need >= 0, got -1" in capsys.readouterr().err
+
+
+# A size whose arrays (8 TB and more) no desk machine can hold. It must be
+# rejected before anything is allocated, never attempted.
+HUGE = 1_000_000_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, path, named",
+    [
+        (["train"], ("data", "dim"), "classes * per_class * dim"),
+        (["train"], ("network", "backbone_widths"), "network parameters (input_dim, backbone_widths"),
+        (["eval", "--sample-count", str(HUGE)], None, f"--sample-count {HUGE} x data dimension 8"),
+        (["verify", "sylvester", "--samples", str(HUGE)], None, f"--samples {HUGE} x data dimension 8"),
+        (["verify", "upper-bound", "--batch-size", str(HUGE)], None,
+         f"--batch-size {HUGE} x data dimension 8"),
+    ],
+    ids=["data.dim", "network.backbone_widths", "eval --sample-count", "sylvester --samples",
+         "upper-bound --batch-size"],
+)
+def test_oversized_size_exits_2_naming_it(trained, tmp_path, capsys, argv, path, named):
+    cfg, ckpt = trained
+    if path is not None:
+        value = [HUGE] if path[-1] == "backbone_widths" else HUGE
+        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, path, value))
+    if argv[0] == "eval":
+        argv = [*argv, "--checkpoint", str(ckpt)]
+    if argv[0] in ("train", "eval"):
+        argv = [*argv, "--config", str(cfg)]
+    assert run([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {named}" in err
+    assert f"exceed the limit of {MAX_ELEMENTS}" in err
 
 
 def float_flags(parser, command: tuple = ()) -> list[tuple[tuple, str]]:

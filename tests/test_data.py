@@ -221,7 +221,3 @@ class TestAugmentationValidation:
     def test_bad_scale_interval_rejected(self):
         with pytest.raises(ConfigError):
             ViewAugmentation(scale_lo=1.5, scale_hi=0.5)
-
-    def test_mask_probability_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
-            ViewAugmentation(mask_prob=1.5)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from raftlab.data import AugmentationSpec, Dataset, SyntheticBlobsSpec, make_blobs
+from raftlab.errors import ConfigError
 from raftlab.evaluate import (
     EvalReport,
     ProbeConfig,
@@ -68,6 +69,15 @@ class TestProbeTraining:
         result = train_probe(feats, labels, ProbeConfig())
         assert result.weights.shape == (4, 4)
         assert result.bias.shape == (4,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("learning_rate", float("nan")), ("epochs", 0), ("batch_size", 0),
+         ("holdout_fraction", 1.0), ("seed", -1)],
+    )
+    def test_bad_value_is_a_config_error_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ProbeConfig(**{field: value})
 
 
 class TestLinearEvaluation:

@@ -89,8 +89,8 @@ class TestCrossModel:
         assert cross_model_loss(tp.constant(p), tp.constant(z)).item() == pytest.approx(expected)
 
 
-def byol_total(p1, p2, z1, z2, symmetrize=True):
-    cfg = LossConfig(objective="byol", symmetrize_views=symmetrize)
+def byol_total(p1, p2, z1, z2):
+    cfg = LossConfig(objective="byol")
     return objective_terms(cfg, *(tp.constant(a) for a in (p1, p2, z1, z2))).total.item()
 
 
@@ -98,18 +98,16 @@ class TestByol:
     def test_equals_two_minus_two_cosine_on_unit_rows(self):
         p, z = units(13, 6, 4), units(14, 6, 4)
         expected = np.mean(2.0 - 2.0 * (p * z).sum(axis=1))
-        assert byol_total(p, p, z, z, symmetrize=False) == pytest.approx(expected)
+        assert byol_total(p, p, z, z) == pytest.approx(expected)
 
     def test_symmetrized_form_averages_the_two_views(self):
         p1, z2 = units(15, 3, 4), units(16, 3, 4)
         p2, z1 = units(17, 3, 4), units(18, 3, 4)
-        combined = byol_total(p1, p2, z1, z2)
-        one = byol_total(p1, p2, z1, z2, symmetrize=False)
-        two = byol_total(p2, p1, z2, z1, symmetrize=False)
-        assert combined == pytest.approx(0.5 * (one + two))
-        # unsymmetrized, the objective is the crossed pair alone: online
-        # view 1 against target view 2
-        assert one == cross_model_loss(tp.constant(p1), tp.constant(z2)).item()
+        # the crossed pairs: online view 1 against target view 2, and
+        # online view 2 against target view 1
+        one = cross_model_loss(tp.constant(p1), tp.constant(z2)).item()
+        two = cross_model_loss(tp.constant(p2), tp.constant(z1)).item()
+        assert byol_total(p1, p2, z1, z2) == 0.5 * (one + two)
 
 
 class TestTangentialTrick:
