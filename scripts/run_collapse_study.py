@@ -39,10 +39,7 @@ def run_arm(cfg_path: Path, out_dir: Path, sample_count: int) -> tuple[EvalRepor
     if rc != 0:
         raise RuntimeError(f"training failed for {cfg_path.name} (exit {rc})")
     params = load_checkpoint(out_dir / "checkpoint_final.ckpt")
-    report = metrics_report(
-        params, dataset, cfg.augmentation, sample_count=sample_count,
-        uniformity_t=cfg.loss.uniformity_t,
-    )
+    report = metrics_report(params, dataset, cfg.augmentation, sample_count=sample_count)
     init_seed, _ = derived_seeds(cfg.master_seed)
     baseline = linear_evaluation(init_params(cfg.network, init_seed), dataset)
     return report, baseline

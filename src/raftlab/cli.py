@@ -287,19 +287,11 @@ def cmd_eval(args) -> int:
         AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
     )
     probe = _from_json(ProbeConfig, file_cfg.get("probe", {}), "probe", seed=args.seed)
-    uniformity_t = _from_json(LossConfig, file_cfg.get("loss", {}), "loss").uniformity_t
 
     out = _out_dir(args, "eval")
     manifest = _Manifest("eval", out, probe.seed)
     log.info("evaluating %s on %d samples", args.checkpoint, len(dataset))
-    report = metrics_report(
-        params,
-        dataset,
-        augmentation,
-        sample_count=args.sample_count,
-        probe=probe,
-        uniformity_t=uniformity_t,
-    )
+    report = metrics_report(params, dataset, augmentation, args.sample_count, probe)
     path = manifest.add(out / "eval_report.json")
     path.write_text(report.to_json() + "\n")
     manifest.write(
@@ -309,7 +301,6 @@ def cmd_eval(args) -> int:
             "augmentation": dataclasses.asdict(augmentation),
             "probe": dataclasses.asdict(probe),
             "sample_count": args.sample_count,
-            "uniformity_t": uniformity_t,
         }
     )
     print(
@@ -345,10 +336,6 @@ def _verify_start(args) -> tuple[dict, int]:
     dim = getattr(args, "dim", None)
     if dim is not None and not 1 <= dim <= verify.MAX_SYLVESTER_DIM:
         raise ConfigError(f"--dim: must be >= 1 and <= {verify.MAX_SYLVESTER_DIM}, got {dim}")
-    if getattr(args, "rel_tol", 0.0) < 0:
-        raise ConfigError(f"--rel-tol: must be >= 0, got {args.rel_tol}")
-    if getattr(args, "step", 1.0) <= 0:
-        raise ConfigError(f"--step: must be > 0, got {args.step}")
     file_cfg = _load_config_file(args.config)
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
@@ -373,14 +360,18 @@ def _certify(args) -> _Manifest:
         else:
             inputs["dataset"] = make_blobs(SyntheticBlobsSpec())
             echo["data"] = {"kind": "default-blobs"}
-    if args.check == "sylvester" and args.samples < inputs["dataset"].dim ** 2:
-        # The moment estimate needs d^2 draws for d-dimensional data.
-        raise ConfigError(f"--samples: must be >= {inputs['dataset'].dim ** 2} (the data "
-                          f"dimension squared), got {args.samples}")
-    dim = inputs["dataset"].dim if "dataset" in inputs else inputs["network"].input_dim
-    for flag in ("samples", "batch_size"):  # each draws that many rows of the data
-        rows = settings.get(flag, 0)
-        check_elements(f"--{flag.replace('_', '-')} {rows} x data dimension {dim}", rows * dim)
+    if args.check == "sylvester":
+        dim = inputs["dataset"].dim
+        if args.samples < dim ** 2:  # the moment estimate needs d^2 draws of d-dim data
+            raise ConfigError(f"--samples: must be >= {dim ** 2} (the data dimension "
+                              f"squared), got {args.samples}")
+        check_elements(f"--samples {args.samples} x data dimension {dim}", args.samples * dim)
+    if "batch_size" in settings:  # both views of the batch go stacked through every layer
+        net = inputs["network"]
+        width = max(net.input_dim, *net.backbone_widths, net.representation_dim,
+                    net.projection_dim)
+        check_elements(f"--batch-size {args.batch_size} x 2 views x widest layer {width}",
+                       2 * args.batch_size * width)
     out = _out_dir(args, f"verify-{args.check}")
     (out / "manifest.json").unlink(missing_ok=True)  # no stale verdict if this run fails
     manifest = _Manifest(f"verify {args.check}", out, seed)
@@ -390,7 +381,7 @@ def _certify(args) -> _Manifest:
         manifest.add(out / name).write_text(text)
     for check in result.checks:
         manifest.check(check)
-    manifest.write({**settings, **result.config, **echo})
+    manifest.write({**settings, **echo})
     return manifest
 
 
@@ -530,10 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=100, help="one-step check count")
     p.add_argument("--steps", type=int, default=200, help="trajectory length")
-    p.add_argument("--optimizer", choices=("sgd", "adam"), default="sgd")
-    p.add_argument("--learning-rate", type=_finite_float, default=1e-2)
-    p.add_argument("--ema-tau", type=_finite_float, default=0.996)
-    p.add_argument("--rel-tol", type=_finite_float, default=verify.TRAJECTORY_REL_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = vsub.add_parser(
@@ -546,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser(
         "gradcheck", parents=[common], help="tape gradients against central differences"
     )
-    p.add_argument("--step", type=_finite_float, default=verify.FD_STEP)
     p.add_argument("--max-coords", type=int, default=10000)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--trials", type=int, default=100, help="gradient identity trials")

@@ -12,39 +12,27 @@ import numpy as np
 from . import tape as T
 from .data import AugmentationSpec, Dataset, draw_augmented_pairs
 from .errors import ConfigError, ContractError, EvalError
-from .losses import (
-    COLLAPSE_UNIFORMITY_THRESHOLD,
-    DEFAULT_UNIFORMITY_T,
-    align_loss,
-    uniform_loss,
-)
+from .losses import COLLAPSE_UNIFORMITY_THRESHOLD, align_loss, uniform_loss
 from .model import ModelParams, forward_online
 from .optim import AdamState, adam_step
 
 _EXPORT_CHUNK = 1024
 
+# Training settings of the linear probe, shared by every evaluation.
+PROBE_LEARNING_RATE = 5e-4
+PROBE_EPOCHS = 100
+PROBE_BATCH_SIZE = 32
+PROBE_HOLDOUT_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Multinomial-logistic probe trained with Adam on frozen features."""
+    """Seed of the multinomial-logistic probe trained with Adam on frozen
+    features; it picks the holdout split and the batch order."""
 
-    learning_rate: float = 5e-4
-    epochs: int = 100
-    batch_size: int = 32
-    holdout_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ConfigError(f"learning_rate: got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs: need >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: need >= 1, got {self.batch_size}")
-        if not 0 < self.holdout_fraction < 1:
-            raise ConfigError(
-                f"holdout_fraction: must lie in (0, 1), got {self.holdout_fraction}"
-            )
         if self.seed < 0:
             raise ConfigError(f"seed: need >= 0, got {self.seed}")
 
@@ -73,10 +61,8 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
 
     split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     perm = split_rng.permutation(n)
-    n_hold = max(1, int(round(cfg.holdout_fraction * n)))
-    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]
-    if train_idx.size == 0:
-        raise EvalError("probe: holdout fraction leaves no training rows")
+    n_hold = max(1, int(round(PROBE_HOLDOUT_FRACTION * n)))
+    hold_idx, train_idx = perm[:n_hold], perm[n_hold:]  # two classes leave a training row
 
     flat = np.zeros(d * n_classes + n_classes)
     w, b = flat[: d * n_classes].reshape(d, n_classes), flat[d * n_classes :]
@@ -85,15 +71,15 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
     gw, gb = grad[: d * n_classes].reshape(d, n_classes), grad[d * n_classes :]
     state = AdamState.init(flat)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12]))
-    for _ in range(cfg.epochs):
+    for _ in range(PROBE_EPOCHS):
         order = shuffle_rng.permutation(train_idx)
-        for lo in range(0, order.size, cfg.batch_size):
-            batch = order[lo : lo + cfg.batch_size]
+        for lo in range(0, order.size, PROBE_BATCH_SIZE):
+            batch = order[lo : lo + PROBE_BATCH_SIZE]
             tp = T.Tape()
             x = T.constant(features[batch])
             logits = T.matmul(x, tp.leaf(w, grad=gw), tp.leaf(b, grad=gb))
             tp.backward(T.softmax_cross_entropy(logits, labels[batch]))
-            adam_step(flat, grad, state, cfg.learning_rate)
+            adam_step(flat, grad, state, PROBE_LEARNING_RATE)
 
     pred = np.argmax(features[hold_idx] @ w + b, axis=1)
     accuracy = float(np.mean(pred == labels[hold_idx]))
@@ -147,7 +133,6 @@ def metrics_report(
     aug: AugmentationSpec,
     sample_count: int,
     probe: ProbeConfig | None = None,
-    uniformity_t: float = DEFAULT_UNIFORMITY_T,
 ) -> EvalReport:
     """Alignment over fresh positive pairs, uniformity of z over the raw
     rows of the same draw, collapse flag, and probe accuracy."""
@@ -155,11 +140,10 @@ def metrics_report(
         raise ContractError(f"sample_count: need >= 2, got {sample_count}")
     probe = probe or ProbeConfig()
     raw, batch = draw_augmented_pairs(dataset, aug, sample_count, seed=aug.seed)
-    _, _, p1 = forward_online(params, batch.x1)
-    _, _, p2 = forward_online(params, batch.x2)
+    p1 = _chunked_output(params, batch.x1, 2)
+    p2 = _chunked_output(params, batch.x2, 2)
     align = align_loss(p1, p2).item()
-    z = projector_outputs(params, raw)
-    uni = uniform_loss(T.constant(z), uniformity_t).item()
+    uni = uniform_loss(projector_outputs(params, raw)).item()
     accuracy = linear_evaluation(params, dataset, probe)
     return EvalReport(
         probe_accuracy=accuracy,

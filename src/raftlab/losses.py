@@ -19,8 +19,9 @@ from .tape import Tensor
 
 OBJECTIVES = ("byol", "byol_prime", "raft")
 
-# Coupling temperature for the pairwise-repulsion diagnostic.
-DEFAULT_UNIFORMITY_T = 2.0
+# Coupling temperature t of the pairwise-repulsion diagnostic (Wang & Isola,
+# arXiv 2005.10242). The collapse threshold below holds on this scale only.
+UNIFORMITY_T = 2.0
 
 # Uniformity above this marks a representation cloud as collapsed; sits
 # between observed collapsed values (around -0.1) and healthy ones (around -2).
@@ -38,7 +39,6 @@ class LossConfig:
     objective: str = "byol_prime"
     alpha: float = 1.0
     beta: float = 1.0
-    uniformity_t: float = DEFAULT_UNIFORMITY_T
 
     def __post_init__(self):
         if self.objective not in OBJECTIVES:
@@ -49,8 +49,6 @@ class LossConfig:
             raise ConfigError(f"alpha: must be positive, got {self.alpha}")
         if not self.beta > 0:
             raise ConfigError(f"beta: must be positive, got {self.beta}")
-        if not self.uniformity_t > 0:
-            raise ConfigError(f"uniformity_t: must be positive, got {self.uniformity_t}")
 
 
 def align_loss(p1, p2) -> Tensor:
@@ -61,15 +59,14 @@ def align_loss(p1, p2) -> Tensor:
     return T.batch_mean(T.squared_distance(p1, p2))
 
 
-def uniform_loss(z, t: float = DEFAULT_UNIFORMITY_T) -> Tensor:
-    """log of the mean Gaussian-kernel affinity over ordered distinct pairs.
+def uniform_loss(z) -> Tensor:
+    """log of the mean Gaussian-kernel affinity over ordered distinct pairs,
+    at temperature t = UNIFORMITY_T.
 
     For unit rows the value lies in [-4t, 0]; it reaches 0 when every row
     coincides, so it acts as the collapse detector. Needs at least two rows.
     """
     z = T.as_tensor(z)
-    if float(t) <= 0:
-        raise ConfigError(f"uniformity t: must be positive, got {t}")
     if z.ndim != 2:
         raise ContractError(f"uniform_loss: needs a matrix, got shape {z.shape}")
     n = z.shape[0]
@@ -80,7 +77,7 @@ def uniform_loss(z, t: float = DEFAULT_UNIFORMITY_T) -> Tensor:
     # D_ij = |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, assembled without broadcasting
     # so every step stays on the tape.
     d = T.row_add(T.transpose(T.row_add(T.transpose(T.scale(gram, -2.0)), sq)), sq)
-    kernel = T.exp(T.scale(d, -float(t)))
+    kernel = T.exp(T.scale(d, -UNIFORMITY_T))
     # The diagonal contributes exp(0) = 1 per row; subtract it to keep only
     # the ordered distinct pairs.
     off_diag = T.add_scalar(T.sum_all(kernel), -float(n))
@@ -92,23 +89,23 @@ def cross_model_loss(p, zbar) -> Tensor:
     return T.batch_mean(T.squared_distance(p, zbar))
 
 
-def tangential_cross_model(p, zbar, lambda_eps: float = LAMBDA_EPS) -> Tensor:
+def tangential_cross_model(p, zbar) -> Tensor:
     """Rescaled online-vs-target distance |zbar - lambda p|^2 / lambda with
     lambda = <p, zbar> held out of the gradient.
 
     Its p-gradient equals the plain cross_model_loss gradient with the radial
     component removed, which is the whole point of the form. Rows where
-    |lambda| < lambda_eps are numerically orthogonal and raise.
+    |lambda| < LAMBDA_EPS are numerically orthogonal and raise.
     """
     p = T.as_tensor(p)
     zbar = T.as_tensor(zbar)
     lam = T.stop_gradient(T.row_dot(p, zbar))
-    small = np.abs(lam.data) < lambda_eps
+    small = np.abs(lam.data) < LAMBDA_EPS
     if np.any(small):
         worst = int(np.argmin(np.abs(lam.data)))
         raise NearOrthogonalError(
             f"tangential_cross_model: row {worst} has <p, zbar> = "
-            f"{lam.data[worst]:.3e}, below threshold {lambda_eps}"
+            f"{lam.data[worst]:.3e}, below threshold {LAMBDA_EPS}"
         )
     per_row = T.div(T.squared_distance(zbar, T.scale_rows(p, lam)), lam)
     return T.batch_mean(per_row)

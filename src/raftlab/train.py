@@ -239,9 +239,7 @@ def train_run(
                 step_callback(k, params.clone(), params.trainable_views(grad.copy()))
 
             if k % cfg.log_every == 0:
-                uni = uniform_loss(
-                    T.constant(z.data[:n]), cfg.loss.uniformity_t
-                ).item()
+                uni = uniform_loss(T.constant(z.data[:n])).item()
                 rec = MetricsRecord(
                     step=k,
                     epoch=(k - 1) // bpe,

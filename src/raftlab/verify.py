@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,7 @@ log = logging.getLogger(__name__)
 # Margin below -MARGIN_TOLERANCE falsifies the upper bound.
 MARGIN_TOLERANCE = 1e-9
 
-DEFAULT_WEIGHT_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
+WEIGHT_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 
 # One-step mirror check: with the filter on, gradients must agree to this;
 # with it off, a trial only counts as a working negative control when the
@@ -93,7 +93,7 @@ DEFAULT_VERIFY_NETWORK = NetworkSpec(
 # Explicit Kronecker systems are capped at this side length per factor.
 MAX_SYLVESTER_DIM = 12
 
-DEFAULT_PIVOT_TOL = 1e-10
+PIVOT_TOL = 1e-10
 
 LINEAR_PREDICTOR_MESSAGE = "condition ii: predictor must be linear"
 
@@ -179,23 +179,21 @@ def random_state_and_batch(
 def upper_bound_sweep(
     trials: int = 1000,
     seed: int = 0,
-    grid: Sequence[float] = DEFAULT_WEIGHT_GRID,
     network: NetworkSpec | None = None,
     batch_size: int = 16,
 ) -> UpperBoundReport:
-    """Randomized search for a counterexample to the bound over a grid of
-    (alpha, beta) weights; the per-state forward is shared across the grid."""
+    """Randomized search for a counterexample to the bound over the (alpha,
+    beta) weights of WEIGHT_GRID; the per-state forward is shared across them."""
     if trials < 1:
         raise ContractError(f"trials: need >= 1, got {trials}")
     network = network or DEFAULT_VERIFY_NETWORK
-    grid = tuple(float(g) for g in grid)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 21]))
     min_margin = float("inf")
-    worst = (0, grid[0], grid[0])
+    worst = (0, WEIGHT_GRID[0], WEIGHT_GRID[0])
     for trial in range(trials):
         losses = state_losses(*random_state_and_batch(network, rng, batch_size))
-        for alpha in grid:
-            for beta in grid:
+        for alpha in WEIGHT_GRID:
+            for beta in WEIGHT_GRID:
                 margin = margin_from_losses(alpha, beta, losses)
                 if margin < min_margin:
                     min_margin = margin
@@ -203,7 +201,7 @@ def upper_bound_sweep(
     return UpperBoundReport(
         trials=trials,
         batch_size=batch_size,
-        grid=grid,
+        grid=WEIGHT_GRID,
         min_margin=min_margin,
         worst_trial=worst[0],
         worst_alpha=worst[1],
@@ -462,7 +460,6 @@ def sylvester_null_space(
     w: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
 ) -> SylvesterReport:
     """Build the Kronecker system for W theta = theta (B A^-1) and report its
     rank and null-space dimension. A non-trivial null space means non-zero
@@ -484,16 +481,14 @@ def sylvester_null_space(
             f"dimensions n={n}, m={m} exceed the explicit-system cap "
             f"{MAX_SYLVESTER_DIM}"
         )
-    if pivot_tol <= 0:
-        raise ContractError(f"pivot_tol: must be positive, got {pivot_tol}")
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1.0 / pivot_tol:
+    if not np.isfinite(cond) or cond > 1.0 / PIVOT_TOL:
         raise SingularMomentError(
-            f"a: condition number {cond:.3e} exceeds 1/pivot_tol = {1.0 / pivot_tol:.3e}"
+            f"a: condition number {cond:.3e} exceeds 1/PIVOT_TOL = {1.0 / PIVOT_TOL:.3e}"
         )
     ba_inv = np.linalg.solve(a.T, b.T).T
     system = np.kron(np.eye(m), w) - np.kron(ba_inv.T, np.eye(n))
-    rank = int(np.linalg.matrix_rank(system, rtol=pivot_tol))
+    rank = int(np.linalg.matrix_rank(system, rtol=PIVOT_TOL))
     null_dim = n * m - rank
     return SylvesterReport(
         system_dim=n * m,
@@ -531,7 +526,7 @@ def finite_difference_gradchecks(
     loss_cfgs: Sequence[LossConfig],
     params: ModelParams,
     batch: PositiveBatch,
-    step: float = 1e-5,
+    step: float = FD_STEP,
     max_coords: int = 10_000,
     seed: int = 0,
 ) -> list[float]:
@@ -594,7 +589,7 @@ def finite_difference_gradcheck(
     loss_cfg: LossConfig,
     params: ModelParams,
     batch: PositiveBatch,
-    step: float = 1e-5,
+    step: float = FD_STEP,
     max_coords: int = 10_000,
     seed: int = 0,
 ) -> float:
@@ -636,12 +631,11 @@ def _at_least(name: str, value, tol, seconds: float, detail: str) -> Check:
 
 @dataclass(frozen=True)
 class Certification:
-    """A certify_* result: its checks in order, its artifacts (file name ->
-    contents) and the settings it resolved beyond its arguments."""
+    """A certify_* result: its checks in order and its artifacts (file name
+    -> contents)."""
 
     checks: list[Check]
     artifacts: dict[str, str]
-    config: dict = field(default_factory=dict)
 
 
 def _timed(fn, *args, **kwargs):
@@ -659,7 +653,7 @@ def certify_upper_bound(
 ) -> Certification:
     """The bound holds over `trials` random states and the weight grid."""
     log.info("sweeping %d random states over a %d-point weight grid",
-             trials, len(DEFAULT_WEIGHT_GRID) ** 2)
+             trials, len(WEIGHT_GRID) ** 2)
     report, seconds = _timed(upper_bound_sweep, trials, seed, network=network,
                              batch_size=batch_size)
     check = _at_least("upper-bound", report.min_margin, -MARGIN_TOLERANCE, seconds,
@@ -667,16 +661,15 @@ def certify_upper_bound(
                       f"(worst at trial {report.worst_trial}, alpha {report.worst_alpha}, "
                       f"beta {report.worst_beta}; tolerance -{MARGIN_TOLERANCE:.0e})")
     payload = {**asdict(report), "margin_tolerance": MARGIN_TOLERANCE, "passed": check.passed}
-    return Certification([check], {"upper_bound.json": _json(payload)}, {"grid": list(report.grid)})
+    return Certification([check], {"upper_bound.json": _json(payload)})
 
 
 def certify_correspondence(
-    seed: int, network: NetworkSpec, dataset: Dataset, trials: int, steps: int,
-    optimizer: str, learning_rate: float, ema_tau: float, rel_tol: float,
+    seed: int, network: NetworkSpec, dataset: Dataset, trials: int, steps: int
 ) -> Certification:
     """One-step gradient mirroring with the filter on, its negative control
-    with the filter off, and mirrored trajectories within `rel_tol` of the
-    parameter scale."""
+    with the filter off, and mirrored trajectories within TRAJECTORY_REL_TOL
+    of the parameter scale."""
     log.info("one-step mirror check, filter on, %d trials", trials)
     on, on_seconds = _timed(gradient_correspondence_sweep, trials, seed, apply_filter=True,
                             network=network)
@@ -687,13 +680,14 @@ def certify_correspondence(
     off_devs = [max(d.theta_dev, d.w_dev) for d in off]
     hits = sum(1 for dev in off_devs if dev > CONTROL_MIN_DEVIATION)
     needed = int(np.ceil(CONTROL_REQUIRED_FRACTION * trials))
-    log.info("trajectory experiment: %d steps, optimizer %s", steps, optimizer)
+    log.info("trajectory experiment: %d steps", steps)
     traj, traj_seconds = _timed(trajectory_correspondence_experiment, network, steps, seed,
-                                optimizer, learning_rate, ema_tau, dataset)
-    # Both deviations must stay within rel_tol of their scale; the record
-    # holds the one with less slack.
-    deviation, budget = min((traj.max_theta_dev, rel_tol * traj.theta_scale),
-                            (traj.max_w_dev, rel_tol * traj.w_scale), key=lambda p: p[1] - p[0])
+                                dataset=dataset)
+    # Both deviations must stay within TRAJECTORY_REL_TOL of their scale; the
+    # record holds the one with less slack.
+    deviation, budget = min((traj.max_theta_dev, TRAJECTORY_REL_TOL * traj.theta_scale),
+                            (traj.max_w_dev, TRAJECTORY_REL_TOL * traj.w_scale),
+                            key=lambda p: p[1] - p[0])
     checks = [
         _at_most("mirror gradients (filter on)", worst_on, ONESTEP_MATCH_TOL, on_seconds,
                  f"worst deviation {worst_on:.3e} over {trials} trials "
@@ -704,7 +698,8 @@ def certify_correspondence(
         _at_most("trajectories", deviation, budget, traj_seconds,
                  f"max theta deviation {traj.max_theta_dev:.3e} (scale {traj.theta_scale:.3e}), "
                  f"max W-sum deviation {traj.max_w_dev:.3e} (scale {traj.w_scale:.3e}) "
-                 f"over {traj.steps} {traj.optimizer} steps, relative tolerance {rel_tol:.0e}"),
+                 f"over {traj.steps} {traj.optimizer} steps, "
+                 f"relative tolerance {TRAJECTORY_REL_TOL:.0e}"),
     ]
     onestep = {"trials": trials, "filter_on_worst": worst_on, "filter_off_exceeding": hits,
                "filter_off_deviations": off_devs}
@@ -745,7 +740,7 @@ def certify_sylvester(seed: int, dataset: Dataset, dim: int, samples: int) -> Ce
 
 
 def certify_gradcheck(
-    seed: int, network: NetworkSpec, step: float, max_coords: int, batch_size: int, trials: int
+    seed: int, network: NetworkSpec, max_coords: int, batch_size: int, trials: int
 ) -> Certification:
     """Central differences of each objective at one random state, and the
     scale-invariant cross gradient against the filtered plain one."""
@@ -756,10 +751,10 @@ def certify_gradcheck(
     # One sweep measures all three, so each record carries its seconds.
     errs, seconds = _timed(finite_difference_gradchecks,
                            [LossConfig(objective=o) for o in objectives],
-                           params, batch, step, max_coords, seed)
+                           params, batch, FD_STEP, max_coords, seed)
     errors = dict(zip(objectives, errs))
     checks = [_at_most(f"gradcheck '{objective}'", err, FD_REL_TOL, seconds,
-                       f"worst relative error {err:.3e} at step {step:.0e} "
+                       f"worst relative error {err:.3e} at step {FD_STEP:.0e} "
                        f"(tolerance {FD_REL_TOL:.0e})")
               for objective, err in errors.items()]
     log.info("gradient identity for the scale-invariant cross form, %d trials", trials)
@@ -767,6 +762,6 @@ def certify_gradcheck(
     checks.append(_at_most("scale-invariant cross gradient", trick_dev, TRICK_IDENTITY_TOL, seconds,
                            f"worst deviation from filtered plain gradient {trick_dev:.3e} "
                            f"over {trials} trials (tolerance {TRICK_IDENTITY_TOL:.0e})"))
-    payload = {"objective_errors": errors, "trick_deviation": trick_dev, "step": step,
+    payload = {"objective_errors": errors, "trick_deviation": trick_dev, "step": FD_STEP,
                "batch_size": batch_size}
     return Certification(checks, {"gradcheck.json": _json(payload)})

@@ -56,7 +56,12 @@ def substituted(payload: dict, path: tuple, value) -> dict:
 REMOVED_SETTINGS = [
     ("network.predictor_init", "identity", "unknown keys ['network.predictor_init']"),
     ("loss.symmetrize_views", False, "unknown keys ['loss.symmetrize_views']"),
+    ("loss.uniformity_t", 2.0, "unknown keys ['loss.uniformity_t']"),
     ("augmentation.view1.mask_prob", 0.0, "unknown keys ['augmentation.view1.mask_prob']"),
+    ("probe.learning_rate", 5e-4, "unknown keys ['probe.learning_rate']"),
+    ("probe.epochs", 100, "unknown keys ['probe.epochs']"),
+    ("probe.batch_size", 32, "unknown keys ['probe.batch_size']"),
+    ("probe.holdout_fraction", 0.2, "unknown keys ['probe.holdout_fraction']"),
     ("train.learning_rate", [3e-4] * 20, "train.learning_rate must be a finite float"),
     ("train.ema_tau", [0.996] * 20, "train.ema_tau must be a finite float"),
 ]
@@ -149,12 +154,17 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("path, value, message", REMOVED_SETTINGS,
                              ids=[path for path, _, _ in REMOVED_SETTINGS])
-    def test_removed_setting_exits_2_naming_it(self, tmp_path, capsys, path, value, message):
-        cfg = write_config(tmp_path, substituted(SMALL_CONFIG, tuple(path.split(".")), value))
+    def test_removed_setting_exits_2_naming_it(
+        self, trained, tmp_path, capsys, path, value, message
+    ):
+        keys = tuple(path.split("."))
+        cfg = write_config(tmp_path, substituted({"probe": {}, **SMALL_CONFIG}, keys, value))
+        # Only eval reads the probe section.
+        argv = ["eval", "--checkpoint", str(trained[1])] if keys[0] == "probe" else ["train"]
         out = tmp_path / "x"
-        assert run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
         assert f"error: config: {message}" in capsys.readouterr().err
-        assert not (out / "checkpoint_final.ckpt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "path", [("train", "learning_rate"), ("data", "noise_sigma")], ids=".".join
@@ -247,7 +257,7 @@ class TestEvalCommand:
         assert {"probe_accuracy", "align", "uniformity"} <= set(report)
 
     def test_manifest_records_the_seed_the_probe_used(self, tmp_path):
-        cfg = write_config(tmp_path, {**SMALL_CONFIG, "probe": {"seed": 5, "epochs": 2}})
+        cfg = write_config(tmp_path, {**SMALL_CONFIG, "probe": {"seed": 5}})
         out = tmp_path / "run"
         assert run(["train", "--config", str(cfg), "--out-dir", str(out)]) == 0
         seeds = []
@@ -321,9 +331,10 @@ class TestVerifyCommands:
         assert rc == 0
         assert out.count("PASS") >= 4
 
-    def test_gradcheck_fails_at_coarse_step(self, tmp_path, capsys):
+    def test_gradcheck_fails_at_coarse_step(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "FD_STEP", 0.05)
         rc = run([
-            "verify", "gradcheck", "--step", "0.05", "--trials", "3",
+            "verify", "gradcheck", "--trials", "3",
             "--batch-size", "4", "--max-coords", "40",
             "--out-dir", str(tmp_path / "v"),
         ])
@@ -516,8 +527,10 @@ HUGE = 1_000_000_000_000
         (["train"], ("network", "backbone_widths"), "network parameters (input_dim, backbone_widths"),
         (["eval", "--sample-count", str(HUGE)], None, f"--sample-count {HUGE} x data dimension 8"),
         (["verify", "sylvester", "--samples", str(HUGE)], None, f"--samples {HUGE} x data dimension 8"),
-        (["verify", "upper-bound", "--batch-size", str(HUGE)], None,
-         f"--batch-size {HUGE} x data dimension 8"),
+        # 8e7 data elements pass; the 3.2e8 of the two views stacked through the
+        # 16-wide layer of the default verify network do not.
+        (["verify", "upper-bound", "--batch-size", "10000000"], None,
+         "--batch-size 10000000 x 2 views x widest layer 16"),
     ],
     ids=["data.dim", "network.backbone_widths", "eval --sample-count", "sylvester --samples",
          "upper-bound --batch-size"],
@@ -558,7 +571,6 @@ FLOAT_FLAGS = float_flags(cli.build_parser())
     "command, flag", FLOAT_FLAGS, ids=[" ".join((*c, f)) for c, f in FLOAT_FLAGS]
 )
 def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag, value):
-    assert len(FLOAT_FLAGS) == 9
     with pytest.raises(SystemExit) as info:
         run([*command, f"{flag}={value}", "--out-dir", str(tmp_path / "out")])
     assert info.value.code == 2
@@ -566,32 +578,52 @@ def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag
     assert not (tmp_path / "out").exists()
 
 
+def test_float_flag_count():
+    assert len(FLOAT_FLAGS) == 5
+
+
 # (subcommand, flag, value) of verify flags outside their range. Most used
-# to run some checks first: printing PASS over an empty trajectory or
-# sweep, or FAIL against a negative tolerance.
+# to run some checks first, printing PASS over an empty trajectory or sweep.
 BAD_VERIFY_FLAGS = [
-    pytest.param(["gradcheck"], "--max-coords", "0", ">= ", id="0"),
-    pytest.param(["gradcheck"], "--max-coords", "-1", ">= ", id="-1"),
-    pytest.param(["gradcheck"], "--trials", "0", ">= ", id="gradcheck --trials 0"),
-    pytest.param(["correspondence"], "--steps", "0", ">= ", id="correspondence --steps 0"),
-    pytest.param(["correspondence"], "--rel-tol", "-1", ">= ", id="correspondence --rel-tol -1"),
-    pytest.param(["sylvester"], "--samples", "0", ">= ", id="sylvester --samples 0"),
-    pytest.param(["sylvester"], "--samples", "10", ">= ", id="sylvester --samples below dim^2"),
-    pytest.param(["upper-bound"], "--batch-size", "0", ">= ", id="upper-bound --batch-size 0"),
-    pytest.param(["sylvester"], "--dim", "0", ">= ", id="sylvester --dim 0"),
-    pytest.param(["sylvester"], "--dim", "13", ">= ", id="sylvester --dim 13"),
-    pytest.param(["gradcheck"], "--step", "0", "> 0", id="gradcheck --step 0"),
-    pytest.param(["gradcheck"], "--step", "-0.5", "> 0", id="gradcheck --step -0.5"),
+    pytest.param(["gradcheck"], "--max-coords", "0", id="gradcheck --max-coords 0"),
+    pytest.param(["gradcheck"], "--max-coords", "-1", id="gradcheck --max-coords -1"),
+    pytest.param(["gradcheck"], "--trials", "0", id="gradcheck --trials 0"),
+    pytest.param(["correspondence"], "--steps", "0", id="correspondence --steps 0"),
+    pytest.param(["sylvester"], "--samples", "0", id="sylvester --samples 0"),
+    pytest.param(["sylvester"], "--samples", "10", id="sylvester --samples below dim^2"),
+    pytest.param(["upper-bound"], "--batch-size", "0", id="upper-bound --batch-size 0"),
+    pytest.param(["sylvester"], "--dim", "0", id="sylvester --dim 0"),
+    pytest.param(["sylvester"], "--dim", "13", id="sylvester --dim 13"),
 ]
 
 
-@pytest.mark.parametrize("command, flag, value, bound", BAD_VERIFY_FLAGS)
-def test_gradcheck_max_coords_below_one_exits_2(tmp_path, capsys, command, flag, value, bound):
+@pytest.mark.parametrize("command, flag, value", BAD_VERIFY_FLAGS)
+def test_verify_flag_out_of_range_exits_2_naming_it(tmp_path, capsys, command, flag, value):
     rc = run(["verify", *command, flag, value, "--out-dir", str(tmp_path / "v")])
     captured = capsys.readouterr()
     assert rc == 2
-    assert f"error: {flag}: must be {bound}" in captured.err
+    assert f"error: {flag}: must be >= " in captured.err
     assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
+# Verify flags that no longer exist, each given the value it defaulted to.
+REMOVED_FLAGS = [
+    ("correspondence", "--optimizer", "sgd"),
+    ("correspondence", "--learning-rate", "0.01"),
+    ("correspondence", "--ema-tau", "0.996"),
+    ("correspondence", "--rel-tol", "1e-06"),
+    ("gradcheck", "--step", "1e-05"),
+]
+
+
+@pytest.mark.parametrize("check, flag, value", REMOVED_FLAGS,
+                         ids=[f"{check} {flag}" for check, flag, _ in REMOVED_FLAGS])
+def test_removed_verify_flag_is_unrecognized(tmp_path, capsys, check, flag, value):
+    with pytest.raises(SystemExit) as info:
+        run(["verify", check, flag, value, "--out-dir", str(tmp_path / "v")])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
 
 
 class TestMakeDataCommand:

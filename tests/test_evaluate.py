@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from raftlab.data import AugmentationSpec, Dataset, SyntheticBlobsSpec, make_blobs
+from raftlab import evaluate
 from raftlab.errors import ConfigError
 from raftlab.evaluate import (
+    PROBE_HOLDOUT_FRACTION,
     EvalReport,
     ProbeConfig,
     backbone_features,
@@ -47,7 +49,7 @@ class TestProbeTraining:
         rng = np.random.default_rng(13)
         shuffled = rng.permutation(labels)
         result = train_probe(feats, shuffled, ProbeConfig())
-        n_holdout = int(len(labels) * ProbeConfig().holdout_fraction)
+        n_holdout = int(len(labels) * PROBE_HOLDOUT_FRACTION)
         sigma = np.sqrt(0.25 * 0.75 / n_holdout)
         assert abs(result.accuracy - 0.25) <= 3 * sigma + 1e-9
 
@@ -70,11 +72,7 @@ class TestProbeTraining:
         assert result.weights.shape == (4, 4)
         assert result.bias.shape == (4,)
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [("learning_rate", float("nan")), ("epochs", 0), ("batch_size", 0),
-         ("holdout_fraction", 1.0), ("seed", -1)],
-    )
+    @pytest.mark.parametrize("field, value", [("seed", -1)])
     def test_bad_value_is_a_config_error_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: "):
             ProbeConfig(**{field: value})
@@ -148,5 +146,19 @@ class TestMetricsReport:
             "probe_accuracy", "align", "uniformity", "collapsed", "sample_count", "probe",
         }
         assert payload["sample_count"] == 64
-        assert payload["probe"]["holdout_fraction"] == 0.2
+        assert payload["probe"] == {"seed": 0}
+
+    def test_forwards_at_most_one_chunk_of_rows(self, blobs, monkeypatch):
+        # The cap on --sample-count counts data rows, so no forward may take
+        # all of them at once.
+        monkeypatch.setattr(evaluate, "_EXPORT_CHUNK", 16)
+        rows, inner = [], evaluate.forward_online
+
+        def counting(params, x, *args, **kwargs):
+            rows.append(x.shape[0])
+            return inner(params, x, *args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "forward_online", counting)
+        metrics_report(init_params(NET, seed=0), blobs, AugmentationSpec(), sample_count=64)
+        assert rows and max(rows) == 16
 

@@ -11,10 +11,10 @@ from raftlab import tape as tp
 from raftlab.errors import ConfigError, InsufficientBatchError, NearOrthogonalError
 from raftlab.losses import (
     COLLAPSE_UNIFORMITY_THRESHOLD,
-    DEFAULT_UNIFORMITY_T,
     LAMBDA_EPS,
     LossConfig,
     OBJECTIVES,
+    UNIFORMITY_T,
     align_loss,
     cross_model_loss,
     objective_terms,
@@ -52,13 +52,13 @@ class TestUniformity:
 
     def test_two_antipodal_rows_reach_lower_corner(self):
         z = units(5, 1, 6)
-        val = uniform_loss(tp.constant(np.vstack([z, -z])), t=2.0).item()
+        val = uniform_loss(tp.constant(np.vstack([z, -z]))).item()
         assert val == pytest.approx(-8.0)
 
     def test_range_is_bounded(self):
         z = units(6, 10, 5)
-        val = uniform_loss(tp.constant(z), t=DEFAULT_UNIFORMITY_T).item()
-        assert -4.0 * DEFAULT_UNIFORMITY_T <= val <= 0.0
+        val = uniform_loss(tp.constant(z)).item()
+        assert -4.0 * UNIFORMITY_T <= val <= 0.0
 
     def test_single_row_is_rejected(self):
         with pytest.raises(InsufficientBatchError):
@@ -70,7 +70,7 @@ class TestUniformity:
         d2 = ((z[:, None, :] - z[None, :, :]) ** 2).sum(-1)
         mask = ~np.eye(len(z), dtype=bool)
         expected = np.log(np.exp(-t * d2[mask]).mean())
-        assert uniform_loss(tp.constant(z), t=t).item() == pytest.approx(expected)
+        assert uniform_loss(tp.constant(z)).item() == pytest.approx(expected)
 
     def test_collapse_threshold_constant(self):
         assert COLLAPSE_UNIFORMITY_THRESHOLD == -0.2

@@ -1,7 +1,8 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
 config reader can check every field of every config dataclass, the
-training step calls every phase and tape op the benchmark times, and every
-train flag sets a config field."""
+training step calls every phase and tape op the benchmark times, every
+train flag sets a config field and every verify flag is a parameter of its
+certification."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from raftlab import cli, optim, tape, train
+from raftlab import cli, optim, tape, train, verify
 from raftlab.data import SyntheticBlobsSpec
 from raftlab.evaluate import ProbeConfig
 from raftlab.losses import LossConfig
@@ -190,3 +191,23 @@ def test_every_train_flag_sets_a_config_field():
     fields = {f.name for cls in (LossConfig, TrainConfig) for f in dataclasses.fields(cls)}
     assert "objective" in dests and "steps" in dests
     assert sorted(dests - fields - {"help", "seed", "out_dir", "config"}) == []
+
+
+def test_every_verify_flag_is_a_certify_parameter():
+    # _certify passes a verify subcommand's own flags to
+    # verify.certify_<subcommand> by name, next to the seed and the network
+    # and dataset it resolves from the config.
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    checks = next(a for a in commands.choices["verify"]._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert len(checks.choices) == 5
+    for name, sub in checks.choices.items():
+        if name == "all":
+            continue
+        flags = {a.dest for a in sub._actions if a.option_strings}
+        certify = getattr(verify, "certify_" + name.replace("-", "_"))
+        params = set(inspect.signature(certify).parameters)
+        assert flags - {"help", "seed", "out_dir", "config"} == params - {
+            "seed", "network", "dataset"
+        }, name

@@ -333,9 +333,7 @@ class TestFusedStep:
         assert rec.loss_total == float(parts.total.data)
         assert rec.loss_align == float(parts.align.data)
         assert rec.loss_cross_model == float(parts.cross.data)
-        assert rec.uniformity == uniform_loss(
-            T.constant(per_view[0][1].data), cfg.loss.uniformity_t
-        ).item()
+        assert rec.uniformity == uniform_loss(T.constant(per_view[0][1].data)).item()
 
         # Gradients sum both views in one product, so they agree only up to
         # rounding.

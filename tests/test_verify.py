@@ -249,11 +249,10 @@ class TestCertificationRecords:
         return [
             verify.certify_upper_bound(seed=0, network=net, trials=5, batch_size=16),
             verify.certify_correspondence(
-                seed=0, network=net, dataset=verify_blobs, trials=3, steps=3,
-                optimizer="sgd", learning_rate=1e-2, ema_tau=0.996, rel_tol=1e-6,
+                seed=0, network=net, dataset=verify_blobs, trials=3, steps=3
             ),
             verify.certify_sylvester(seed=0, dataset=verify_blobs, dim=3, samples=200),
-            verify.certify_gradcheck(seed=0, network=net, step=1e-5, max_coords=20,
+            verify.certify_gradcheck(seed=0, network=net, max_coords=20,
                                      batch_size=4, trials=3),
         ]
 
