@@ -70,7 +70,11 @@ def _configure_logging():
 # config plumbing
 
 
-SECTIONS = ("data", "network", "loss", "augmentation", "train", "probe")
+# Config sections and the dataclass each one's keys are the fields of;
+# `data` also takes `kind` and, for CIFAR-10, `path`.
+_SECTION_TYPES = {"data": SyntheticBlobsSpec, "network": NetworkSpec, "loss": LossConfig,
+                  "augmentation": AugmentationSpec, "train": TrainConfig, "probe": ProbeConfig}
+SECTIONS = tuple(_SECTION_TYPES)
 _SCALARS = (int, float, str)
 
 
@@ -96,6 +100,17 @@ def _load_config_file(path) -> dict:
     for name, section in cfg.items():
         if not isinstance(section, dict):
             raise ConfigError(f"config: section {name!r} must be a JSON object")
+        # Every section's keys and types are checked here, whichever of them
+        # the command reads; ranges are checked where a section is built,
+        # after the flags that override its values.
+        nested = sorted(set(section) & set(SECTIONS))
+        if nested:
+            raise ConfigError(
+                f"config: {name}.{nested[0]} belongs in the top-level {nested[0]!r} section")
+        if name == "data":
+            _data_fields(section)
+        else:
+            _fields(_SECTION_TYPES[name], section, name)
     return cfg
 
 
@@ -128,27 +143,32 @@ def _typed(hint, value, where: str):
     raise ConfigError(f"config: {where} must be {expected}, got {value!r}")
 
 
-def _from_json(cls, section: dict, where: str, **overrides):
-    """Build the config dataclass `cls` from a JSON object. Keys are checked
-    against the field annotations and named `where.key` when rejected;
-    non-None overrides win; `cls.__post_init__` checks the ranges."""
+def _fields(cls, section: dict, where: str) -> dict:
+    """The keyword arguments of the config dataclass `cls` that a JSON object
+    gives. Keys are checked against the field annotations, and a rejected one
+    is named `where.key`."""
     hints = typing.get_type_hints(cls)
     unknown = sorted(set(section) - set(hints))
     if unknown:
         raise ConfigError(f"config: unknown keys {[f'{where}.{k}' for k in unknown]}")
-    kwargs = {key: _typed(hints[key], v, f"{where}.{key}") for key, v in section.items()}
+    return {key: _typed(hints[key], v, f"{where}.{key}") for key, v in section.items()}
+
+
+def _from_json(cls, section: dict, where: str, **overrides):
+    """Build the config dataclass `cls` from a JSON object: its _fields, with
+    non-None overrides winning; `cls.__post_init__` checks the ranges."""
+    kwargs = _fields(cls, section, where)
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     return cls(**kwargs)
 
 
-def _dataset_from(section: dict) -> tuple[Dataset, dict]:
-    """Build the dataset named by the config's data section; returns it with
-    the resolved description for the manifest."""
+def _data_fields(section: dict) -> tuple[str, dict]:
+    """The data section's kind and the _fields of the rest of it: those of
+    SyntheticBlobsSpec for "blobs", a path for "cifar10"."""
     section = dict(section)
     kind = section.pop("kind", "blobs")
     if kind == "blobs":
-        spec = _from_json(SyntheticBlobsSpec, section, "data")
-        return make_blobs(spec), {"kind": "blobs", **dataclasses.asdict(spec)}
+        return kind, _fields(SyntheticBlobsSpec, section, "data")
     if kind == "cifar10":
         path = section.pop("path", None)
         if not isinstance(path, str):
@@ -157,10 +177,25 @@ def _dataset_from(section: dict) -> tuple[Dataset, dict]:
             raise ConfigError(
                 f"config: data has unknown keys {sorted(section)} for kind 'cifar10'"
             )
-        return load_cifar10(path), {"kind": "cifar10", "path": path}
+        return kind, {"path": path}
     raise ConfigError(
         f"config: data.kind {kind!r} not recognized (expected 'blobs' or 'cifar10')"
     )
+
+
+def _dataset_from(section: dict) -> tuple[Dataset, dict]:
+    """Build the dataset named by the config's data section; returns it with
+    the resolved description for the manifest."""
+    kind, fields = _data_fields(section)
+    if kind == "cifar10":
+        return load_cifar10(fields["path"]), {"kind": kind, **fields}
+    spec = SyntheticBlobsSpec(**fields)
+    return make_blobs(spec), {"kind": kind, **dataclasses.asdict(spec)}
+
+
+def _section(file_cfg: dict, name: str, **overrides):
+    """Section `name` of a config file as its dataclass, built by _from_json."""
+    return _from_json(_SECTION_TYPES[name], file_cfg.get(name, {}), name, **overrides)
 
 
 def _network_from(file_cfg: dict, input_dim: int) -> NetworkSpec:
@@ -226,24 +261,10 @@ def train_config(path, **flags) -> tuple[TrainConfig, Dataset, dict]:
     of LossConfig and TrainConfig fields; None leaves the file's value."""
     file_cfg = _load_config_file(path)
     dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
-    train_section = file_cfg.get("train", {})
-    for drop in ("network", "loss", "augmentation"):
-        if drop in train_section:
-            raise ConfigError(
-                f"config: train.{drop} belongs in the top-level {drop!r} section"
-            )
     loss_flags = {f.name: flags.pop(f.name, None) for f in dataclasses.fields(LossConfig)}
-    cfg = _from_json(
-        TrainConfig,
-        train_section,
-        "train",
-        network=_network_from(file_cfg, dataset.dim),
-        loss=_from_json(LossConfig, file_cfg.get("loss", {}), "loss", **loss_flags),
-        augmentation=_from_json(
-            AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
-        ),
-        **flags,
-    )
+    cfg = _section(file_cfg, "train", network=_network_from(file_cfg, dataset.dim),
+                   loss=_section(file_cfg, "loss", **loss_flags),
+                   augmentation=_section(file_cfg, "augmentation"), **flags)
     return cfg, dataset, data_echo
 
 
@@ -281,12 +302,13 @@ def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
     params = load_checkpoint(args.checkpoint)
     dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
-    check_elements(f"--sample-count {args.sample_count} x data dimension {dataset.dim}",
-                   args.sample_count * dataset.dim)
-    augmentation = _from_json(
-        AugmentationSpec, file_cfg.get("augmentation", {}), "augmentation"
-    )
-    probe = _from_json(ProbeConfig, file_cfg.get("probe", {}), "probe", seed=args.seed)
+    n, width = args.sample_count, params.spec.widest_layer()
+    check_elements(f"--sample-count {n} x data dimension {dataset.dim}", n * dataset.dim)
+    check_elements(f"--sample-count {n} x widest layer {width}", n * width)
+    # the uniformity measure compares every pair of rows
+    check_elements(f"--sample-count {n} squared", n * n)
+    augmentation = _section(file_cfg, "augmentation")
+    probe = _section(file_cfg, "probe", seed=args.seed)
 
     out = _out_dir(args, "eval")
     manifest = _Manifest("eval", out, probe.seed)
@@ -367,9 +389,7 @@ def _certify(args) -> _Manifest:
                               f"squared), got {args.samples}")
         check_elements(f"--samples {args.samples} x data dimension {dim}", args.samples * dim)
     if "batch_size" in settings:  # both views of the batch go stacked through every layer
-        net = inputs["network"]
-        width = max(net.input_dim, *net.backbone_widths, net.representation_dim,
-                    net.projection_dim)
+        width = inputs["network"].widest_layer()
         check_elements(f"--batch-size {args.batch_size} x 2 views x widest layer {width}",
                        2 * args.batch_size * width)
     out = _out_dir(args, f"verify-{args.check}")
@@ -422,22 +442,14 @@ def cmd_verify_all(args) -> int:
 
 def cmd_make_data(args) -> int:
     file_cfg = _load_config_file(args.config)
-    section = dict(file_cfg.get("data", {}))
-    kind = section.pop("kind", "blobs")
+    kind, fields = _data_fields(file_cfg.get("data", {}))
     if kind != "blobs":
         raise ConfigError(
             f"make-data: only the synthetic generator writes datasets, got kind {kind!r}"
         )
-    spec = _from_json(
-        SyntheticBlobsSpec,
-        section,
-        "data",
-        dim=args.dim,
-        classes=args.classes,
-        per_class=args.per_class,
-        noise_sigma=args.noise_sigma,
-        center_seed=args.seed,
-    )
+    spec = _from_json(SyntheticBlobsSpec, fields, "data", dim=args.dim, classes=args.classes,
+                      per_class=args.per_class, noise_sigma=args.noise_sigma,
+                      center_seed=args.seed)
     dataset = make_blobs(spec)
 
     out = _out_dir(args, "make-data")

@@ -5,7 +5,7 @@ All parameters live in one contiguous float64 vector, exposed as an ordered
 dict of named views. Weight matrices are stored (fan_in, fan_out) and applied
 as x @ W. The teacher is a shape-identical copy of the backbone and projector
 under the "target." prefix; it is evaluated as constants, so no gradient can
-ever reach it.
+ever reach it. A checkpoint is the NetworkSpec plus that vector.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .data import check_elements
 from .errors import ConfigError, EmptyBatchError, FormatError, ShapeError
 from .tape import Tape, Tensor
 
-PREDICTOR_KINDS = ("mlp", "linear", "identity")
+PREDICTOR_KINDS = ("linear", "identity")
 
 CHECKPOINT_MAGIC = b"RAFTCKPT"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,8 @@ class NetworkSpec:
     output at representation_dim. The projector is Linear+ReLU+Linear with
     hidden width equal to representation_dim, and its output is normalized to
     give z. The predictor consumes the unnormalized projector output:
-    "linear" is a single bias-free square matrix, "mlp" mirrors the
-    projector's two-layer shape, "identity" passes through (so p coincides
-    with z).
+    "linear" is a single bias-free square matrix, "identity" passes through
+    (so p coincides with z).
     """
 
     input_dim: int
@@ -65,9 +64,10 @@ class NetworkSpec:
         check_elements("network parameters (input_dim, backbone_widths, representation_dim, "
                        "projection_dim)", _layout(self)[-1][1].stop)
 
-    @property
-    def predictor_hidden(self) -> int:
-        return self.representation_dim
+    def widest_layer(self) -> int:
+        """The most columns any layer's input or output has."""
+        return max(self.input_dim, *self.backbone_widths, self.representation_dim,
+                   self.projection_dim)
 
     def backbone_dims(self) -> list[tuple[int, int]]:
         sizes = [self.input_dim, *self.backbone_widths, self.representation_dim]
@@ -126,9 +126,6 @@ class ModelParams:
     def trainable_names(self) -> list[str]:
         return [n for n in self.values if not n.startswith("target.")]
 
-    def target_names(self) -> list[str]:
-        return [n for n in self.values if n.startswith("target.")]
-
     def clone(self) -> "ModelParams":
         return ModelParams(self.spec, self.flat.copy())
 
@@ -143,10 +140,6 @@ def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], b
     out.append(("projector.1", (r, p), True))
     if spec.predictor == "linear":
         out.append(("predictor", (p, p), False))
-    elif spec.predictor == "mlp":
-        h = spec.predictor_hidden
-        out.append(("predictor.0", (p, h), True))
-        out.append(("predictor.1", (h, p), True))
     return out
 
 
@@ -249,17 +242,12 @@ def forward_online(
     without it everything evaluates as constants. The l2_normalize VJP
     already drops the radial gradient component at z and p.
     """
-    spec = params.spec
-    table: Mapping = leaves if leaves is not None else params.values
     h, z_pre = encode(params, x, leaves)
     z = T.l2_normalize(z_pre)
-    if spec.predictor == "identity":
+    if params.spec.predictor == "identity":
         return h, z, z
-    if spec.predictor == "linear":
-        p_pre = T.matmul(z_pre, table["predictor.w"])
-    else:
-        p_pre = apply_mlp(table, "predictor", z_pre, 2)
-    return h, z, T.l2_normalize(p_pre)
+    table: Mapping = leaves if leaves is not None else params.values
+    return h, z, T.l2_normalize(T.matmul(z_pre, table["predictor.w"]))
 
 
 def stack_views(x1, x2) -> tuple[np.ndarray, int]:
@@ -296,18 +284,18 @@ def ema_update(params: ModelParams, tau: float) -> None:
 
 
 def save_checkpoint(params: ModelParams, path):
+    """Write the magic bytes, the format version and the network spec as
+    little-endian u32s (input_dim, the count and values of backbone_widths,
+    representation_dim, projection_dim, the predictor's index in
+    PREDICTOR_KINDS), then `params.flat` as <f8 in _layout order."""
+    spec = params.spec
+    header = (CHECKPOINT_VERSION, spec.input_dim, len(spec.backbone_widths),
+              *spec.backbone_widths, spec.representation_dim, spec.projection_dim,
+              PREDICTOR_KINDS.index(spec.predictor))
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(params.values)))
-        for name, arr in params.values.items():
-            blob = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(struct.pack(f"<{len(header)}I", *header))
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 class _Reader:
@@ -322,16 +310,14 @@ class _Reader:
         self.pos += n
         return out
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{n}I", self.take(4 * n))
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Parse a checkpoint and rebuild the NetworkSpec from the stored names
-    and shapes."""
+    """Parse a checkpoint written by save_checkpoint. Its spec must pass
+    NetworkSpec's checks, and the rest of the file must hold exactly that
+    network's parameter vector."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -340,76 +326,25 @@ def load_checkpoint(path) -> ModelParams:
     r = _Reader(blob)
     if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise FormatError("checkpoint: bad magic bytes")
-    version = r.u32()
+    (version,) = r.u32s(1)
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"checkpoint: unsupported format version {version}")
-    count = r.u32()
-    values: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        try:
-            name = r.take(r.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"checkpoint: parameter name is not UTF-8 ({exc})") from exc
-        rank = r.u32()
-        if name.endswith(".w") and rank != 2:
-            raise FormatError(f"checkpoint: {name} has rank {rank}, expected a 2-D weight")
-        shape = tuple(r.u64() for _ in range(rank))
-        # math.prod cannot overflow, so take() sees the true byte count and
-        # rejects one larger than what is left of the file.
-        n_items = math.prod(shape)
-        try:
-            arr = np.frombuffer(r.take(n_items * 8), dtype="<f8").reshape(shape)
-        except ValueError as exc:  # an empty shape with an extent numpy cannot hold
-            raise FormatError(f"checkpoint: {name} has unusable shape {shape} ({exc})") from exc
-        values[name] = arr
-    if r.pos != len(blob):
-        raise FormatError("checkpoint: trailing bytes after last parameter")
-    params = ModelParams(_spec_from_values(values))
-    for name, arr in values.items():
-        params.values[name][...] = arr
-    return params
-
-
-def _spec_from_values(values: dict[str, np.ndarray]) -> NetworkSpec:
+    input_dim, n_widths = r.u32s(2)
+    widths = r.u32s(n_widths)
+    representation_dim, projection_dim, kind = r.u32s(3)
+    if kind >= len(PREDICTOR_KINDS):
+        raise FormatError(f"checkpoint: predictor index {kind}, expected one of "
+                          f"0..{len(PREDICTOR_KINDS) - 1} for {PREDICTOR_KINDS}")
     try:
-        n_backbone = 0
-        while f"backbone.{n_backbone}.w" in values:
-            n_backbone += 1
-        if n_backbone == 0:
-            raise FormatError("checkpoint: no backbone layers")
-        dims = [values[f"backbone.{i}.w"].shape for i in range(n_backbone)]
-        input_dim = dims[0][0]
-        widths = tuple(int(d[1]) for d in dims[:-1])
-        rep_dim = int(dims[-1][1])
-        proj_dim = int(values["projector.1.w"].shape[1])
-        if "predictor.w" in values:
-            kind = "linear"
-        elif "predictor.0.w" in values:
-            kind = "mlp"
-        else:
-            kind = "identity"
-        spec = NetworkSpec(
-            input_dim=int(input_dim),
-            backbone_widths=widths,
-            representation_dim=rep_dim,
-            projection_dim=proj_dim,
-            predictor=kind,
-        )
-    except (KeyError, ConfigError) as exc:
-        raise FormatError(f"checkpoint: inconsistent parameter set ({exc})") from exc
-    expected = {name for name, _, _ in _layout(spec)}
-    got = set(values)
-    if expected != got:
-        raise FormatError(
-            f"checkpoint: parameter names do not form a valid model "
-            f"(missing {sorted(expected - got)}, extra {sorted(got - expected)})"
-        )
-    for name, _, shape in _layout(spec):
-        if values[name].shape != shape:
-            raise FormatError(
-                f"checkpoint: {name} has shape {values[name].shape}, expected {shape}"
-            )
-    return spec
+        spec = NetworkSpec(input_dim, widths, representation_dim, projection_dim,
+                           PREDICTOR_KINDS[kind])
+    except ConfigError as exc:
+        raise FormatError(f"checkpoint: bad network spec ({exc})") from exc
+    n_bytes = 8 * _layout(spec)[-1][1].stop
+    if len(blob) - r.pos != n_bytes:
+        raise FormatError(f"checkpoint: {len(blob) - r.pos} parameter bytes, expected "
+                          f"{n_bytes} for the network in its header")
+    return ModelParams(spec, np.frombuffer(blob, "<f8", offset=r.pos).astype(np.float64))
 
 
 @functools.cache

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import types
+import struct
 from functools import reduce
 from operator import getitem
 from pathlib import Path
@@ -15,8 +15,7 @@ from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli, verify
 from raftlab.data import MAX_ELEMENTS
-from raftlab.errors import FormatError
-from raftlab.model import load_checkpoint, save_checkpoint
+from raftlab.model import CHECKPOINT_MAGIC
 
 # Wrong-typed, negative, non-finite and some in-range stand-ins for every
 # leaf of SMALL_CONFIG.
@@ -281,19 +280,18 @@ class TestEvalCommand:
         assert rc == 2
         assert str(missing) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["backbone.0.w", "projector.1.w"])
-    def test_weight_that_is_not_a_matrix_exits_2_naming_it(
-        self, tmp_path, capsys, tiny_params, name
-    ):
-        values = dict(tiny_params.values)
-        values[name] = values[name].ravel()
-        ckpt = tmp_path / "flat.ckpt"
-        save_checkpoint(types.SimpleNamespace(values=values), ckpt)
-        with pytest.raises(FormatError, match=name):
-            load_checkpoint(ckpt)
+    def test_version_1_checkpoint_exits_2_naming_the_version(self, tmp_path, capsys, tiny_params):
+        # The v1 format: after the magic and version, a count of named,
+        # ranked and shaped entries, one per parameter array.
+        blob = bytearray(CHECKPOINT_MAGIC + struct.pack("<II", 1, len(tiny_params.values)))
+        for name, arr in tiny_params.values.items():
+            blob += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+            blob += struct.pack(f"<{arr.ndim}Q", *arr.shape) + arr.astype("<f8").tobytes()
+        ckpt = tmp_path / "v1.ckpt"
+        ckpt.write_bytes(bytes(blob))
         rc = run(["eval", "--checkpoint", str(ckpt), "--out-dir", str(tmp_path / "eval")])
         assert rc == 2
-        assert name in capsys.readouterr().err
+        assert "checkpoint: unsupported format version 1" in capsys.readouterr().err
 
     def test_corrupted_checkpoint_is_a_format_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_CONFIG)
@@ -361,7 +359,7 @@ class TestVerifyCommands:
 
     def test_correspondence_requires_linear_predictor(self, tmp_path, capsys):
         bad = json.loads(json.dumps(SMALL_CONFIG))
-        bad["network"]["predictor"] = "mlp"
+        bad["network"]["predictor"] = "identity"
         cfg = write_config(tmp_path, bad)
         rc = run([
             "verify", "correspondence", "--config", str(cfg),
@@ -463,7 +461,7 @@ class TestVerifyCommands:
         self, tmp_path, capsys
     ):
         bad = json.loads(json.dumps(SMALL_CONFIG))
-        bad["network"]["predictor"] = "mlp"
+        bad["network"]["predictor"] = "identity"
         cfg = write_config(tmp_path, bad)
         out = tmp_path / "v"
         assert run(["verify", "all", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -515,6 +513,25 @@ def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, sectio
     assert "seed: need >= 0, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"], ["eval"], ["make-data"], ["verify", "upper-bound"], ["verify", "correspondence"],
+    ["verify", "sylvester"], ["verify", "gradcheck"], ["verify", "all"],
+], ids=" ".join)
+@pytest.mark.parametrize("path, value", [("loss.uniformity_t", 1.0), ("probe.epochs", 2)],
+                         ids=["loss.uniformity_t", "probe.epochs"])
+def test_every_command_checks_every_config_section(trained, tmp_path, capsys, argv, path, value):
+    # A command rejects a bad key in a section it does not read, so one
+    # shared config passes or fails under every command alike.
+    cfg = write_config(tmp_path, substituted({"probe": {}, **SMALL_CONFIG},
+                                             tuple(path.split(".")), value))
+    if argv == ["eval"]:
+        argv = [*argv, "--checkpoint", str(trained[1])]
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert f"error: config: unknown keys ['{path}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # A size whose arrays (8 TB and more) no desk machine can hold. It must be
 # rejected before anything is allocated, never attempted.
 HUGE = 1_000_000_000_000
@@ -526,14 +543,17 @@ HUGE = 1_000_000_000_000
         (["train"], ("data", "dim"), "classes * per_class * dim"),
         (["train"], ("network", "backbone_widths"), "network parameters (input_dim, backbone_widths"),
         (["eval", "--sample-count", str(HUGE)], None, f"--sample-count {HUGE} x data dimension 8"),
+        # 8.4e6 data and 1.3e7 widest-layer elements pass; the 1.1e12 pairs
+        # of rows the uniformity measure compares do not.
+        (["eval", "--sample-count", "1048576"], None, "--sample-count 1048576 squared"),
         (["verify", "sylvester", "--samples", str(HUGE)], None, f"--samples {HUGE} x data dimension 8"),
         # 8e7 data elements pass; the 3.2e8 of the two views stacked through the
         # 16-wide layer of the default verify network do not.
         (["verify", "upper-bound", "--batch-size", "10000000"], None,
          "--batch-size 10000000 x 2 views x widest layer 16"),
     ],
-    ids=["data.dim", "network.backbone_widths", "eval --sample-count", "sylvester --samples",
-         "upper-bound --batch-size"],
+    ids=["data.dim", "network.backbone_widths", "eval --sample-count",
+         "eval --sample-count squared", "sylvester --samples", "upper-bound --batch-size"],
 )
 def test_oversized_size_exits_2_naming_it(trained, tmp_path, capsys, argv, path, named):
     cfg, ckpt = trained

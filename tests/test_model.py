@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raftlab import cli
 from raftlab import tape as tp
+from raftlab.data import MAX_ELEMENTS
 from raftlab.errors import ConfigError, FormatError, ShapeError
 from raftlab.model import (
     CHECKPOINT_MAGIC,
@@ -24,6 +26,9 @@ from raftlab.model import (
     mirror_predictor,
     save_checkpoint,
 )
+from raftlab.train import train_run
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def small_spec(predictor="linear"):
@@ -47,11 +52,6 @@ class TestInit:
         expected |= {f"target.{n}" for n in expected if not n.startswith("predictor")}
         assert set(params.values.keys()) == expected
         assert params.values["predictor.w"].shape == (5, 5)
-
-    def test_mlp_predictor_layout(self):
-        params = init_params(small_spec("mlp"), seed=0)
-        for name in ("predictor.0.w", "predictor.0.b", "predictor.1.w", "predictor.1.b"):
-            assert name in params.values
 
     def test_identity_predictor_has_no_parameters(self):
         params = init_params(small_spec("identity"), seed=0)
@@ -145,19 +145,19 @@ class TestMirror:
             back.values["predictor.w"], params.values["predictor.w"]
         )
 
-    @pytest.mark.parametrize("kind", ["identity", "mlp"])
+    @pytest.mark.parametrize("kind", ["identity"])
     def test_mirror_requires_linear_predictor(self, kind):
         with pytest.raises(ConfigError):
             mirror_predictor(init_params(small_spec(kind), seed=0))
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("kind", ["linear", "mlp", "identity"])
+    @pytest.mark.parametrize("kind", ["linear", "identity"])
     def test_values_are_views_of_one_vector_in_segment_order(self, kind):
         params = init_params(small_spec(kind), seed=0)
         names = list(params.values)
         n_online = len(params.trainable_names())
-        assert names[n_online:] == params.target_names()
+        assert all(n.startswith("target.") for n in names[n_online:])
         np.testing.assert_array_equal(
             np.concatenate([v.ravel() for v in params.values.values()]), params.flat
         )
@@ -174,14 +174,6 @@ class TestFlatLayout:
         assert not np.any(ModelParams(spec).flat)
         with pytest.raises(ShapeError):
             ModelParams(spec, np.zeros(flat.size + 1))
-
-    def test_checkpoint_entries_in_any_order_load_into_the_layout(self, tmp_path):
-        params = init_params(small_spec("mlp"), seed=1)
-        reordered = types.SimpleNamespace(values=dict(reversed(list(params.values.items()))))
-        save_checkpoint(reordered, tmp_path / "reordered.ckpt")
-        loaded = load_checkpoint(tmp_path / "reordered.ckpt")
-        assert list(loaded.values) == list(params.values)
-        np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_clone_is_independent(self):
         params = init_params(small_spec("linear"), seed=0)
@@ -236,11 +228,11 @@ class TestEma:
         assert gap <= 1e-10
 
     def test_blend_matches_the_per_name_formula_bitwise(self):
-        params = init_params(small_spec("mlp"), seed=3)
+        params = init_params(small_spec("linear"), seed=3)
         params.trainable[...] += np.linspace(-1.0, 1.0, params.trainable.size)
         before = params.clone()
         ema_update(params, tau=0.37)
-        for name in params.target_names():
+        for name in (n for n in params.values if n.startswith("target.")):
             online = before.values[name[len("target."):]]
             expected = 0.37 * before.values[name] + (1.0 - 0.37) * online
             np.testing.assert_array_equal(params.values[name], expected)
@@ -302,27 +294,34 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(path)
 
+    # small_spec's header: magic, version, then u32s from byte 12 on:
+    # input_dim, width count (16), the one width (20), representation_dim,
+    # projection_dim and the predictor index (32); its parameters from 36.
     @pytest.mark.parametrize(
-        "field, patch",
-        [
-            ("extent", (2**62).to_bytes(8, "little")),
-            ("extent", bytes(8) + (2**63).to_bytes(8, "little")),
-            ("name", b"\xff"),
-        ],
-        ids=["overflowing-extent", "empty-shape-with-huge-extent", "non-utf8-name"],
+        "at, value",
+        [(32, 2), (20, 0), (16, 2**32 - 1), (20, MAX_ELEMENTS + 1), (None, None)],
+        ids=["unknown-predictor-index", "zero-width", "width-count-past-end",
+             "width-over-max-elements", "payload-8-bytes-short"],
     )
-    def test_malformed_first_entry_rejected(self, tmp_path, field, patch):
-        params = init_params(small_spec("linear"), seed=0)
+    def test_malformed_header_rejected(self, tmp_path, at, value):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path)
+        save_checkpoint(init_params(small_spec("linear"), seed=0), path)
         blob = bytearray(path.read_bytes())
-        name_at = len(CHECKPOINT_MAGIC) + 12  # after version, count and name length
-        name_len = int.from_bytes(blob[name_at - 4 : name_at], "little")
-        at = name_at if field == "name" else name_at + name_len + 4  # extents follow the rank
-        blob[at : at + len(patch)] = patch
+        assert blob[32:36] == bytes(4) and blob[20:24] == (10).to_bytes(4, "little")
+        if at is None:
+            del blob[-8:]
+        else:
+            blob[at : at + 4] = value.to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.name)
+    def test_pinned_config_checkpoint_loads_its_network(self, tmp_path, config):
+        cfg, dataset, _ = cli.train_config(config, steps=1)
+        train_run(cfg, dataset, out_dir=tmp_path)
+        assert load_checkpoint(tmp_path / "checkpoint_final.ckpt").spec == cli.train_config(
+            config)[0].network
 
     def test_trailing_bytes_rejected(self, tmp_path):
         params = init_params(small_spec("linear"), seed=0)

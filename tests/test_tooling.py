@@ -1,8 +1,8 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
 config reader can check every field of every config dataclass, the
 training step calls every phase and tape op the benchmark times, every
-train flag sets a config field and every verify flag is a parameter of its
-certification."""
+train flag sets a config field, every verify flag is a parameter of its
+certification and every raftlab name the benchmark worker calls exists."""
 
 from __future__ import annotations
 
@@ -211,3 +211,26 @@ def test_every_verify_flag_is_a_certify_parameter():
         assert flags - {"help", "seed", "out_dir", "config"} == params - {
             "seed", "network", "dataset"
         }, name
+
+
+def worker_raftlab_attributes() -> set[str]:
+    """`module.name` of each attribute perfbench/worker.py reads from a
+    module it imports with `from raftlab import ...`."""
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "raftlab"
+               for alias in node.names}
+    return {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_benchmark_worker_reaches_only_callables_that_exist():
+    # The benchmark drives raftlab through these names and wraps some of
+    # them, so a rename fails here before it fails a benchmark run.
+    found = worker_raftlab_attributes()
+    assert {"cli.main", "cli.train_run", "train.init_params", "verify.upper_bound_sweep",
+            "verify.train_run", "model.save_checkpoint"} <= found
+    missing = [name for name in sorted(found) if not callable(getattr(
+        importlib.import_module("raftlab." + name.split(".")[0]), name.split(".")[1], None))]
+    assert missing == []

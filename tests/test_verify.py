@@ -140,7 +140,7 @@ class TestMirroredGradients:
     def test_nonlinear_predictor_is_rejected(self):
         net = NetworkSpec(
             input_dim=8, backbone_widths=(16,), representation_dim=12,
-            projection_dim=8, predictor="mlp",
+            projection_dim=8, predictor="identity",
         )
         with pytest.raises(ContractError, match="predictor must be linear"):
             trajectory_correspondence_experiment(network=net, steps=5, seed=0)
