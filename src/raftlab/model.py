@@ -211,16 +211,19 @@ def encode(
     x,
     leaves: Mapping[str, Tensor] | None = None,
     teacher: bool = False,
+    tape: Tape | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Backbone+projector forward; returns (h, z_pre).
 
     h is the backbone output (linear last layer) and z_pre the unnormalized
     projector output. teacher=True reads the "target." copy of the
     parameters; otherwise `leaves` from bind_params records on a tape, and
-    without it everything evaluates as constants.
+    without it everything evaluates as constants. With `tape`, the batch is
+    a constant carrying it, so constant layers draw their buffers from its
+    workspace.
     """
     spec = params.spec
-    x = T.constant(_check_batch(spec, x))
+    x = Tensor(_check_batch(spec, x), tape)
     if teacher:
         table, prefix = params.values, "target."
     else:
@@ -261,22 +264,26 @@ def split_views(t: Tensor, n: int) -> tuple[Tensor, Tensor]:
     return T.row_slice(t, 0, n), T.row_slice(t, n, 2 * n)
 
 
-def forward_target(params: ModelParams, x) -> Tensor:
+def forward_target(params: ModelParams, x, tape: Tape | None = None) -> Tensor:
     """Teacher forward: backbone+projector under the target parameters,
     normalized. Evaluated entirely as constants, which is what makes the
-    teacher a stop-gradient: no tape node exists for anything it computes."""
-    return T.l2_normalize(encode(params, x, teacher=True)[1])
+    teacher a stop-gradient: no tape node exists for anything it computes.
+    With `tape`, its arrays come from that tape's workspace; the tape
+    records nothing for them."""
+    return T.l2_normalize(encode(params, x, teacher=True, tape=tape)[1])
 
 
-def ema_update(params: ModelParams, tau: float) -> None:
+def ema_update(params: ModelParams, tau: float, scratch: np.ndarray | None = None) -> None:
     """Teacher update in place: target <- tau * target + (1 - tau) * online,
-    one blend of the teacher segment from the online encoder segment."""
+    one blend of the teacher segment from the online encoder segment. The
+    online term goes into `scratch`, shaped like the teacher segment, when
+    given."""
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"ema_tau: must lie in [0, 1], got {tau}")
     teacher = params.teacher
     teacher *= tau
-    teacher += (1.0 - tau) * params.encoder
+    teacher += np.multiply(params.encoder, 1.0 - tau, out=scratch)
 
 
 # ---------------------------------------------------------------------------

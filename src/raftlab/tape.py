@@ -12,13 +12,25 @@ the backward pass then writes that leaf's gradient straight into it, by the
 VJP's ``out=`` where it has one, so a caller can collect every gradient in
 one preallocated vector.
 
+A tape may be given a ``Workspace``, which outlives it: the ops of a
+training step (``matmul``, ``relu``, ``l2_normalize``, ``squared_distance``,
+``row_slice``) and the backward pass then write their matrices into buffers
+kept there, and the next tape over the same workspace gets them back in
+request order. A buffer serves any request with its column count and at
+most its rows, through its leading rows, so a shorter batch reuses it and
+never shrinks it. Creating a tape over a workspace recycles the buffers of
+the previous tape over it, so that tape's outputs and gradients are
+overwritten from then on. Without a workspace every op allocates its
+results.
+
 Conventions:
 
 * everything is float64; inputs are coerced on entry and never downcast,
 * arrays handed to an operation are treated as immutable while its tape
   is in use,
-* tensors without a tape are constants and record nothing, which makes every
-  op usable for plain inference as well.
+* tensors without a node are constants and record nothing, which makes every
+  op usable for plain inference as well; a constant may still carry a tape,
+  whose workspace the ops on it draw their buffers from.
 """
 
 from __future__ import annotations
@@ -91,7 +103,7 @@ class _Record:
         self.inputs = inputs
         # vjps[i](upstream, out) returns inputs[i]'s contribution, or None for
         # none. `out` is None or an array the contribution may be computed
-        # into; a VJP that uses it returns it.
+        # into; a VJP that uses it, or draws a workspace buffer, returns it.
         self.vjps = vjps
 
 
@@ -120,13 +132,31 @@ class Gradients:
         return got
 
 
-class Tape:
-    """Ordered record of operations, replayed in reverse for gradients."""
+class Workspace:
+    """Matrix buffers that outlive the tapes drawing from them, one tape at
+    a time (see the module docstring). VJPs hold the workspace, never their
+    tape, so a tape is freed as soon as it is dropped."""
+
+    __slots__ = ("bufs", "next")
 
     def __init__(self):
+        self.bufs: list[np.ndarray] = []
+        self.next = 0  # index of the buffer the next request gets
+
+
+class Tape:
+    """Ordered record of operations, replayed in reverse for gradients.
+
+    With `workspace`, matrix buffers are drawn from it, starting again from
+    its first buffer."""
+
+    def __init__(self, workspace: Workspace | None = None):
         self._n = 0
         self._records: list[_Record] = []
         self._dests: dict[int, np.ndarray] = {}
+        self._ws = workspace
+        if workspace is not None:
+            workspace.next = 0
 
     def _new_node(self) -> int:
         node = self._n
@@ -149,7 +179,8 @@ class Tape:
         """Accumulate d(loss)/d(node) for every node that feeds the loss.
 
         A bound leaf's gradient is written into its destination; every other
-        in-place addition goes into an accumulator this call allocated."""
+        in-place addition goes into an accumulator this call allocated or
+        drew from the workspace."""
         if loss.tape is not self:
             raise ContractError("loss was not computed on this tape")
         if loss.node is None:
@@ -159,8 +190,9 @@ class Tape:
                 f"backward needs a scalar loss, got shape {loss.data.shape}"
             )
         table: dict[int, np.ndarray] = {loss.node: np.ones(())}
-        # Nodes whose table entry this call allocated or owns as a bound
-        # destination; only those are added into in place. A contribution
+        ws = self._ws
+        # Nodes whose table entry this call allocated or drew, or owns as a
+        # bound destination; only those are added into in place. A contribution
         # may be an array a VJP also handed to another node (add returns its
         # upstream twice), so ownership is per node, never per array.
         owned: set[int] = set()
@@ -173,6 +205,7 @@ class Tape:
                 continue
             for node, vjp in zip(rec.inputs, rec.vjps):
                 have = table.get(node)
+                drawn = ws and ws.next
                 g = vjp(upstream, pending.get(node) if have is None else None)
                 if g is None:
                     continue
@@ -183,11 +216,15 @@ class Tape:
                             np.copyto(dest, g)
                         g = dest
                         owned.add(node)
+                    elif ws and ws.next != drawn:
+                        # A VJP returns the workspace buffer it drew, which
+                        # is this node's alone.
+                        owned.add(node)
                     table[node] = g
                 elif node in owned:
                     have += g
                 else:
-                    table[node] = have + g
+                    table[node] = np.add(have, g, out=_buf(ws, have.shape))
                     owned.add(node)
         for node, dest in pending.items():
             dest.fill(0.0)
@@ -195,9 +232,31 @@ class Tape:
         return Gradients(table, self)
 
 
-def _op(data: np.ndarray, operands) -> Tensor:
+def _buf(ws: Workspace | None, shape, o: np.ndarray | None = None) -> np.ndarray | None:
+    """Where an op writes a result of `shape`: `o` when given, else a buffer
+    from `ws` for a matrix, else None (numpy allocates)."""
+    if o is not None:
+        return o
+    if ws is None or len(shape) != 2:
+        return None
+    bufs = ws.bufs
+    i = ws.next
+    ws.next = i + 1
+    rows, cols = shape
+    if i < len(bufs):
+        buf = bufs[i]
+        if buf.shape[1] == cols and buf.shape[0] >= rows:
+            return buf[:rows]
+        bufs[i] = buf = np.empty(shape)
+    else:
+        bufs.append(buf := np.empty(shape))
+    return buf
+
+
+def _op(data: np.ndarray, operands, via: Tape | None = None) -> Tensor:
     """Record an op over (tensor, vjp(upstream, out)) pairs; constant
-    operands are skipped, and with no live operand the result is a constant."""
+    operands are skipped, and with no live operand the result is a constant,
+    carrying `via`, the tape the op drew its buffers from."""
     tape = None
     inputs = []
     vjps = []
@@ -211,7 +270,7 @@ def _op(data: np.ndarray, operands) -> Tensor:
         inputs.append(t.node)
         vjps.append(vjp)
     if tape is None:
-        return Tensor(data)
+        return Tensor(data, via)
     out = Tensor(data, tape, tape._new_node())
     tape._records.append(_Record(out.node, inputs, vjps))
     return out
@@ -288,10 +347,12 @@ def matmul(a, b, bias=None) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions {a.shape} x {b.shape} disagree")
     ad, bd = a.data, b.data
-    out = ad @ bd
+    tape = a.tape or b.tape
+    ws = tape and tape._ws
+    out = np.matmul(ad, bd, out=_buf(ws, (ad.shape[0], bd.shape[1])))
     operands = [
-        (a, lambda g, o: np.matmul(g, bd.T, out=o)),
-        (b, lambda g, o: np.matmul(ad.T, g, out=o)),
+        (a, lambda g, o: np.matmul(g, bd.T, out=_buf(ws, ad.shape, o))),
+        (b, lambda g, o: np.matmul(ad.T, g, out=_buf(ws, bd.shape, o))),
     ]
     if bias is not None:
         bias = as_tensor(bias)
@@ -299,7 +360,7 @@ def matmul(a, b, bias=None) -> Tensor:
             raise ShapeError(f"matmul: bias shape {bias.shape} for output {out.shape}")
         out += bias.data
         operands.append((bias, lambda g, o: np.add.reduce(g, axis=0, out=o)))
-    return _op(out, operands)
+    return _op(out, operands, tape)
 
 
 def row_slice(a, lo: int, hi: int) -> Tensor:
@@ -308,9 +369,14 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
     if a.ndim != 2 or not 0 <= lo < hi <= a.shape[0]:
         raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
     shape = a.shape
+    ws = a.tape and a.tape._ws
 
     def vjp(g, o):
-        full = np.zeros(shape)
+        full = _buf(ws, shape, o)
+        if full is None:
+            full = np.zeros(shape)
+        else:
+            full.fill(0.0)
         full[lo:hi] = g
         return full
 
@@ -332,9 +398,12 @@ def relu(a) -> Tensor:
     """max(a, 0). A NaN entry stays NaN, so a broken input surfaces as a
     non-finite loss instead of vanishing."""
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
+    tape = a.tape
+    ws = tape and tape._ws
+    out = np.maximum(a.data, 0.0, out=_buf(ws, a.shape))
     # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
-    return _op(out, [(a, lambda g, o: g * (out > 0.0))])
+    return _op(out, [(a, lambda g, o: np.multiply(g, out > 0.0, out=_buf(ws, out.shape, o)))],
+               tape)
 
 
 def exp(a) -> Tensor:
@@ -382,12 +451,14 @@ def squared_distance(a, b) -> Tensor:
     _require_same_shape(a, b, "squared_distance")
     if a.ndim != 2:
         raise ShapeError(f"squared_distance: needs matrices, got shape {a.shape}")
-    diff = a.data - b.data
+    tape = a.tape or b.tape
+    ws = tape and tape._ws
+    diff = np.subtract(a.data, b.data, out=_buf(ws, a.shape))
     out = np.einsum("ij,ij->i", diff, diff)
 
     def scaled_diff(c):
         def vjp(g, o):
-            t = c * diff
+            t = np.multiply(c, diff, out=_buf(ws, diff.shape, o))
             t *= g[:, None]
             return t
 
@@ -442,22 +513,27 @@ def l2_normalize(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"l2_normalize: needs a matrix, got shape {a.shape}")
-    norms = np.linalg.norm(a.data, axis=1)
+    tape = a.tape
+    ws = tape and tape._ws
+    # np.linalg.norm's own sum of squares, without its two temporaries; the
+    # squares' buffer then takes the output.
+    out = np.multiply(a.data, a.data, out=_buf(ws, a.shape))
+    norms = np.sqrt(np.add.reduce(out, axis=1))
     if np.any(norms < NORM_EPS):
         worst = int(np.argmin(norms))
         raise DegenerateRepresentationError(
             f"l2_normalize: row {worst} has norm {norms[worst]:.3e} < {NORM_EPS}"
         )
-    out = a.data / norms[:, None]
+    np.divide(a.data, norms[:, None], out=out)
 
     def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, out)
-        t = radial[:, None] * out
+        t = np.multiply(radial[:, None], out, out=_buf(ws, out.shape, o))
         np.subtract(g, t, out=t)
         t /= norms[:, None]
         return t
 
-    return _op(out, [(a, vjp)])
+    return _op(out, [(a, vjp)], tape)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -171,7 +172,14 @@ def train_run(
     step_callback observes (step, params after update, gradient arrays) once
     per step; each call gets its own copy of the parameters and of the
     gradient vector (the arrays are named views of it), so it may keep them.
+    A copy the callback kept no reference to is overwritten by the next
+    step's copy.
     """
+    if cfg.network.input_dim != dataset.dim:
+        raise ConfigError(
+            f"network.input_dim: {cfg.network.input_dim} disagrees with the data "
+            f"dimension {dataset.dim}"
+        )
     if cfg.batch_size > len(dataset):
         raise ConfigError(
             f"batch_size: {cfg.batch_size} exceeds dataset size {len(dataset)}"
@@ -188,6 +196,13 @@ def train_run(
     # Every backward pass writes the leaf gradients into their views of `grad`.
     grad = np.empty_like(params.trainable)
     grad_views = params.trainable_views(grad)
+    # Every step's tape draws its matrices from this one workspace, so a
+    # step allocates none once the first full-size step has run. Each new
+    # tape overwrites the previous step's outputs and gradients.
+    workspace = T.Workspace()
+    ema_scratch = np.empty_like(params.teacher)
+    # The vectors of the last copies handed to step_callback.
+    snap_flat = snap_grad = None
 
     out_path = Path(out_dir) if out_dir is not None else None
     dump_path = None
@@ -207,10 +222,10 @@ def train_run(
                 batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
                 # Both views go through each network as one stacked batch.
                 x, n = stack_views(batch.x1, batch.x2)
-                tp = T.Tape()
+                tp = T.Tape(workspace)
                 leaves = bind_params(tp, params, grad_views)
                 _, z, p = forward_online(params, x, leaves=leaves)
-                zbar = forward_target(params, x)
+                zbar = forward_target(params, x, tape=tp)
                 parts = objective_terms(cfg.loss, *split_views(p, n), *split_views(zbar, n))
                 step_parts = parts
                 loss_val = float(parts.total.data)
@@ -233,10 +248,22 @@ def train_run(
                 sgd_step(params.trainable, grad, cfg.learning_rate)
             else:
                 adam_step(params.trainable, grad, opt_state, cfg.learning_rate)
-            ema_update(params, cfg.ema_tau)
+            ema_update(params, cfg.ema_tau, ema_scratch)
 
             if step_callback is not None:
-                step_callback(k, params.clone(), params.trainable_views(grad.copy()))
+                # Last step's copies are overwritten only when nothing but
+                # this frame refers to them. Every view, dict and ModelParams
+                # a callback could keep refers to its vector, so one count
+                # per vector tells; `unheld` is the count of a fresh one.
+                if snap_flat is None or sys.getrefcount(snap_flat) > unheld:
+                    snap_flat = np.empty_like(params.flat)
+                    unheld = sys.getrefcount(snap_flat)
+                if snap_grad is None or sys.getrefcount(snap_grad) > unheld:
+                    snap_grad = np.empty_like(grad)
+                np.copyto(snap_flat, params.flat)
+                np.copyto(snap_grad, grad)
+                step_callback(k, ModelParams(params.spec, snap_flat),
+                              params.trainable_views(snap_grad))
 
             if k % cfg.log_every == 0:
                 uni = uniform_loss(T.constant(z.data[:n])).item()

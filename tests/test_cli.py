@@ -474,6 +474,21 @@ class TestVerifyCommands:
         assert not (out / "correspondence" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"], ["verify", "correspondence", "--trials", "2", "--steps", "3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_input_dim_that_disagrees_with_the_data_exits_2_naming_both(tmp_path, capsys, argv):
+    # Caught before the first step, so nothing is written as if training
+    # had diverged.
+    cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("network", "input_dim"), 5))
+    out = tmp_path / "out"
+    assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert ("error: network.input_dim: 5 disagrees with the data dimension 8"
+            in capsys.readouterr().err)
+    assert [p.name for p in out.rglob("*")
+            if p.name in ("divergence_dump.json", "checkpoint_last_good.ckpt")] == []
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """(config path, final checkpoint) of a short SMALL_CONFIG run."""

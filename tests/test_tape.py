@@ -245,6 +245,46 @@ class TestGradientDestinations:
 # per-op forward values
 
 
+class TestWorkspace:
+    """A tape over a Workspace computes the bits of a fresh tape, from
+    buffers it keeps across tapes."""
+
+    @staticmethod
+    def graph(t, x, w, v):
+        # add hands one upstream array to a and b, and a has a second
+        # consumer; the last branch runs on constants that carry the tape.
+        wl, vl = t.leaf(w), t.leaf(v)
+        a = tp.relu(tp.matmul(tp.constant(x), wl))
+        b = tp.matmul(tp.constant(x), wl)
+        z = tp.l2_normalize(tp.matmul(tp.add(a, b), vl))
+        z2 = tp.l2_normalize(tp.matmul(a, vl))
+        target = tp.l2_normalize(tp.matmul(tp.relu(tp.matmul(tp.Tensor(x, t), w)), v))
+        n = x.shape[0] // 2
+        align = tp.squared_distance(tp.row_slice(z, 0, n), tp.row_slice(z, n, 2 * n))
+        loss = tp.add(tp.batch_mean(align), tp.batch_mean(tp.squared_distance(z2, target)))
+        return loss, (wl, vl), (z, z2, target)
+
+    def test_reused_workspace_gives_the_bits_of_fresh_tapes(self):
+        rng = np.random.default_rng(5)
+        w, v = rng.normal(size=(4, 6)), rng.normal(size=(6, 3))
+        ws = tp.Workspace()
+        held = None
+        # A shorter batch between two full ones, as at an epoch's end.
+        for rows in (8, 4, 8):
+            x = rng.normal(size=(rows, 4))
+            bits = []
+            for t in (tp.Tape(), tp.Tape(ws)):
+                loss, leaves, outs = self.graph(t, x, w, v)
+                grads = t.backward(loss)
+                bits.append([loss.data.tobytes()] + [o.data.tobytes() for o in outs]
+                            + [grads[leaf].tobytes() for leaf in leaves])
+            assert bits[0] == bits[1]
+            assert outs[2].tape is t and outs[2].node is None
+            if held is None:
+                held = [id(buf) for buf in ws.bufs]
+            assert [id(buf) for buf in ws.bufs] == held
+
+
 class TestForwardValues:
     def test_matmul_identity(self):
         a = np.arange(6, dtype=np.float64).reshape(2, 3)

@@ -1,8 +1,9 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
 config reader can check every field of every config dataclass, the
-training step calls every phase and tape op the benchmark times, every
-train flag sets a config field, every verify flag is a parameter of its
-certification and every raftlab name the benchmark worker calls exists."""
+training step calls each phase the benchmark times once and each tape op
+it times at least once per step, every train flag sets a config field,
+every verify flag is a parameter of its certification and every raftlab
+name the benchmark worker calls exists."""
 
 from __future__ import annotations
 
@@ -153,23 +154,43 @@ def benchmark_tape_ops() -> list[str]:
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
-def test_train_run_calls_every_benchmarked_tape_op_each_step(path, monkeypatch):
-    # A traced benchmark run fails when a named op goes unmeasured, for
-    # example once a fused op has taken over all of its calls.
+def test_train_run_calls_each_benchmarked_phase_once_and_op_each_step(path, monkeypatch):
+    # The tracer wraps functions at their module-level names, so a traced
+    # benchmark run fails when a named phase or op goes unmeasured: called
+    # through a local alias, or no longer called, for example once a fused op
+    # has taken over all of its calls.
+    phases = [name.split(".")[1] for name in benchmark_step_phases()]
+    assert {"sample_positive_batch", "bind_params", "forward_online", "forward_target",
+            "objective_terms", "ema_update"} <= set(phases)
     ops = benchmark_tape_ops()
-    assert {"matmul", "add", "relu"} <= set(ops)
-    calls = dict.fromkeys(ops, 0)
-    for op in ops:
-        def counted(*args, _op=op, _inner=getattr(tape, op), **kwargs):
-            calls[_op] += 1
-            return _inner(*args, **kwargs)
+    assert {"matmul", "add", "relu", "l2_normalize", "squared_distance", "batch_mean",
+            "scale"} <= set(ops)
+    calls = {}
 
-        monkeypatch.setattr(tape, op, counted)
+    def count(owner, attr, key):
+        inner = getattr(owner, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    # tape.backward.ms times Tape.backward, and optim.step.ms the optimizer
+    # step the loop calls.
+    for name in [*phases, "adam_step"]:
+        count(train, name, name)
+    count(tape.Tape, "backward", "Tape.backward")
+    for op in ops:
+        count(tape, op, op)
+    timed = [*phases, "adam_step", "Tape.backward"]
     seen = []
     cfg, dataset, _ = cli.train_config(path, steps=2)
     train.train_run(cfg, dataset, step_callback=lambda k, params, grads: seen.append(dict(calls)))
     first, second = seen
-    assert [op for op in ops if first[op] < 1 or second[op] <= first[op]] == []
+    for step in (first, {key: n - first.get(key, 0) for key, n in second.items()}):
+        assert {name: step.get(name, 0) for name in timed} == dict.fromkeys(timed, 1)
+        assert [op for op in ops if step.get(op, 0) < 1] == []
 
 
 def called_names(tree) -> set:

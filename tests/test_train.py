@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from raftlab import cli
+from raftlab import cli, train
 from raftlab import tape as T
 from raftlab.data import (
     AugmentationSpec,
@@ -30,11 +30,15 @@ from raftlab.losses import LossConfig, objective_terms, uniform_loss
 from raftlab.model import (
     NetworkSpec,
     bind_params,
+    ema_update,
     forward_online,
     forward_target,
     init_params,
     load_checkpoint,
+    split_views,
+    stack_views,
 )
+from raftlab.optim import AdamState, adam_step
 from raftlab.train import (
     DEFAULT_EMA_TAU,
     DEFAULT_LEARNING_RATE,
@@ -184,6 +188,49 @@ class TestLoopBehavior:
                 np.testing.assert_array_equal(grads[name], arr)
         first, last = kept[0][0], kept[-1][0]
         assert np.any(first["predictor.w"] != last["predictor.w"])
+
+    # The one thing a callback keeps from each call.
+    KEPT = {
+        "a values view": lambda params, grads: params.values["predictor.w"],
+        "params.flat": lambda params, grads: params.flat,
+        "the values dict": lambda params, grads: params.values,
+        "the grads dict": lambda params, grads: grads,
+        "one grad view": lambda params, grads: grads["projector.1.w"],
+        "a memoryview": lambda params, grads: memoryview(params.flat),
+    }
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    @pytest.mark.parametrize("what", KEPT)
+    def test_a_kept_snapshot_is_never_reused(self, small_blobs, optimizer, what):
+        def arrays(kept):
+            return kept if isinstance(kept, dict) else {"": np.asarray(kept)}
+
+        kept, copies = [], []
+
+        def keep(step, params, grads):
+            kept.append(self.KEPT[what](params, grads))
+            copies.append({n: a.copy() for n, a in arrays(kept[-1]).items()})
+
+        train_run(small_config(steps=6, optimizer=optimizer), small_blobs, step_callback=keep)
+        for one, then in zip(kept, copies):
+            now = arrays(one)
+            for name, arr in then.items():
+                np.testing.assert_array_equal(now[name], arr)
+        assert any(not np.array_equal(copies[0][n], copies[-1][n]) for n in copies[0])
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_a_callback_that_keeps_nothing_gets_the_same_vectors(self, small_blobs, optimizer):
+        def address(arr):
+            return arr.__array_interface__["data"][0]
+
+        seen = []
+
+        def look(step, params, grads):
+            seen.append((address(params.flat), min(address(g) for g in grads.values())))
+
+        train_run(small_config(steps=6, optimizer=optimizer), small_blobs, step_callback=look)
+        assert len(seen) == 6
+        assert len(set(seen[1:])) == 1
 
     def test_initial_params_override_is_used(self, small_blobs):
         custom = init_params(SMALL_NET, seed=1234)
@@ -342,6 +389,90 @@ class TestFusedStep:
         for name, leaf in leaves.items():
             ref = grads[leaf]
             assert np.max(np.abs(handed[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+class TestWorkspace:
+    """train_run's tapes share one workspace across the run."""
+
+    @staticmethod
+    def reference_run(cfg, dataset):
+        """The step written out from the public functions, on a fresh tape
+        without a workspace each step: (final flat vector, per-step loss
+        terms and view-1 uniformity)."""
+        init_seed, aug_seed = derived_seeds(cfg.master_seed)
+        params = init_params(cfg.network, init_seed)
+        aug = replace(cfg.augmentation, seed=aug_seed)
+        state = AdamState.init(params.trainable)
+        grad = np.empty_like(params.trainable)
+        views = params.trainable_views(grad)
+        logged = []
+        for k in range(1, cfg.steps + 1):
+            batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
+            x, n = stack_views(batch.x1, batch.x2)
+            tp = T.Tape()
+            _, z, p = forward_online(params, x, leaves=bind_params(tp, params, views))
+            parts = objective_terms(cfg.loss, *split_views(p, n),
+                                    *split_views(forward_target(params, x), n))
+            tp.backward(parts.total)
+            logged.append((float(parts.total.data), float(parts.align.data),
+                           float(parts.cross.data), uniform_loss(T.constant(z.data[:n])).item()))
+            adam_step(params.trainable, grad, state, cfg.learning_rate)
+            ema_update(params, cfg.ema_tau)
+        return params.flat, logged
+
+    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
+    def test_matches_fresh_tapes_bitwise_across_epochs(self, path):
+        # 15 steps of 64 out of 400 rows cross two epochs, each ending on a
+        # batch of 16.
+        cfg, dataset, _ = cli.train_config(path, steps=15, log_every=1)
+        params, records = train_run(cfg, dataset)
+        flat, logged = self.reference_run(cfg, dataset)
+        assert params.flat.tobytes() == flat.tobytes()
+        assert [(r.loss_total, r.loss_align, r.loss_cross_model, r.uniformity)
+                for r in records] == logged
+
+    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
+    def test_later_steps_reuse_the_first_steps_buffers(self, path, monkeypatch):
+        made = []
+
+        class Workspace(T.Workspace):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        def address(arr):
+            return arr.__array_interface__["data"][0]
+
+        outputs, rows = {}, []
+
+        def online(*args, **kwargs):
+            h, z, p = forward_online(*args, **kwargs)
+            rows.append(z.shape[0])
+            outputs.update(z=address(z.data), p=address(p.data))
+            return h, z, p
+
+        def target(*args, **kwargs):
+            zbar = forward_target(*args, **kwargs)
+            outputs.update(zbar=address(zbar.data))
+            return zbar
+
+        monkeypatch.setattr(T, "Workspace", Workspace)
+        monkeypatch.setattr(train, "forward_online", online)
+        monkeypatch.setattr(train, "forward_target", target)
+        seen = []
+
+        def look(step, params, grads):
+            (ws,) = made
+            seen.append((dict(outputs), [(id(b), address(b)) for b in ws.bufs]))
+
+        cfg, dataset, _ = cli.train_config(path, steps=9)
+        train_run(cfg, dataset, step_callback=look)
+        assert rows == [128] * 6 + [32] + [128] * 2
+        first_out, first_bufs = seen[0]
+        assert set(first_out.values()) <= {addr for _, addr in first_bufs}
+        assert seen[1:] == [seen[0]] * 8
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
