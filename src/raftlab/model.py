@@ -273,11 +273,10 @@ def forward_target(params: ModelParams, x, tape: Tape | None = None) -> Tensor:
     return T.l2_normalize(encode(params, x, teacher=True, tape=tape)[1])
 
 
-def ema_update(params: ModelParams, tau: float, scratch: np.ndarray | None = None) -> None:
+def ema_update(params: ModelParams, tau: float, scratch: np.ndarray) -> None:
     """Teacher update in place: target <- tau * target + (1 - tau) * online,
     one blend of the teacher segment from the online encoder segment. The
-    online term goes into `scratch`, shaped like the teacher segment, when
-    given."""
+    online term goes into `scratch`, an array shaped like params.teacher."""
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ConfigError(f"ema_tau: must lie in [0, 1], got {tau}")

@@ -30,7 +30,10 @@ Conventions:
   is in use,
 * tensors without a node are constants and record nothing, which makes every
   op usable for plain inference as well; a constant may still carry a tape,
-  whose workspace the ops on it draw their buffers from.
+  whose workspace the ops on it draw their buffers from. Only ``matmul``,
+  ``relu`` and ``l2_normalize`` pass that tape on to a constant result, so
+  a constant chain of those (the teacher forward) stays on the workspace;
+  every other op returns a constant without a tape.
 """
 
 from __future__ import annotations

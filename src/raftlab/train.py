@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -172,8 +171,6 @@ def train_run(
     step_callback observes (step, params after update, gradient arrays) once
     per step; each call gets its own copy of the parameters and of the
     gradient vector (the arrays are named views of it), so it may keep them.
-    A copy the callback kept no reference to is overwritten by the next
-    step's copy.
     """
     if cfg.network.input_dim != dataset.dim:
         raise ConfigError(
@@ -201,8 +198,6 @@ def train_run(
     # tape overwrites the previous step's outputs and gradients.
     workspace = T.Workspace()
     ema_scratch = np.empty_like(params.teacher)
-    # The vectors of the last copies handed to step_callback.
-    snap_flat = snap_grad = None
 
     out_path = Path(out_dir) if out_dir is not None else None
     dump_path = None
@@ -251,19 +246,7 @@ def train_run(
             ema_update(params, cfg.ema_tau, ema_scratch)
 
             if step_callback is not None:
-                # Last step's copies are overwritten only when nothing but
-                # this frame refers to them. Every view, dict and ModelParams
-                # a callback could keep refers to its vector, so one count
-                # per vector tells; `unheld` is the count of a fresh one.
-                if snap_flat is None or sys.getrefcount(snap_flat) > unheld:
-                    snap_flat = np.empty_like(params.flat)
-                    unheld = sys.getrefcount(snap_flat)
-                if snap_grad is None or sys.getrefcount(snap_grad) > unheld:
-                    snap_grad = np.empty_like(grad)
-                np.copyto(snap_flat, params.flat)
-                np.copyto(snap_grad, grad)
-                step_callback(k, ModelParams(params.spec, snap_flat),
-                              params.trainable_views(snap_grad))
+                step_callback(k, params.clone(), params.trainable_views(grad.copy()))
 
             if k % cfg.log_every == 0:
                 uni = uniform_loss(T.constant(z.data[:n])).item()

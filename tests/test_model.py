@@ -188,7 +188,7 @@ class TestEma:
         before = {n: v.copy() for n, v in params.values.items() if n.startswith("target.")}
         shifted = params.clone()
         shifted.trainable[...] += 1.0
-        ema_update(shifted, tau=1.0)
+        ema_update(shifted, tau=1.0, scratch=np.empty_like(shifted.teacher))
         for name, val in before.items():
             np.testing.assert_array_equal(shifted.values[name], val)
 
@@ -196,7 +196,7 @@ class TestEma:
         params = init_params(small_spec("linear"), seed=0)
         shifted = params.clone()
         shifted.trainable[...] += 1.0
-        ema_update(shifted, tau=0.0)
+        ema_update(shifted, tau=0.0, scratch=np.empty_like(shifted.teacher))
         for name in shifted.values:
             if name.startswith("target."):
                 np.testing.assert_array_equal(
@@ -208,7 +208,7 @@ class TestEma:
         shifted = params.clone()
         shifted.trainable[...] = 1.0
         shifted.teacher[...] = 0.0
-        ema_update(shifted, tau=0.996)
+        ema_update(shifted, tau=0.996, scratch=np.empty_like(shifted.teacher))
         np.testing.assert_allclose(
             shifted.values["target.backbone.0.w"],
             np.full_like(shifted.values["target.backbone.0.w"], 0.004),
@@ -223,7 +223,7 @@ class TestEma:
         tau = 0.9
         k = int(np.ceil(np.log(1e-10) / np.log(tau)))
         for _ in range(k):
-            ema_update(current, tau=tau)
+            ema_update(current, tau=tau, scratch=np.empty_like(current.teacher))
         gap = np.max(np.abs(current.values["target.backbone.0.w"] - 1.0))
         assert gap <= 1e-10
 
@@ -231,7 +231,7 @@ class TestEma:
         params = init_params(small_spec("linear"), seed=3)
         params.trainable[...] += np.linspace(-1.0, 1.0, params.trainable.size)
         before = params.clone()
-        ema_update(params, tau=0.37)
+        ema_update(params, tau=0.37, scratch=np.empty_like(params.teacher))
         for name in (n for n in params.values if n.startswith("target.")):
             online = before.values[name[len("target."):]]
             expected = 0.37 * before.values[name] + (1.0 - 0.37) * online
