@@ -564,12 +564,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    command = "raftlab"
     try:
         _configure_logging()
         args = build_parser().parse_args(argv)
+        command = " ".join(filter(None, (args.command, getattr(args, "check", None))))
         return args.func(args)
     except RaftLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # An input too large for this machine, not a failed certification.
+        print(f"error: out of memory running {command}", file=sys.stderr)
         return 2
 
 

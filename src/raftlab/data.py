@@ -209,7 +209,7 @@ def sample_positive_batch(
     return PositiveBatch(
         x1=_apply_view(raw, aug.view1, rng1),
         x2=_apply_view(raw, aug.view2, rng2),
-        labels=dataset.labels[idx].copy(),
+        labels=dataset.labels[idx],
     )
 
 
@@ -255,7 +255,7 @@ def draw_augmented_pairs(
     batch = PositiveBatch(
         x1=_apply_view(raw, aug.view1, np.random.default_rng(v1_stream)),
         x2=_apply_view(raw, aug.view2, np.random.default_rng(v2_stream)),
-        labels=dataset.labels[idx].copy(),
+        labels=dataset.labels[idx],
     )
     return raw, batch
 

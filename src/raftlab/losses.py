@@ -1,7 +1,8 @@
 """Objectives over paired unit-norm representations.
 
 All losses are built from tape ops, so calling them on tracked tensors gives
-gradients and calling them on constants gives plain evaluation. Rows are
+gradients and calling them on constants gives plain evaluation. The
+uniformity measure is plain NumPy and takes constants only. Rows are
 expected to be unit-norm (the model normalizes before these are applied);
 distances are nevertheless computed directly rather than through the
 cosine shortcut, so slightly off-sphere inputs stay well defined.
@@ -14,7 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape as T
-from .errors import ConfigError, ContractError, InsufficientBatchError, NearOrthogonalError
+from .errors import (
+    ConfigError,
+    ContractError,
+    DomainError,
+    InsufficientBatchError,
+    NearOrthogonalError,
+)
 from .tape import Tensor
 
 OBJECTIVES = ("byol", "byol_prime", "raft")
@@ -65,23 +72,34 @@ def uniform_loss(z) -> Tensor:
 
     For unit rows the value lies in [-4t, 0]; it reaches 0 when every row
     coincides, so it acts as the collapse detector. Needs at least two rows.
+    A measure, not an objective: it records nothing, returns a constant and
+    refuses a tracked tensor. Its one n x n float64 array is its peak memory.
     """
     z = T.as_tensor(z)
+    if z.node is not None:
+        raise ContractError("uniform_loss: a measure records nothing; pass a constant")
     if z.ndim != 2:
         raise ContractError(f"uniform_loss: needs a matrix, got shape {z.shape}")
     n = z.shape[0]
     if n < 2:
         raise InsufficientBatchError(f"uniform_loss: needs >= 2 rows, got {n}")
-    sq = T.row_dot(z, z)
-    gram = T.matmul(z, T.transpose(z))
-    # D_ij = |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>, assembled without broadcasting
-    # so every step stays on the tape.
-    d = T.row_add(T.transpose(T.row_add(T.transpose(T.scale(gram, -2.0)), sq)), sq)
-    kernel = T.exp(T.scale(d, -UNIFORMITY_T))
+    z = z.data
+    sq = np.einsum("ij,ij->i", z, z)
+    # D_ij = (-2 <z_i, z_j> + |z_j|^2) + |z_i|^2 in one buffer, then the
+    # kernel in place. The copied transpose keeps BLAS off its symmetric
+    # product, so the Gram matrix has the bits of a general matmul.
+    d = z @ z.T.copy()
+    d *= -2.0
+    d += sq
+    d += sq[:, None]
+    d *= -UNIFORMITY_T
+    np.exp(d, out=d)
     # The diagonal contributes exp(0) = 1 per row; subtract it to keep only
     # the ordered distinct pairs.
-    off_diag = T.add_scalar(T.sum_all(kernel), -float(n))
-    return T.log(T.scale(off_diag, 1.0 / (n * (n - 1))))
+    mean = (d.sum() - float(n)) * (1.0 / (n * (n - 1)))
+    if mean <= 0.0:
+        raise DomainError("uniform_loss: the mean affinity is not positive")
+    return T.constant(np.log(mean))
 
 
 def cross_model_loss(p, zbar) -> Tensor:

@@ -113,6 +113,11 @@ class ModelParams:
         """The online encoder segment, laid out like the teacher."""
         return self.flat[: self.teacher.size]
 
+    @property
+    def predictor_span(self) -> slice:
+        """Where the predictor segment lies in `flat` and in `trainable`."""
+        return slice(self.teacher.size, self._n_trainable)
+
     def trainable_views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a vector laid out like `trainable`, such as a
         gradient."""

@@ -377,10 +377,10 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
     def vjp(g, o):
         full = _buf(ws, shape, o)
         if full is None:
-            full = np.zeros(shape)
-        else:
-            full.fill(0.0)
+            full = np.empty(shape)
+        full[:lo] = 0.0
         full[lo:hi] = g
+        full[hi:] = 0.0
         return full
 
     return _op(a.data[lo:hi], [(a, vjp)])

@@ -222,15 +222,15 @@ class GradientDeviations:
     filter_on: bool
 
 
-def _mirror_deviations(
-    a: dict[str, np.ndarray], b: dict[str, np.ndarray]
-) -> tuple[float, float]:
-    # max |a - b| over every array but the predictor, and max |a + b| on the
-    # predictor; both vanish when b mirrors a. For parameter snapshots the
-    # first covers the teacher copy too, which must track identically since
-    # it is an EMA of identical trajectories.
-    theta_dev = max(float(np.abs(a[n] - b[n]).max()) for n in a if n != "predictor.w")
-    return theta_dev, float(np.abs(a["predictor.w"] + b["predictor.w"]).max())
+def _mirror_deviations(a: np.ndarray, b: np.ndarray, w: slice) -> tuple[float, float]:
+    # a and b are laid out like ModelParams.flat or like its trainable
+    # prefix, as a gradient is, with the predictor at w. Returns max |a - b|
+    # off the predictor and max |a + b| on it; both vanish when b mirrors a.
+    # For parameter vectors the first covers the teacher copy too, which
+    # must track identically since it is an EMA of identical trajectories.
+    off = np.abs(a - b)
+    off[w] = 0.0  # leaves the maximum over the rest, since every entry is >= 0
+    return float(off.max()), float(np.abs(a[w] + b[w]).max())
 
 
 def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
@@ -244,15 +244,17 @@ def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
 
 def _raw_gradients(
     params: ModelParams, batch: PositiveBatch, objective: str, gate: bool
-) -> dict[str, np.ndarray]:
+) -> np.ndarray:
+    # The gradient vector, laid out like params.trainable.
+    grad = np.empty_like(params.trainable)
     tp = T.Tape()
-    leaves = bind_params(tp, params)
+    leaves = bind_params(tp, params, params.trainable_views(grad))
     out1 = _raw_online_outputs(params, batch.x1, leaves, gate)
     out2 = _raw_online_outputs(params, batch.x2, leaves, gate)
     _, t1 = encode(params, batch.x1, teacher=True)
     _, t2 = encode(params, batch.x2, teacher=True)
-    grads = tp.backward(objective_terms(LossConfig(objective=objective), out1, out2, t1, t2).total)
-    return {name: grads[leaf] for name, leaf in leaves.items()}
+    tp.backward(objective_terms(LossConfig(objective=objective), out1, out2, t1, t2).total)
+    return grad
 
 
 def gradient_correspondence_check(
@@ -266,7 +268,7 @@ def gradient_correspondence_check(
     _require_linear_predictor(params.spec)
     g_attract = _raw_gradients(params, batch, "byol_prime", apply_filter)
     g_repel = _raw_gradients(mirror_predictor(params), batch, "raft", apply_filter)
-    theta_dev, w_dev = _mirror_deviations(g_attract, g_repel)
+    theta_dev, w_dev = _mirror_deviations(g_attract, g_repel, params.predictor_span)
     return GradientDeviations(theta_dev=theta_dev, w_dev=w_dev, filter_on=apply_filter)
 
 
@@ -397,16 +399,7 @@ def trajectory_correspondence_experiment(
     params0.teacher[...] = params0.encoder
     mirrored0 = mirror_predictor(params0)
 
-    snapshots_a: list[dict[str, np.ndarray]] = [params0.values]
-    snapshots_r: list[dict[str, np.ndarray]] = [mirrored0.values]
-    grads_a: list[dict[str, np.ndarray]] = []
-    grads_r: list[dict[str, np.ndarray]] = []
-
-    def run(objective: str, initial: ModelParams, snapshots: list, grads: list):
-        def record(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
-            snapshots.append(params.values)
-            grads.append(step_grads)
-
+    def run(objective: str, initial: ModelParams, record):
         cfg = TrainConfig(
             network=network,
             loss=LossConfig(objective=objective),
@@ -421,11 +414,26 @@ def trajectory_correspondence_experiment(
         )
         train_run(cfg, dataset, initial_params=initial, step_callback=record)
 
-    run("byol_prime", params0, snapshots_a, grads_a)
-    run("raft", mirrored0, snapshots_r, grads_r)
+    # The attract run keeps only its vectors: parameters after each step
+    # (index 0 is the initial state) and the gradient of each step. The
+    # repel run is compared against them as it goes and keeps nothing.
+    flats_a = [params0.flat]
+    grads_a = []
+    w = params0.predictor_span
 
-    devs = [_mirror_deviations(va, vr) for va, vr in zip(snapshots_a, snapshots_r)]
-    grad_devs = [_mirror_deviations(ga, gr) for ga, gr in zip(grads_a, grads_r)]
+    def record_attract(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
+        flats_a.append(params.flat)
+        grads_a.append(_joined(step_grads))
+
+    devs = [_mirror_deviations(params0.flat, mirrored0.flat, w)]
+    grad_devs = []
+
+    def record_repel(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
+        devs.append(_mirror_deviations(flats_a[step], params.flat, w))
+        grad_devs.append(_mirror_deviations(grads_a[step - 1], _joined(step_grads), w))
+
+    run("byol_prime", params0, record_attract)
+    run("raft", mirrored0, record_repel)
     return CorrespondenceReport(
         steps=steps,
         optimizer=optimizer,
@@ -435,11 +443,15 @@ def trajectory_correspondence_experiment(
         w_dev=tuple(d[1] for d in devs),
         grad_theta_dev=tuple(d[0] for d in grad_devs),
         grad_w_dev=tuple(d[1] for d in grad_devs),
-        theta_scale=max(
-            float(np.abs(v[n]).max()) for v in snapshots_a for n in v if n != "predictor.w"
-        ),
-        w_scale=max(float(np.abs(v["predictor.w"]).max()) for v in snapshots_a),
+        theta_scale=max(float(np.abs(np.delete(flat, w)).max()) for flat in flats_a),
+        w_scale=max(float(np.abs(flat[w]).max()) for flat in flats_a),
     )
+
+
+def _joined(step_grads: dict[str, np.ndarray]) -> np.ndarray:
+    # A step callback's gradient views as one vector, laid out like
+    # ModelParams.trainable.
+    return np.concatenate([g.ravel() for g in step_grads.values()])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from conftest import SMALL_CONFIG
 
 from raftlab import __version__, cli, verify
 from raftlab.data import MAX_ELEMENTS
-from raftlab.model import CHECKPOINT_MAGIC
+from raftlab.model import CHECKPOINT_MAGIC, save_checkpoint
 
 # Wrong-typed, negative, non-finite and some in-range stand-ins for every
 # leaf of SMALL_CONFIG.
@@ -308,6 +308,29 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert rc == 2
         assert "error:" in err
+
+
+class TestOutOfMemory:
+    @staticmethod
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    def test_eval_exits_2_naming_the_command(self, tmp_path, capsys, monkeypatch, tiny_params):
+        cfg = write_config(tmp_path, SMALL_CONFIG)
+        ckpt = tmp_path / "tiny.ckpt"
+        save_checkpoint(tiny_params, ckpt)
+        monkeypatch.setattr(cli, "metrics_report", self.out_of_memory)
+        rc = run(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                  "--out-dir", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: out of memory running eval\n"
+
+    def test_verify_names_its_subcommand(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "upper_bound_sweep", self.out_of_memory)
+        rc = run(["verify", "upper-bound", "--out-dir", str(tmp_path / "v")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: out of memory running verify upper-bound\n"
 
 
 class TestVerifyCommands:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from raftlab import tape as tp
-from raftlab.errors import ConfigError, InsufficientBatchError, NearOrthogonalError
+from raftlab.errors import ConfigError, ContractError, InsufficientBatchError, NearOrthogonalError
 from raftlab.losses import (
     COLLAPSE_UNIFORMITY_THRESHOLD,
     LAMBDA_EPS,
@@ -74,6 +76,42 @@ class TestUniformity:
 
     def test_collapse_threshold_constant(self):
         assert COLLAPSE_UNIFORMITY_THRESHOLD == -0.2
+
+    @staticmethod
+    def tape_composition(z):
+        # The measure as tape ops: D_ij = |z_i|^2 + |z_j|^2 - 2 <z_i, z_j>
+        # through transposes and row adds, then the kernel, its off-diagonal
+        # sum, its mean and the log.
+        z = tp.constant(z)
+        n = z.shape[0]
+        sq = tp.row_dot(z, z)
+        gram = tp.matmul(z, tp.transpose(z))
+        d = tp.row_add(tp.transpose(tp.row_add(tp.transpose(tp.scale(gram, -2.0)), sq)), sq)
+        kernel = tp.exp(tp.scale(d, -UNIFORMITY_T))
+        off_diag = tp.add_scalar(tp.sum_all(kernel), -float(n))
+        return tp.log(tp.scale(off_diag, 1.0 / (n * (n - 1)))).item()
+
+    @pytest.mark.parametrize("n,d", [(2, 3), (64, 256), (400, 16), (512, 256)])
+    def test_equals_the_tape_composition_bitwise(self, n, d):
+        z = units(n + d, n, d)
+        assert uniform_loss(tp.constant(z)).item() == self.tape_composition(z)
+
+    def test_peak_memory_is_one_pair_matrix(self):
+        n, d = 1024, 64
+        z = tp.constant(units(21, n, d))
+        uniform_loss(z)
+        tracemalloc.start()
+        try:
+            uniform_loss(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n + 4 * 8 * n * d
+
+    def test_tracked_tensor_is_refused(self):
+        z = tp.Tape().leaf(units(22, 4, 3))
+        with pytest.raises(ContractError, match="records nothing"):
+            uniform_loss(z)
 
 
 class TestCrossModel:

@@ -284,6 +284,23 @@ class TestWorkspace:
                 held = [id(buf) for buf in ws.bufs]
             assert [id(buf) for buf in ws.bufs] == held
 
+    @pytest.mark.parametrize("bound", [False, True], ids=["workspace", "destination"])
+    def test_row_slice_gradient_is_zero_outside_the_slice(self, bound):
+        # Stale NaN in the buffer the VJP writes into must not survive
+        # outside rows 1:4.
+        x = np.arange(18.0).reshape(6, 3)
+        ws = tp.Workspace()
+        for _ in range(2):
+            for buf in ws.bufs:
+                buf.fill(np.nan)
+            t = tp.Tape(ws)
+            xl = t.leaf(x, grad=np.full(x.shape, np.nan) if bound else None)
+            grads = t.backward(tp.sum_all(tp.exp(tp.row_slice(xl, 1, 4))))
+        assert bound or ws.bufs
+        expected = np.zeros_like(x)
+        expected[1:4] = np.exp(x[1:4])
+        np.testing.assert_array_equal(grads[xl], expected)
+
 
 class TestForwardValues:
     def test_matmul_identity(self):

@@ -10,8 +10,10 @@ from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs, sampl
 from raftlab.errors import ContractError
 from raftlab.losses import LossConfig, objective_terms
 from raftlab.model import NetworkSpec, forward_online, forward_target, init_params
+from raftlab.train import train_run
 from raftlab.verify import (
     CONTROL_MIN_DEVIATION,
+    CorrespondenceReport,
     DEFAULT_VERIFY_NETWORK,
     LINEAR_PREDICTOR_MESSAGE,
     MARGIN_TOLERANCE,
@@ -130,6 +132,50 @@ class TestMirroredGradients:
         assert max(report.theta_dev) <= 1e-6 * report.theta_scale
         assert max(report.w_dev) <= 1e-6 * report.w_scale
         assert max(report.grad_theta_dev) <= 1e-6
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_report_equals_the_kept_snapshot_reference(self, monkeypatch, optimizer):
+        # Reference: the experiment's own two runs, with callbacks that also
+        # keep every parameter snapshot and gradient dict, compared name by
+        # name after both runs have finished.
+        runs = []
+
+        def mirror_deviations(a, b):
+            theta = max(float(np.abs(a[n] - b[n]).max()) for n in a if n != "predictor.w")
+            return theta, float(np.abs(a["predictor.w"] + b["predictor.w"]).max())
+
+        def keeping(cfg, dataset, initial_params, step_callback):
+            snaps, grads = [initial_params.values], []
+
+            def record(step, params, step_grads):
+                snaps.append(params.values)
+                grads.append(step_grads)
+                step_callback(step, params, step_grads)
+
+            runs.append((cfg.loss.objective, snaps, grads))
+            return train_run(cfg, dataset, initial_params=initial_params, step_callback=record)
+
+        monkeypatch.setattr(verify, "train_run", keeping)
+        report = trajectory_correspondence_experiment(steps=20, seed=0, optimizer=optimizer)
+        (obj_a, snaps_a, grads_a), (obj_r, snaps_r, grads_r) = runs
+        assert (obj_a, obj_r) == ("byol_prime", "raft")
+        devs = [mirror_deviations(a, r) for a, r in zip(snaps_a, snaps_r)]
+        grad_devs = [mirror_deviations(a, r) for a, r in zip(grads_a, grads_r)]
+        assert report == CorrespondenceReport(
+            steps=20,
+            optimizer=optimizer,
+            learning_rate=1e-2,
+            ema_tau=0.996,
+            theta_dev=tuple(d[0] for d in devs),
+            w_dev=tuple(d[1] for d in devs),
+            grad_theta_dev=tuple(d[0] for d in grad_devs),
+            grad_w_dev=tuple(d[1] for d in grad_devs),
+            theta_scale=max(
+                float(np.abs(v[n]).max()) for v in snaps_a for n in v if n != "predictor.w"
+            ),
+            w_scale=max(float(np.abs(v["predictor.w"]).max()) for v in snaps_a),
+        )
+        assert len(report.theta_dev) == 21 and len(report.grad_theta_dev) == 20
 
     def test_trajectories_stay_mirrored_with_moving_teacher(self):
         report = trajectory_correspondence_experiment(
