@@ -168,9 +168,12 @@ def train_run(
     checkpoint_last_good.ckpt, the parameters the failed step started from,
     then propagates.
     initial_params overrides the seeded init (shapes must match cfg.network).
-    step_callback observes (step, params after update, gradient arrays) once
-    per step; each call gets its own copy of the parameters and of the
-    gradient vector (the arrays are named views of it), so it may keep them.
+    step_callback observes (step, params, grads) once per step, after the
+    step's update: `params` is a read-only ModelParams over the run's own
+    parameter vector and `grads` read-only named views of its gradient
+    vector. Every call gets the same two objects, the next step overwrites
+    what they show, and a write through either raises ValueError, so a
+    callback copies what it keeps.
     """
     if cfg.network.input_dim != dataset.dim:
         raise ConfigError(
@@ -198,6 +201,13 @@ def train_run(
     # tape overwrites the previous step's outputs and gradients.
     workspace = T.Workspace()
     ema_scratch = np.empty_like(params.teacher)
+    # What step_callback sees: the live vectors, through read-only views.
+    seen_flat = params.flat.view()
+    seen_flat.flags.writeable = False
+    seen_params = ModelParams(params.spec, seen_flat)
+    seen_grad = grad.view()
+    seen_grad.flags.writeable = False
+    seen_grads = params.trainable_views(seen_grad)
 
     out_path = Path(out_dir) if out_dir is not None else None
     dump_path = None
@@ -246,7 +256,7 @@ def train_run(
             ema_update(params, cfg.ema_tau, ema_scratch)
 
             if step_callback is not None:
-                step_callback(k, params.clone(), params.trainable_views(grad.copy()))
+                step_callback(k, seen_params, seen_grads)
 
             if k % cfg.log_every == 0:
                 uni = uniform_loss(T.constant(z.data[:n])).item()

@@ -414,15 +414,15 @@ def trajectory_correspondence_experiment(
         )
         train_run(cfg, dataset, initial_params=initial, step_callback=record)
 
-    # The attract run keeps only its vectors: parameters after each step
-    # (index 0 is the initial state) and the gradient of each step. The
-    # repel run is compared against them as it goes and keeps nothing.
+    # The attract run keeps copies of its vectors: parameters after each
+    # step (index 0 is the initial state) and the gradient of each step.
+    # The repel run is compared against them as it goes and keeps nothing.
     flats_a = [params0.flat]
     grads_a = []
     w = params0.predictor_span
 
     def record_attract(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
-        flats_a.append(params.flat)
+        flats_a.append(params.flat.copy())
         grads_a.append(_joined(step_grads))
 
     devs = [_mirror_deviations(params0.flat, mirrored0.flat, w)]

@@ -1,9 +1,10 @@
 """Repository hygiene: scripts and tests use only raftlab's public names, the
-config reader can check every field of every config dataclass, the
-training step calls each phase the benchmark times once and each tape op
-it times at least once per step, every train flag sets a config field,
-every verify flag is a parameter of its certification and every raftlab
-name the benchmark worker calls exists."""
+package imports itself only by relative imports, the config reader can
+check every field of every config dataclass, the training step calls each
+phase the benchmark times once and each tape op it times at least once per
+step, every train flag sets a config field, every verify flag is a
+parameter of its certification and every raftlab name the benchmark worker
+calls exists."""
 
 from __future__ import annotations
 
@@ -58,6 +59,35 @@ def test_detector_flags_private_names_only():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_private_raftlab_imports(path):
     assert private_raftlab_imports(path.read_text()) == []
+
+
+PACKAGE = sorted((ROOT / "src" / "raftlab").glob("*.py"))
+
+
+def absolute_raftlab_imports(source: str) -> list[str]:
+    """Each module named in an `import raftlab...` or a non-relative
+    `from raftlab... import`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "raftlab"]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "raftlab":
+                found.append(node.module)
+    return found
+
+
+def test_detector_flags_absolute_self_imports_only():
+    source = ("import raftlab.tape as T\nfrom raftlab import cli\nfrom raftlab.model import x\n"
+              "from . import tape\nfrom .data import y\nimport raftlabx\nfrom numpy import z")
+    assert absolute_raftlab_imports(source) == ["raftlab.tape", "raftlab", "raftlab.model"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_itself_only_relatively(path):
+    # So that two source trees can be loaded side by side in one process as
+    # differently named packages without sharing modules.
+    assert absolute_raftlab_imports(path.read_text()) == []
 
 
 # The dataclasses the config reader builds, and the annotations it checks.

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -166,28 +167,44 @@ class TestLoopBehavior:
         expected = set(init_params(SMALL_NET, 0).trainable_names())
         assert all(keys == expected for _, keys in seen)
 
+    def test_step_callback_sees_the_runs_live_state(self, small_blobs):
+        handed = []
+        final, _ = train_run(
+            small_config(steps=4), small_blobs,
+            step_callback=lambda k, params, grads: handed.append((params, grads)),
+        )
+        params, grads = handed[0]
+        assert len(handed) == 4
+        assert all(p is params and g is grads for p, g in handed)
+        assert np.shares_memory(params.flat, final.flat)
+
+    def test_writes_through_what_the_callback_sees_raise(self, small_blobs):
+        refused = []
+
+        def write(k, params, grads):
+            for arr in (params.flat, params.values["predictor.w"], params.trainable,
+                        grads["predictor.w"], grads["backbone.0.b"]):
+                try:
+                    arr[...] = 0.0
+                except ValueError:
+                    refused.append(k)
+
+        final, _ = train_run(small_config(steps=2), small_blobs, step_callback=write)
+        assert refused == [1] * 5 + [2] * 5
+        assert np.any(final.values["predictor.w"] != 0.0)
+
     @pytest.mark.parametrize("optimizer", OPTIMIZERS)
-    def test_step_callback_may_keep_what_it_is_handed(self, small_blobs, optimizer):
-        # The run updates one parameter vector in place; every snapshot it
-        # hands out must stay as it was at the call.
-        kept, copies = [], []
-
-        def keep(step, params, grads):
-            kept.append((params.values, grads))
-            copies.append(
-                ({n: v.copy() for n, v in params.values.items()},
-                 {n: g.copy() for n, g in grads.items()})
-            )
-
-        train_run(small_config(steps=6, optimizer=optimizer), small_blobs, step_callback=keep)
-        assert len(kept) == 6
-        for (values, grads), (values_then, grads_then) in zip(kept, copies):
-            for name, arr in values_then.items():
-                np.testing.assert_array_equal(values[name], arr)
-            for name, arr in grads_then.items():
-                np.testing.assert_array_equal(grads[name], arr)
-        first, last = kept[0][0], kept[-1][0]
-        assert np.any(first["predictor.w"] != last["predictor.w"])
+    def test_copies_taken_by_the_callback_equal_shorter_runs(self, small_blobs, optimizer):
+        # The callback sees the state after step k's update, which is what
+        # a run of k steps returns.
+        copies = {}
+        train_run(
+            small_config(steps=7, optimizer=optimizer), small_blobs,
+            step_callback=lambda k, params, grads: copies.update({k: params.flat.copy()}),
+        )
+        for k in (1, 2, 5, 7):
+            final, _ = train_run(small_config(steps=k, optimizer=optimizer), small_blobs)
+            assert copies[k].tobytes() == final.flat.tobytes()
 
     def test_initial_params_override_is_used(self, small_blobs):
         custom = init_params(SMALL_NET, seed=1234)
@@ -430,6 +447,20 @@ class TestWorkspace:
         first_out, first_bufs = seen[0]
         assert set(first_out.values()) <= {addr for _, addr in first_bufs}
         assert seen[1:] == [seen[0]] * 8
+
+    def test_a_step_callback_allocates_nothing_per_step(self):
+        cfg, dataset, _ = cli.train_config(ROOT / "configs" / "collapse_raft_lp.json", steps=20)
+        train_run(replace(cfg, steps=1), dataset)  # fills the caches both runs share
+        peaks = []
+        for callback in (None, lambda k, params, grads: None):
+            tracemalloc.start()
+            try:
+                train_run(cfg, dataset, step_callback=callback)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        without, with_callback = peaks
+        assert with_callback < without + 64 * 1024
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -136,8 +136,8 @@ class TestMirroredGradients:
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_report_equals_the_kept_snapshot_reference(self, monkeypatch, optimizer):
         # Reference: the experiment's own two runs, with callbacks that also
-        # keep every parameter snapshot and gradient dict, compared name by
-        # name after both runs have finished.
+        # keep a copy of every parameter snapshot and gradient dict, compared
+        # name by name after both runs have finished.
         runs = []
 
         def mirror_deviations(a, b):
@@ -148,8 +148,8 @@ class TestMirroredGradients:
             snaps, grads = [initial_params.values], []
 
             def record(step, params, step_grads):
-                snaps.append(params.values)
-                grads.append(step_grads)
+                snaps.append({n: v.copy() for n, v in params.values.items()})
+                grads.append({n: g.copy() for n, g in step_grads.items()})
                 step_callback(step, params, step_grads)
 
             runs.append((cfg.loss.objective, snaps, grads))
