@@ -54,7 +54,8 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
         raise ContractError(
             f"labels shape {labels.shape} does not match {n} feature rows"
         )
-    if np.unique(labels).size < 2:
+    # min and max, not np.unique, which imports numpy.ma on NumPy 2.
+    if n == 0 or labels.min() == labels.max():
         raise EvalError("probe: dataset has fewer than two classes")
     n_classes = int(labels.max()) + 1
     d = features.shape[1]

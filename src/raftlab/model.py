@@ -148,19 +148,29 @@ def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], b
     return out
 
 
+def draw_weights(params: ModelParams, seed: int, teacher: bool = False) -> None:
+    """Draw every online weight matrix, or with `teacher` every "target."
+    one, from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), in layer order
+    from one stream seeded by `seed`. Biases are left as they are."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    prefix = "target." if teacher else ""
+    for layer, (fan_in, fan_out), _ in _online_layer_names(params.spec):
+        w = params.values.get(f"{prefix}{layer}.w")
+        if w is not None:  # the teacher has no predictor, the last layer
+            bound = 1.0 / math.sqrt(fan_in)
+            w[...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+
+
 def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
-    """Draw weight matrices from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)),
-    start biases at zero, and copy backbone+projector into the teacher.
+    """Draw the online weights (draw_weights), start biases at zero, and
+    copy backbone+projector into the teacher.
 
     Zero biases keep the layer means proportional to the propagated signal,
     so normalized representations start spread out instead of clustered
     around a bias-dominated direction.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     params = ModelParams(spec)
-    for prefix, (fan_in, fan_out), _ in _online_layer_names(spec):
-        bound = 1.0 / np.sqrt(fan_in)
-        params.values[f"{prefix}.w"][...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    draw_weights(params, seed)
     params.teacher[...] = params.encoder
     return params
 

@@ -26,11 +26,14 @@ results.
 Conventions:
 
 * everything is float64; inputs are coerced on entry and never downcast,
+  and an op's result is its own float64 array, not coerced again,
 * arrays handed to an operation are treated as immutable while its tape
   is in use,
-* tensors without a node are constants and record nothing, which makes every
-  op usable for plain inference as well; a constant may still carry a tape,
-  whose workspace the ops on it draw their buffers from. Only ``matmul``,
+* tensors without a node are constants, which makes every op usable for
+  plain inference as well: an op whose operands are all constants returns
+  a constant as soon as its result is computed and checked, and records
+  nothing and builds no closures. A constant may still carry a tape, whose
+  workspace the ops on it draw their buffers from. Only ``matmul``,
   ``relu`` and ``l2_normalize`` pass that tape on to a constant result, so
   a constant chain of those (the teacher forward) stays on the workspace;
   every other op returns a constant without a tape.
@@ -89,13 +92,29 @@ class Tensor:
         return f"Tensor({tag}, shape={self.data.shape})"
 
 
+def _wrap(data: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> Tensor:
+    # A tensor over an op's own float64 result, without coercing it again.
+    # Arithmetic on 0-d arrays returns a NumPy scalar; that becomes a 0-d array.
+    t = object.__new__(Tensor)
+    t.data = data if type(data) is np.ndarray else np.asarray(data)
+    t.tape = tape
+    t.node = node
+    return t
+
+
 def constant(x) -> Tensor:
     """Wrap an array as an untracked tensor."""
     return Tensor(x)
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """`x` if it is a tensor, else a constant over it: a float64 ndarray as
+    it is, anything else coerced."""
+    if isinstance(x, Tensor):
+        return x
+    if type(x) is np.ndarray and x.dtype == np.float64:
+        return _wrap(x)
+    return Tensor(x)
 
 
 class _Record:
@@ -227,7 +246,10 @@ class Tape:
                 elif node in owned:
                     have += g
                 else:
-                    table[node] = np.add(have, g, out=_buf(ws, have.shape))
+                    # Never numpy's own result: for 0-d operands that is a
+                    # scalar, which a later contribution cannot add into.
+                    acc = _buf(ws, have.shape)
+                    table[node] = np.add(have, g, out=np.empty(have.shape) if acc is None else acc)
                     owned.add(node)
         for node, dest in pending.items():
             dest.fill(0.0)
@@ -256,10 +278,9 @@ def _buf(ws: Workspace | None, shape, o: np.ndarray | None = None) -> np.ndarray
     return buf
 
 
-def _op(data: np.ndarray, operands, via: Tape | None = None) -> Tensor:
-    """Record an op over (tensor, vjp(upstream, out)) pairs; constant
-    operands are skipped, and with no live operand the result is a constant,
-    carrying `via`, the tape the op drew its buffers from."""
+def _op(data: np.ndarray, operands) -> Tensor:
+    """Record an op over (tensor, vjp(upstream, out)) pairs, at least one
+    of them live; constant operands are skipped."""
     tape = None
     inputs = []
     vjps = []
@@ -272,9 +293,7 @@ def _op(data: np.ndarray, operands, via: Tape | None = None) -> Tensor:
             raise ContractError("operands live on different tapes")
         inputs.append(t.node)
         vjps.append(vjp)
-    if tape is None:
-        return Tensor(data, via)
-    out = Tensor(data, tape, tape._new_node())
+    out = _wrap(data, tape, tape._new_node())
     tape._records.append(_Record(out.node, inputs, vjps))
     return out
 
@@ -282,6 +301,18 @@ def _op(data: np.ndarray, operands, via: Tape | None = None) -> Tensor:
 def _require_same_shape(a: Tensor, b: Tensor, opname: str):
     if a.shape != b.shape:
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
+
+
+def _through(g, o):
+    return g
+
+
+def _negated(g, o):
+    return -g
+
+
+def _column_sums(g, o):
+    return g.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,47 +323,70 @@ def add(a, b) -> Tensor:
     """Elementwise sum; also accepts a 1-D bias broadcast over matrix rows."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape == b.shape:
-        return _op(a.data + b.data, [(a, lambda g, o: g), (b, lambda g, o: g)])
-    if a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
-        return _op(a.data + b.data, [(a, lambda g, o: g), (b, lambda g, o: g.sum(axis=0))])
-    raise ShapeError(f"add: cannot combine shapes {a.shape} and {b.shape}")
+        b_vjp = _through
+    elif a.ndim == 2 and b.ndim == 1 and a.shape[1] == b.shape[0]:
+        b_vjp = _column_sums
+    else:
+        raise ShapeError(f"add: cannot combine shapes {a.shape} and {b.shape}")
+    out = a.data + b.data
+    if a.node is None and b.node is None:
+        return _wrap(out)
+    return _op(out, [(a, _through), (b, b_vjp)])
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "sub")
-    return _op(a.data - b.data, [(a, lambda g, o: g), (b, lambda g, o: -g)])
+    out = a.data - b.data
+    if a.node is None and b.node is None:
+        return _wrap(out)
+    return _op(out, [(a, _through), (b, _negated)])
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
-    return _op(ad * bd, [(a, lambda g, o: g * bd), (b, lambda g, o: g * ad)])
+    out = ad * bd
+    if a.node is None and b.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: g * bd), (b, lambda g, o: g * ad)])
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "div")
     ad, bd = a.data, b.data
-    return _op(ad / bd, [(a, lambda g, o: g / bd), (b, lambda g, o: -g * ad / (bd * bd))])
+    out = ad / bd
+    if a.node is None and b.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: g / bd), (b, lambda g, o: -g * ad / (bd * bd))])
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _op(-a.data, [(a, lambda g, o: -g)])
+    out = -a.data
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, _negated)])
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _op(a.data * c, [(a, lambda g, o: g * c)])
+    out = a.data * c
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: g * c)])
 
 
 def add_scalar(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _op(a.data + c, [(a, lambda g, o: g)])
+    out = a.data + c
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, _through)])
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +407,20 @@ def matmul(a, b, bias=None) -> Tensor:
     tape = a.tape or b.tape
     ws = tape and tape._ws
     out = np.matmul(ad, bd, out=_buf(ws, (ad.shape[0], bd.shape[1])))
-    operands = [
-        (a, lambda g, o: np.matmul(g, bd.T, out=_buf(ws, ad.shape, o))),
-        (b, lambda g, o: np.matmul(ad.T, g, out=_buf(ws, bd.shape, o))),
-    ]
     if bias is not None:
         bias = as_tensor(bias)
         if bias.shape != (out.shape[1],):
             raise ShapeError(f"matmul: bias shape {bias.shape} for output {out.shape}")
         out += bias.data
+    if a.node is None and b.node is None and (bias is None or bias.node is None):
+        return _wrap(out, tape)
+    operands = [
+        (a, lambda g, o: np.matmul(g, bd.T, out=_buf(ws, ad.shape, o))),
+        (b, lambda g, o: np.matmul(ad.T, g, out=_buf(ws, bd.shape, o))),
+    ]
+    if bias is not None:
         operands.append((bias, lambda g, o: np.add.reduce(g, axis=0, out=o)))
-    return _op(out, operands, tape)
+    return _op(out, operands)
 
 
 def row_slice(a, lo: int, hi: int) -> Tensor:
@@ -371,8 +428,11 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2 or not 0 <= lo < hi <= a.shape[0]:
         raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
+    out = a.data[lo:hi]
+    if a.node is None:
+        return _wrap(out)
     shape = a.shape
-    ws = a.tape and a.tape._ws
+    ws = a.tape._ws
 
     def vjp(g, o):
         full = _buf(ws, shape, o)
@@ -383,14 +443,17 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
         full[hi:] = 0.0
         return full
 
-    return _op(a.data[lo:hi], [(a, vjp)])
+    return _op(out, [(a, vjp)])
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose: needs a matrix, got shape {a.shape}")
-    return _op(a.data.T.copy(), [(a, lambda g, o: g.T)])
+    out = a.data.T.copy()
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: g.T)])
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +467,29 @@ def relu(a) -> Tensor:
     tape = a.tape
     ws = tape and tape._ws
     out = np.maximum(a.data, 0.0, out=_buf(ws, a.shape))
+    if a.node is None:
+        return _wrap(out, tape)
     # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
-    return _op(out, [(a, lambda g, o: np.multiply(g, out > 0.0, out=_buf(ws, out.shape, o)))],
-               tape)
+    return _op(out, [(a, lambda g, o: np.multiply(g, out > 0.0, out=_buf(ws, out.shape, o)))])
 
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
+    if a.node is None:
+        return _wrap(out)
     return _op(out, [(a, lambda g, o: g * out)])
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise DomainError("log: input has non-positive entries")
     ad = a.data
-    return _op(np.log(ad), [(a, lambda g, o: g / ad)])
+    if (ad <= 0.0).any():
+        raise DomainError("log: input has non-positive entries")
+    out = np.log(ad)
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: g / ad)])
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +498,26 @@ def log(a) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
+    out = a.data.sum()
+    if a.node is None:
+        return _wrap(out)
     shape = a.shape
-    return _op(a.data.sum(), [(a, lambda g, o: np.broadcast_to(g, shape))])
+    return _op(out, [(a, lambda g, o: np.broadcast_to(g, shape))])
 
 
 def batch_mean(a) -> Tensor:
-    """Mean of a 1-D per-sample vector; rejects empty batches."""
+    """Mean of a 1-D per-sample vector; rejects empty batches. The sum is
+    ndarray.mean's, so the result is bit for bit a.mean()."""
     a = as_tensor(a)
     if a.ndim != 1:
         raise ShapeError(f"batch_mean: needs a 1-D input, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
         raise EmptyBatchError("batch_mean: empty batch")
-    return _op(a.data.mean(), [(a, lambda g, o: np.broadcast_to(g / n, (n,)))])
+    out = np.add.reduce(a.data) / n
+    if a.node is None:
+        return _wrap(out)
+    return _op(out, [(a, lambda g, o: np.full(n, g / n))])
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +534,8 @@ def squared_distance(a, b) -> Tensor:
     ws = tape and tape._ws
     diff = np.subtract(a.data, b.data, out=_buf(ws, a.shape))
     out = np.einsum("ij,ij->i", diff, diff)
+    if a.node is None and b.node is None:
+        return _wrap(out)
 
     def scaled_diff(c):
         def vjp(g, o):
@@ -478,6 +556,8 @@ def row_dot(a, b) -> Tensor:
         raise ShapeError(f"row_dot: needs matrices, got shape {a.shape}")
     ad, bd = a.data, b.data
     out = np.einsum("ij,ij->i", ad, bd)
+    if a.node is None and b.node is None:
+        return _wrap(out)
     return _op(out, [(a, lambda g, o: bd * g[:, None]), (b, lambda g, o: ad * g[:, None])])
 
 
@@ -487,8 +567,11 @@ def scale_rows(a, s) -> Tensor:
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape} disagree")
     ad, sd = a.data, s.data
+    out = ad * sd[:, None]
+    if a.node is None and s.node is None:
+        return _wrap(out)
     return _op(
-        ad * sd[:, None],
+        out,
         [
             (a, lambda g, o: g * sd[:, None]),
             (s, lambda g, o: np.einsum("ij,ij->i", g, ad)),
@@ -501,9 +584,10 @@ def row_add(a, s) -> Tensor:
     a, s = as_tensor(a), as_tensor(s)
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"row_add: shapes {a.shape} and {s.shape} disagree")
-    return _op(
-        a.data + s.data[:, None], [(a, lambda g, o: g), (s, lambda g, o: g.sum(axis=1))]
-    )
+    out = a.data + s.data[:, None]
+    if a.node is None and s.node is None:
+        return _wrap(out)
+    return _op(out, [(a, _through), (s, lambda g, o: g.sum(axis=1))])
 
 
 def l2_normalize(a) -> Tensor:
@@ -522,12 +606,14 @@ def l2_normalize(a) -> Tensor:
     # squares' buffer then takes the output.
     out = np.multiply(a.data, a.data, out=_buf(ws, a.shape))
     norms = np.sqrt(np.add.reduce(out, axis=1))
-    if np.any(norms < NORM_EPS):
+    if (norms < NORM_EPS).any():
         worst = int(np.argmin(norms))
         raise DegenerateRepresentationError(
             f"l2_normalize: row {worst} has norm {norms[worst]:.3e} < {NORM_EPS}"
         )
     np.divide(a.data, norms[:, None], out=out)
+    if a.node is None:
+        return _wrap(out, tape)
 
     def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, out)
@@ -536,7 +622,7 @@ def l2_normalize(a) -> Tensor:
         t /= norms[:, None]
         return t
 
-    return _op(out, [(a, vjp)], tape)
+    return _op(out, [(a, vjp)])
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +632,8 @@ def l2_normalize(a) -> Tensor:
 def stop_gradient(a) -> Tensor:
     """Identity forward; contributes nothing to any gradient."""
     a = as_tensor(a)
+    if a.node is None:
+        return _wrap(a.data)
     return _op(a.data, [(a, lambda g, o: None)])
 
 
@@ -561,7 +649,7 @@ def tangent_gate(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"tangent_gate: needs a matrix, got shape {a.shape}")
     if a.node is None:
-        return Tensor(a.data)
+        return _wrap(a.data)
     norms = np.linalg.norm(a.data, axis=1)
     safe = np.where(norms < NORM_EPS, 1.0, norms)
     dirs = np.where(norms[:, None] < NORM_EPS, 0.0, a.data / safe[:, None])
@@ -618,7 +706,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), lab]
-    out = np.asarray(nll.mean())
+    out = nll.mean()
+    if logits.node is None:
+        return _wrap(out)
     probs = np.exp(shifted - lse[:, None])
 
     def vjp(g, o):

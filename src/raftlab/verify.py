@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -45,6 +46,7 @@ from .model import (
     ModelParams,
     NetworkSpec,
     bind_params,
+    draw_weights,
     encode,
     forward_online,
     forward_target,
@@ -138,8 +140,9 @@ class UpperBoundReport:
 
 
 def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelParams:
-    """Independent online and teacher parameters (the teacher is replaced by
-    a second draw so the two paths genuinely differ).
+    """Independent online and teacher parameters: the online weights are
+    drawn from a first seed and the teacher's from a second, so the two
+    paths genuinely differ.
 
     Biases are re-drawn from the weight law rather than left at their zero
     training default: the certifications quantify over generic parameter
@@ -147,8 +150,9 @@ def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelPara
     alive, so no sampled state can hit the degenerate zero-representation
     guard."""
     s1, s2 = (int(v) for v in rng.integers(0, 2**63, size=2))
-    params = init_params(spec, s1)
-    params.teacher[...] = init_params(spec, s2).teacher
+    params = ModelParams(spec)
+    draw_weights(params, s1)
+    draw_weights(params, s2, teacher=True)
     _draw_biases(params, rng)
     return params
 
@@ -159,7 +163,7 @@ def _draw_biases(params: ModelParams, rng: np.random.Generator) -> None:
     for name, arr in params.values.items():
         if name.endswith(".b"):
             fan_in = params.values[name[:-2] + ".w"].shape[0]
-            bound = 1.0 / np.sqrt(fan_in)
+            bound = 1.0 / math.sqrt(fan_in)
             arr[...] = rng.uniform(-bound, bound, size=arr.shape)
 
 
@@ -272,6 +276,30 @@ def gradient_correspondence_check(
     return GradientDeviations(theta_dev=theta_dev, w_dev=w_dev, filter_on=apply_filter)
 
 
+def gradient_correspondence_sweeps(
+    filters: Sequence[bool],
+    trials: int = 100,
+    seed: int = 0,
+    network: NetworkSpec | None = None,
+    batch_size: int = 8,
+) -> list[list[GradientDeviations]]:
+    """Repeat the one-step mirror check across random parameter states and
+    batches, each state and batch drawn once and checked under every filter
+    setting of `filters`; returns one list of trials per setting, in order.
+    Teacher parameters are drawn independently of the online ones."""
+    if trials < 1:
+        raise ContractError(f"trials: need >= 1, got {trials}")
+    network = network or DEFAULT_VERIFY_NETWORK
+    _require_linear_predictor(network)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 22]))
+    out = [[] for _ in filters]
+    for _ in range(trials):
+        params, batch = random_state_and_batch(network, rng, batch_size)
+        for devs, apply_filter in zip(out, filters):
+            devs.append(gradient_correspondence_check(params, batch, apply_filter))
+    return out
+
+
 def gradient_correspondence_sweep(
     trials: int = 100,
     seed: int = 0,
@@ -279,18 +307,8 @@ def gradient_correspondence_sweep(
     network: NetworkSpec | None = None,
     batch_size: int = 8,
 ) -> list[GradientDeviations]:
-    """Repeat the one-step mirror check across random parameter states and
-    batches; teacher parameters are drawn independently of the online ones."""
-    if trials < 1:
-        raise ContractError(f"trials: need >= 1, got {trials}")
-    network = network or DEFAULT_VERIFY_NETWORK
-    _require_linear_predictor(network)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 22]))
-    out = []
-    for _ in range(trials):
-        params, batch = random_state_and_batch(network, rng, batch_size)
-        out.append(gradient_correspondence_check(params, batch, apply_filter))
-    return out
+    """gradient_correspondence_sweeps for one filter setting."""
+    return gradient_correspondence_sweeps([apply_filter], trials, seed, network, batch_size)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +639,8 @@ class Check:
     value for an upper limit, value - tolerance for a lower one, and
     -|value - tolerance| for an exact count. `seconds` is the wall time of
     the work that measured `value` (checks measured by one shared pass,
-    such as the three gradchecks, each carry its time); `detail` is the
-    line printed after the verdict."""
+    such as the three gradchecks or the two one-step mirror checks, each
+    carry its time); `detail` is the line printed after the verdict."""
 
     name: str
     value: float
@@ -682,13 +700,11 @@ def certify_correspondence(
     """One-step gradient mirroring with the filter on, its negative control
     with the filter off, and mirrored trajectories within TRAJECTORY_REL_TOL
     of the parameter scale."""
-    log.info("one-step mirror check, filter on, %d trials", trials)
-    on, on_seconds = _timed(gradient_correspondence_sweep, trials, seed, apply_filter=True,
-                            network=network)
+    log.info("one-step mirror check, filter on and off, %d trials", trials)
+    # One sweep measures both, so each record carries its seconds.
+    (on, off), onestep_seconds = _timed(gradient_correspondence_sweeps, (True, False), trials,
+                                        seed, network=network)
     worst_on = max(max(d.theta_dev, d.w_dev) for d in on)
-    log.info("one-step mirror check, filter off, %d trials", trials)
-    off, off_seconds = _timed(gradient_correspondence_sweep, trials, seed, apply_filter=False,
-                              network=network)
     off_devs = [max(d.theta_dev, d.w_dev) for d in off]
     hits = sum(1 for dev in off_devs if dev > CONTROL_MIN_DEVIATION)
     needed = int(np.ceil(CONTROL_REQUIRED_FRACTION * trials))
@@ -701,10 +717,10 @@ def certify_correspondence(
                             (traj.max_w_dev, TRAJECTORY_REL_TOL * traj.w_scale),
                             key=lambda p: p[1] - p[0])
     checks = [
-        _at_most("mirror gradients (filter on)", worst_on, ONESTEP_MATCH_TOL, on_seconds,
+        _at_most("mirror gradients (filter on)", worst_on, ONESTEP_MATCH_TOL, onestep_seconds,
                  f"worst deviation {worst_on:.3e} over {trials} trials "
                  f"(tolerance {ONESTEP_MATCH_TOL:.0e})"),
-        _at_least("negative control (filter off)", hits, needed, off_seconds,
+        _at_least("negative control (filter off)", hits, needed, onestep_seconds,
                   f"{hits}/{trials} trials deviate beyond {CONTROL_MIN_DEVIATION:.0e} "
                   f"(need {needed})"),
         _at_most("trajectories", deviation, budget, traj_seconds,

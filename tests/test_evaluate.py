@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from raftlab.data import AugmentationSpec, Dataset, SyntheticBlobsSpec, make_blobs
 from raftlab import evaluate
-from raftlab.errors import ConfigError
+from raftlab.errors import ConfigError, EvalError
 from raftlab.evaluate import (
     PROBE_HOLDOUT_FRACTION,
     EvalReport,
@@ -71,6 +75,12 @@ class TestProbeTraining:
         result = train_probe(feats, labels, ProbeConfig())
         assert result.weights.shape == (4, 4)
         assert result.bias.shape == (4,)
+
+    @pytest.mark.parametrize("labels", [np.full(6, 2), np.zeros(0, dtype=np.int64)],
+                             ids=["one class", "no rows"])
+    def test_fewer_than_two_classes_is_an_eval_error(self, labels):
+        with pytest.raises(EvalError, match="fewer than two classes"):
+            train_probe(np.ones((labels.size, 3)), labels, ProbeConfig())
 
     @pytest.mark.parametrize("field, value", [("seed", -1)])
     def test_bad_value_is_a_config_error_naming_the_field(self, field, value):
@@ -162,3 +172,25 @@ class TestMetricsReport:
         metrics_report(init_params(NET, seed=0), blobs, AugmentationSpec(), sample_count=64)
         assert rows and max(rows) == 16
 
+
+
+def test_an_evaluation_does_not_import_numpy_ma():
+    # NumPy 2's np.unique imports numpy.ma, about 15 ms and 1.3 MB of every
+    # eval; nothing in an evaluation needs it.
+    code = (
+        "import sys\n"
+        "from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs\n"
+        "from raftlab.evaluate import metrics_report\n"
+        "from raftlab.model import NetworkSpec, init_params\n"
+        "params = init_params(NetworkSpec(input_dim=8, backbone_widths=(12,), "
+        "representation_dim=10, projection_dim=6), seed=0)\n"
+        "metrics_report(params, make_blobs(SyntheticBlobsSpec(per_class=12)), "
+        "AugmentationSpec(), sample_count=16)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

@@ -119,6 +119,17 @@ class TestForward:
         assert z.tape is None
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), np.ones(4), atol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["linear", "identity"])
+    def test_constant_forwards_record_nothing(self, kind):
+        params = init_params(small_spec(kind), seed=0)
+        x = np.random.default_rng(6).normal(size=(4, 6))
+        t = tp.Tape(tp.Workspace())
+        zbar = forward_target(params, x, tape=t)
+        assert zbar.node is None and zbar.tape is t
+        assert all(out.node is None and out.tape is None for out in forward_online(params, x))
+        # The tape handed out no node, so it made no record.
+        assert t.leaf(np.zeros(1)).node == 0
+
     def test_fresh_copy_matches_target_forward(self):
         params = init_params(small_spec("linear"), seed=0)
         x = np.random.default_rng(5).normal(size=(4, 6))

@@ -126,6 +126,14 @@ class TestBackwardContract:
         np.testing.assert_array_equal(g[b], d)
         np.testing.assert_allclose(g[a], d * (1.0 + c))
 
+    def test_scalar_used_three_times_gets_every_contribution(self):
+        # The second contribution to a 0-d node starts an accumulator that
+        # the third is added into in place; a NumPy scalar there would drop it.
+        t = tp.Tape()
+        x = t.leaf(np.array(2.0))
+        loss = tp.add(tp.add(tp.scale(x, 1.0), tp.scale(x, 2.0)), tp.scale(x, 3.0))
+        assert t.backward(loss)[x] == 6.0
+
     def test_sum_backward_is_ones(self):
         t = tp.Tape()
         a = t.leaf(np.zeros((3, 2)))
@@ -587,6 +595,127 @@ class TestFiniteDifferenceGradients:
         loss = tp.sum_all(tp.mul(tp.l2_normalize(a), v))
         g = t.backward(loss)[a]
         np.testing.assert_allclose((g * x).sum(axis=1), np.zeros(3), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# ops on constants
+
+
+def op_cases(n: int, d: int, k: int, seed: int) -> dict:
+    """name -> (op over tensors, its operand arrays), for every op, at n rows,
+    d columns and k outputs or classes."""
+    rng = np.random.default_rng(seed)
+    x, y, v = rng.normal(size=(n, d)), rng.normal(size=(n, d)), rng.normal(size=n)
+    w, logits = rng.normal(size=(d, k)), rng.normal(size=(n, k))
+    labels = rng.integers(0, k, size=n)
+    return {
+        "add": (tp.add, [x, y]),
+        "add (bias)": (tp.add, [x, rng.normal(size=d)]),
+        "add (0-d)": (tp.add, [np.array(v[0]), np.array(x[0, 0])]),
+        "sub": (tp.sub, [x, y]),
+        "mul": (tp.mul, [x, y]),
+        "div": (tp.div, [x, np.abs(y) + 0.5]),
+        "neg": (tp.neg, [x]),
+        "scale": (lambda a: tp.scale(a, 1.7), [x]),
+        "scale (0-d)": (lambda a: tp.scale(a, 1.7), [np.array(v[0])]),
+        "add_scalar": (lambda a: tp.add_scalar(a, -0.3), [x]),
+        "matmul": (tp.matmul, [x, w]),
+        "matmul (bias)": (tp.matmul, [x, w, rng.normal(size=k)]),
+        "row_slice": (lambda a: tp.row_slice(a, n // 2, n), [x]),
+        "transpose": (tp.transpose, [x]),
+        "relu": (tp.relu, [x]),
+        "exp": (tp.exp, [x]),
+        "log": (tp.log, [np.abs(x) + 0.1]),
+        "sum_all": (tp.sum_all, [x]),
+        "batch_mean": (tp.batch_mean, [v]),
+        "squared_distance": (tp.squared_distance, [x, y]),
+        "row_dot": (tp.row_dot, [x, y]),
+        "scale_rows": (tp.scale_rows, [x, v]),
+        "row_add": (tp.row_add, [x, v]),
+        "l2_normalize": (tp.l2_normalize, [x]),
+        "stop_gradient": (tp.stop_gradient, [x]),
+        "tangent_gate": (tp.tangent_gate, [x]),
+        "softmax_cross_entropy": (lambda a: tp.softmax_cross_entropy(a, labels), [logits]),
+    }
+
+
+OPS = list(op_cases(1, 1, 1, 0))
+sizes = st.integers(min_value=1, max_value=6)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+class TestConstantFastPath:
+    @pytest.mark.parametrize("name", OPS)
+    @given(n=sizes, d=sizes, k=sizes, seed=seeds)
+    def test_constants_give_the_bits_of_tracked_operands(self, name, n, d, k, seed):
+        op, operands = op_cases(n, d, k, seed)[name]
+        t = tp.Tape()
+        tracked = op(*[t.leaf(x) for x in operands])
+        const = op(*[tp.constant(x) for x in operands])
+        assert tracked.node is not None and const.node is None
+        assert const.shape == tracked.shape
+        assert const.data.tobytes() == tracked.data.tobytes()
+
+    @pytest.mark.parametrize("name", OPS)
+    @given(n=sizes, d=sizes, k=sizes, seed=seeds)
+    def test_every_result_is_a_float64_array(self, name, n, d, k, seed):
+        op, operands = op_cases(n, d, k, seed)[name]
+        t = tp.Tape()
+        for out in (op(*[tp.constant(x) for x in operands]), op(*[t.leaf(x) for x in operands])):
+            assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+            if name in ("batch_mean", "sum_all", "softmax_cross_entropy"):
+                assert out.ndim == 0
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_constants_carrying_a_tape_record_nothing(self, name):
+        op, operands = op_cases(4, 3, 2, 0)[name]
+        t = tp.Tape(tp.Workspace())
+        out = op(*[tp.Tensor(x, t) for x in operands])
+        assert out.node is None
+        # Only these pass their tape on, so a constant chain of them stays
+        # on its workspace.
+        carries = name.split(" ")[0] in ("matmul", "relu", "l2_normalize")
+        assert out.tape is (t if carries else None)
+        assert t.leaf(np.zeros(1)).node == 0
+
+    def test_as_tensor_wraps_a_float64_array_as_it_is(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert tp.as_tensor(x).data is x
+
+    @pytest.mark.parametrize("x", [np.arange(3), np.arange(3, dtype=np.float32), [0, 1, 2]],
+                             ids=["int", "float32", "list"])
+    def test_as_tensor_coerces_anything_else(self, x):
+        data = tp.as_tensor(x).data
+        assert type(data) is np.ndarray and data.dtype == np.float64
+        np.testing.assert_array_equal(data, [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: tp.add(np.ones((2, 3)), np.ones((3, 2))), ShapeError),
+        (lambda: tp.sub(np.ones(2), np.ones(3)), ShapeError),
+        (lambda: tp.mul(np.ones(2), np.ones(3)), ShapeError),
+        (lambda: tp.div(np.ones(2), np.ones(3)), ShapeError),
+        (lambda: tp.matmul(np.ones((2, 3)), np.ones((2, 3))), ShapeError),
+        (lambda: tp.matmul(np.ones(3), np.ones((3, 2))), ShapeError),
+        (lambda: tp.matmul(np.ones((2, 3)), np.ones((3, 2)), np.ones(3)), ShapeError),
+        (lambda: tp.row_slice(np.ones((2, 3)), 1, 3), ShapeError),
+        (lambda: tp.transpose(np.ones(3)), ShapeError),
+        (lambda: tp.batch_mean(np.ones((2, 2))), ShapeError),
+        (lambda: tp.batch_mean(np.ones(0)), EmptyBatchError),
+        (lambda: tp.squared_distance(np.ones((2, 3)), np.ones((2, 2))), ShapeError),
+        (lambda: tp.row_dot(np.ones(3), np.ones(3)), ShapeError),
+        (lambda: tp.scale_rows(np.ones((2, 3)), np.ones(3)), ShapeError),
+        (lambda: tp.row_add(np.ones((2, 3)), np.ones(3)), ShapeError),
+        (lambda: tp.l2_normalize(np.ones(3)), ShapeError),
+        (lambda: tp.l2_normalize(np.array([[1.0, 0.0], [0.0, 0.0]])),
+         DegenerateRepresentationError),
+        (lambda: tp.tangent_gate(np.ones(3)), ShapeError),
+        (lambda: tp.log(np.array([1.0, 0.0])), DomainError),
+        (lambda: tp.softmax_cross_entropy(np.ones((2, 3)), np.array([0, 3])), DomainError),
+        (lambda: tp.softmax_cross_entropy(np.ones((2, 3)), np.array([0])), ShapeError),
+    ])
+    def test_errors_are_raised_on_constants(self, call, error):
+        with pytest.raises(error):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,19 @@ def verify_blobs():
     return make_blobs(SyntheticBlobsSpec(per_class=20))
 
 
+def test_random_state_weights_are_init_params_of_its_two_seeds():
+    # The online weights are init_params' at the first seed and the
+    # teacher's those that init_params copies into the teacher at the second.
+    spec = DEFAULT_VERIFY_NETWORK
+    state = random_model_state(spec, np.random.default_rng(5))
+    s1, s2 = (int(v) for v in np.random.default_rng(5).integers(0, 2**63, size=2))
+    online, teacher = init_params(spec, s1), init_params(spec, s2)
+    for name, arr in state.values.items():
+        if name.endswith(".w"):
+            source = teacher if name.startswith("target.") else online
+            assert arr.tobytes() == source.values[name].tobytes(), name
+
+
 class TestUpperBound:
     def test_margin_formula_on_known_values(self):
         margin = margin_from_losses(1.0, 1.0, (0.0, 2.0, 2.0))
@@ -120,6 +133,11 @@ class TestMirroredGradients:
             if max(dev.theta_dev, dev.w_dev) > CONTROL_MIN_DEVIATION:
                 hits += 1
         assert hits >= 9
+
+    def test_sweeps_over_both_filter_settings_give_each_sweep(self):
+        both = verify.gradient_correspondence_sweeps((True, False), trials=4, seed=3)
+        assert both == [gradient_correspondence_sweep(trials=4, seed=3, apply_filter=on)
+                        for on in (True, False)]
 
     def test_sweep_collects_per_trial_deviations(self):
         devs = gradient_correspondence_sweep(trials=10, seed=0, apply_filter=True)
@@ -315,3 +333,20 @@ class TestCertificationRecords:
     def test_the_three_gradchecks_share_one_sweep_time(self, certifications):
         seconds = {c.seconds for c in certifications[-1].checks if c.name.startswith("gradcheck")}
         assert len(seconds) == 1
+
+    def test_the_two_one_step_checks_share_one_sweep_time(self, certifications):
+        on, off, _ = certifications[1].checks
+        assert on.seconds == off.seconds
+
+
+def test_correspondence_draws_each_one_step_state_once(verify_blobs, monkeypatch):
+    drawn, inner = [], verify.random_state_and_batch
+
+    def counting(*args):
+        drawn.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(verify, "random_state_and_batch", counting)
+    verify.certify_correspondence(seed=0, network=DEFAULT_VERIFY_NETWORK, dataset=verify_blobs,
+                                  trials=3, steps=2)
+    assert len(drawn) == 3
