@@ -13,7 +13,7 @@ from . import tape as T
 from .data import AugmentationSpec, Dataset, draw_augmented_pairs
 from .errors import ConfigError, ContractError, EvalError
 from .losses import COLLAPSE_UNIFORMITY_THRESHOLD, align_loss, uniform_loss
-from .model import ModelParams, forward_online
+from .model import ModelParams, backbone_output, encode, forward_online
 from .optim import AdamState, adam_step
 
 _EXPORT_CHUNK = 1024
@@ -87,22 +87,25 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
     return ProbeResult(accuracy=accuracy, weights=w, bias=b)
 
 
-def _chunked_output(params: ModelParams, x: np.ndarray, index: int) -> np.ndarray:
-    # Output `index` of forward_online, computed in chunks as constants.
-    outs = []
-    for lo in range(0, x.shape[0], _EXPORT_CHUNK):
-        outs.append(forward_online(params, x[lo : lo + _EXPORT_CHUNK])[index].data)
-    return np.concatenate(outs, axis=0)
+def _chunked(output, x: np.ndarray) -> np.ndarray:
+    # output(rows).data for x's rows, _EXPORT_CHUNK rows at a time.
+    return np.concatenate([output(x[lo : lo + _EXPORT_CHUNK]).data
+                           for lo in range(0, x.shape[0], _EXPORT_CHUNK)], axis=0)
 
 
 def backbone_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Frozen backbone output h."""
-    return _chunked_output(params, x, 0)
+    """Frozen backbone output h; runs the backbone only."""
+    return _chunked(lambda rows: backbone_output(params, rows), x)
 
 
 def projector_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Frozen normalized projector output z."""
-    return _chunked_output(params, x, 1)
+    """Frozen normalized projector output z; runs no predictor."""
+    return _chunked(lambda rows: T.l2_normalize(encode(params, rows)[1]), x)
+
+
+def _predictor_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    # Frozen normalized predictor output p.
+    return _chunked(lambda rows: forward_online(params, rows)[2], x)
 
 
 def linear_evaluation(params: ModelParams, dataset: Dataset, cfg: ProbeConfig | None = None) -> float:
@@ -141,9 +144,10 @@ def metrics_report(
         raise ContractError(f"sample_count: need >= 2, got {sample_count}")
     probe = probe or ProbeConfig()
     raw, batch = draw_augmented_pairs(dataset, aug, sample_count, seed=aug.seed)
-    p1 = _chunked_output(params, batch.x1, 2)
-    p2 = _chunked_output(params, batch.x2, 2)
+    p1 = _predictor_outputs(params, batch.x1)
+    p2 = _predictor_outputs(params, batch.x2)
     align = align_loss(p1, p2).item()
+    del p1, p2  # before the uniformity measure's n x n buffer
     uni = uniform_loss(projector_outputs(params, raw)).item()
     accuracy = linear_evaluation(params, dataset, probe)
     return EvalReport(

@@ -247,6 +247,13 @@ def encode(
     return h, apply_mlp(table, f"{prefix}projector", h, 2)
 
 
+def backbone_output(params: ModelParams, x) -> Tensor:
+    """The online backbone alone, evaluated as constants: encode's h."""
+    spec = params.spec
+    x = Tensor(_check_batch(spec, x))
+    return apply_mlp(params.values, "backbone", x, len(spec.backbone_dims()))
+
+
 def forward_online(
     params: ModelParams,
     x,

@@ -1,10 +1,11 @@
 """First-order optimizers over one flat float64 parameter vector.
 
 Both steppers update the parameter vector in place and leave the gradient
-untouched. Adam keeps its moments and two scratch vectors in AdamState and
-rewrites them in place, so its step allocates no array. Each update performs
-the textbook expression's operations in the textbook's order, so its result
-is the same bit for bit.
+untouched. Adam keeps its moments and two one-block scratch vectors in
+AdamState and rewrites them in place, so its step allocates no array. Each
+update performs the textbook expression's operations in the textbook's order,
+so its result is the same bit for bit; Adam's operations are elementwise, so
+running them block by block keeps those bits too.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from .errors import ShapeError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Floats Adam updates per pass of its operations: its scratch length.
+ADAM_BLOCK = 16_384
 
 
 def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
@@ -29,8 +32,8 @@ def sgd_step(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
 
 @dataclass
 class AdamState:
-    """First and second moment estimates, the step count, and two scratch
-    vectors, each shaped like the parameter vector."""
+    """First and second moment estimates, shaped like the parameter vector,
+    the step count, and two scratch vectors of at most ADAM_BLOCK floats."""
 
     m: np.ndarray
     v: np.ndarray
@@ -39,11 +42,12 @@ class AdamState:
 
     @classmethod
     def init(cls, params: np.ndarray) -> "AdamState":
+        block = min(params.size, ADAM_BLOCK)
         return cls(
             m=np.zeros_like(params),
             v=np.zeros_like(params),
             t=0,
-            scratch=(np.empty_like(params), np.empty_like(params)),
+            scratch=(np.empty(block), np.empty(block)),
         )
 
 
@@ -62,26 +66,33 @@ def adam_step(
     params - lr m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t),
     v_hat = v / (1 - beta2^t).
     """
+    if params.ndim != 1:
+        raise ShapeError(f"Adam updates a flat vector, got shape {params.shape}")
     if not params.shape == grads.shape == state.m.shape:
         raise ShapeError(
             f"param shape {params.shape}, grad shape {grads.shape} and "
             f"optimizer state shape {state.m.shape} differ"
         )
     t = state.t + 1
-    m, v = state.m, state.v
-    a, b = state.scratch
-    m *= beta1
-    np.multiply(grads, 1.0 - beta1, out=a)
-    m += a
-    v *= beta2
-    np.multiply(grads, grads, out=a)
-    a *= 1.0 - beta2
-    v += a
-    np.divide(v, 1.0 - beta2**t, out=b)
-    np.sqrt(b, out=b)
-    b += eps
-    np.divide(m, 1.0 - beta1**t, out=a)
-    a *= float(lr)
-    a /= b
-    params -= a
+    # The bias corrections, once per step.
+    c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+    lr = float(lr)
+    for lo in range(0, params.size, ADAM_BLOCK):
+        hi = lo + ADAM_BLOCK
+        p, g, m, v = params[lo:hi], grads[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        a, b = state.scratch[0][: p.size], state.scratch[1][: p.size]
+        m *= beta1
+        np.multiply(g, 1.0 - beta1, out=a)
+        m += a
+        v *= beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - beta2
+        v += a
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        np.divide(m, c1, out=a)
+        a *= lr
+        a /= b
+        p -= a
     state.t = t

@@ -246,8 +246,15 @@ def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
     return T.tangent_gate(out) if gate else out
 
 
+def _teacher_outputs(params: ModelParams, batch: PositiveBatch) -> tuple[T.Tensor, T.Tensor]:
+    # The unnormalized teacher projections of both views, as constants.
+    return (encode(params, batch.x1, teacher=True)[1],
+            encode(params, batch.x2, teacher=True)[1])
+
+
 def _raw_gradients(
-    params: ModelParams, batch: PositiveBatch, objective: str, gate: bool
+    params: ModelParams, batch: PositiveBatch, teacher: tuple[T.Tensor, T.Tensor],
+    objective: str, gate: bool,
 ) -> np.ndarray:
     # The gradient vector, laid out like params.trainable.
     grad = np.empty_like(params.trainable)
@@ -255,23 +262,28 @@ def _raw_gradients(
     leaves = bind_params(tp, params, params.trainable_views(grad))
     out1 = _raw_online_outputs(params, batch.x1, leaves, gate)
     out2 = _raw_online_outputs(params, batch.x2, leaves, gate)
-    _, t1 = encode(params, batch.x1, teacher=True)
-    _, t2 = encode(params, batch.x2, teacher=True)
-    tp.backward(objective_terms(LossConfig(objective=objective), out1, out2, t1, t2).total)
+    tp.backward(objective_terms(LossConfig(objective=objective), out1, out2, *teacher).total)
     return grad
 
 
 def gradient_correspondence_check(
-    params: ModelParams, batch: PositiveBatch, apply_filter: bool = True
+    params: ModelParams,
+    batch: PositiveBatch,
+    apply_filter: bool = True,
+    teacher: tuple[T.Tensor, T.Tensor] | None = None,
 ) -> GradientDeviations:
     """Evaluate the attract-form at (theta, W) and the repel-form at
     (theta, -W) on the same batch with the same teacher, and measure how far
     the encoder gradients are from equal and the predictor gradients from
     opposite. With the tangential filter on, both deviations sit at rounding
-    level; with it off, the differing radial components surface."""
+    level; with it off, the differing radial components surface. `teacher`
+    holds _teacher_outputs(params, batch) when the caller has them already;
+    mirroring the predictor leaves them unchanged."""
     _require_linear_predictor(params.spec)
-    g_attract = _raw_gradients(params, batch, "byol_prime", apply_filter)
-    g_repel = _raw_gradients(mirror_predictor(params), batch, "raft", apply_filter)
+    if teacher is None:
+        teacher = _teacher_outputs(params, batch)
+    g_attract = _raw_gradients(params, batch, teacher, "byol_prime", apply_filter)
+    g_repel = _raw_gradients(mirror_predictor(params), batch, teacher, "raft", apply_filter)
     theta_dev, w_dev = _mirror_deviations(g_attract, g_repel, params.predictor_span)
     return GradientDeviations(theta_dev=theta_dev, w_dev=w_dev, filter_on=apply_filter)
 
@@ -295,8 +307,9 @@ def gradient_correspondence_sweeps(
     out = [[] for _ in filters]
     for _ in range(trials):
         params, batch = random_state_and_batch(network, rng, batch_size)
+        teacher = _teacher_outputs(params, batch)
         for devs, apply_filter in zip(out, filters):
-            devs.append(gradient_correspondence_check(params, batch, apply_filter))
+            devs.append(gradient_correspondence_check(params, batch, apply_filter, teacher))
     return out
 
 

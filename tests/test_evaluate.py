@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from raftlab.data import AugmentationSpec, Dataset, SyntheticBlobsSpec, make_blobs
-from raftlab import evaluate
+from raftlab import cli, evaluate
+from raftlab import tape as T
 from raftlab.errors import ConfigError, EvalError
 from raftlab.evaluate import (
     PROBE_HOLDOUT_FRACTION,
@@ -21,9 +23,13 @@ from raftlab.evaluate import (
     backbone_features,
     linear_evaluation,
     metrics_report,
+    projector_outputs,
     train_probe,
 )
 from raftlab.model import NetworkSpec, init_params
+
+ROOT = Path(__file__).resolve().parent.parent
+REPEL = ROOT / "configs" / "collapse_raft_lp.json"
 
 NET = NetworkSpec(
     input_dim=8,
@@ -171,6 +177,43 @@ class TestMetricsReport:
         monkeypatch.setattr(evaluate, "forward_online", counting)
         metrics_report(init_params(NET, seed=0), blobs, AugmentationSpec(), sample_count=64)
         assert rows and max(rows) == 16
+
+
+
+@pytest.mark.parametrize("measure, layers", [(backbone_features, 3), (projector_outputs, 5)],
+                         ids=["backbone", "projector"])
+def test_a_measure_runs_only_the_layers_it_reads(measure, layers, monkeypatch):
+    # The repel network has 3 backbone layers, 2 projector layers and the
+    # predictor; neither measure reads the predictor.
+    cfg, dataset, _ = cli.train_config(REPEL)
+    monkeypatch.setattr(evaluate, "_EXPORT_CHUNK", 128)
+    calls, inner = [], T.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(T, "matmul", counting)
+    measure(init_params(cfg.network, seed=0), dataset.samples)
+    chunks = -(-len(dataset) // 128)
+    assert len(calls) == layers * chunks and max(calls) == 128
+
+
+def test_metrics_report_drops_p_before_the_uniformity_buffer():
+    # At n rows and projection width w, the uniformity measure holds its
+    # n x n buffer and two n x w copies of z; the two views' p are gone by then.
+    cfg, dataset, _ = cli.train_config(REPEL)
+    params = init_params(cfg.network, seed=0)
+    n, w = 512, cfg.network.projection_dim
+    metrics_report(params, dataset, cfg.augmentation, sample_count=16)  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metrics_report(params, dataset, cfg.augmentation, sample_count=n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n * n + 4 * n * w)
 
 
 

@@ -11,6 +11,7 @@ from raftlab.errors import ShapeError
 from raftlab.optim import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     AdamState,
     adam_step,
@@ -72,16 +73,23 @@ def test_adam_rejects_state_of_another_size():
         adam_step(np.zeros(2), np.zeros(2), AdamState.init(np.zeros(3)), lr=0.1)
 
 
-def test_adam_moment_recursion_matches_reference():
+B = ADAM_BLOCK
+
+
+@pytest.mark.parametrize("size", [1, B - 1, B, B + 1, 5 * B + 3],
+                         ids=["1", "B-1", "B", "B+1", "5B+3"])
+def test_adam_moment_recursion_matches_reference(size):
     # The in-place update performs the textbook expression's operations in
-    # the same order, so it must agree bit for bit, not just closely.
+    # the same order, block by block, so it must agree bit for bit, not just
+    # closely, on either side of every block edge.
     rng = np.random.default_rng(0)
-    params = rng.normal(size=6)
+    params = rng.normal(size=size)
     state = AdamState.init(params)
-    m = np.zeros(6)
-    v = np.zeros(6)
+    assert all(s.size <= ADAM_BLOCK for s in state.scratch)
+    m = np.zeros(size)
+    v = np.zeros(size)
     for t in range(1, 6):
-        g = rng.normal(size=6)
+        g = rng.normal(size=size)
         m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
         v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * (g * g)
         mhat = m / (1 - ADAM_BETA1**t)
@@ -91,6 +99,11 @@ def test_adam_moment_recursion_matches_reference():
         np.testing.assert_array_equal(params, expected)
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
+
+
+def test_adam_rejects_a_matrix():
+    with pytest.raises(ShapeError):
+        adam_step(np.zeros((2, 2)), np.zeros((2, 2)), AdamState.init(np.zeros((2, 2))), lr=0.1)
 
 
 @given(st.floats(min_value=0.01, max_value=0.5))

@@ -214,6 +214,31 @@ class TestLoopBehavior:
             np.testing.assert_array_equal(params.values[name], custom.values[name])
 
 
+    @pytest.mark.parametrize("optimizer", OPTIMIZERS)
+    def test_the_run_never_writes_into_its_starting_parameters(
+        self, small_blobs, monkeypatch, optimizer
+    ):
+        # A caller may keep the parameters a run started from, given or
+        # drawn, to score the untrained model; the run trains its own copy.
+        drawn = []
+
+        def keeping(*args, **kwargs):
+            drawn.append(init_params(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(train, "init_params", keeping)
+        cfg = small_config(steps=3, optimizer=optimizer)
+        given = init_params(SMALL_NET, seed=1234)
+        given_bytes = given.flat.tobytes()
+        train_run(cfg, small_blobs, initial_params=given)
+        final, _ = train_run(cfg, small_blobs)
+        (start,) = drawn
+        assert given.flat.tobytes() == given_bytes
+        init_seed, _ = derived_seeds(cfg.master_seed)
+        assert start.flat.tobytes() == init_params(SMALL_NET, init_seed).flat.tobytes()
+        assert start.flat.tobytes() != final.flat.tobytes()
+
+
 class TestArtifacts:
     def test_metrics_file_excludes_wall_clock(self, tmp_path, small_blobs):
         cfg = small_config(steps=8, log_every=4)

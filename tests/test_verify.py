@@ -139,6 +139,19 @@ class TestMirroredGradients:
         assert both == [gradient_correspondence_sweep(trials=4, seed=3, apply_filter=on)
                         for on in (True, False)]
 
+    def test_a_sweep_runs_the_teacher_once_per_state_and_view(self, monkeypatch):
+        # Mirroring the predictor leaves the teacher as it is, so both forms
+        # under both filter settings share one teacher forward of each view.
+        teacher_calls, inner = [], verify.encode
+
+        def counting(*args, teacher=False, **kwargs):
+            teacher_calls.append(teacher)
+            return inner(*args, teacher=teacher, **kwargs)
+
+        monkeypatch.setattr(verify, "encode", counting)
+        verify.gradient_correspondence_sweeps((True, False), trials=3, seed=0)
+        assert sum(teacher_calls) == 2 * 3
+
     def test_sweep_collects_per_trial_deviations(self):
         devs = gradient_correspondence_sweep(trials=10, seed=0, apply_filter=True)
         assert len(devs) == 10
