@@ -179,7 +179,6 @@ class TestMetricsReport:
         assert rows and max(rows) == 16
 
 
-
 @pytest.mark.parametrize("measure, layers", [(backbone_features, 3), (projector_outputs, 5)],
                          ids=["backbone", "projector"])
 def test_a_measure_runs_only_the_layers_it_reads(measure, layers, monkeypatch):
@@ -214,7 +213,6 @@ def test_metrics_report_drops_p_before_the_uniformity_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * (n * n + 4 * n * w)
-
 
 
 def test_an_evaluation_does_not_import_numpy_ma():
