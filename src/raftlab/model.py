@@ -2,10 +2,12 @@
 checkpoint serialization.
 
 All parameters live in one contiguous float64 vector, exposed as an ordered
-dict of named views. Weight matrices are stored (fan_in, fan_out) and applied
-as x @ W. The teacher is a shape-identical copy of the backbone and projector
-under the "target." prefix; it is evaluated as constants, so no gradient can
-ever reach it. A checkpoint is the NetworkSpec plus that vector.
+dict of named views; a stack of K such vectors, one row per state, gives
+stacked views that the constant forwards evaluate in one pass. Weight
+matrices are stored (fan_in, fan_out) and applied as x @ W. The teacher is
+a shape-identical copy of the backbone and projector under the "target."
+prefix; it is evaluated as constants, so no gradient can ever reach it. A
+checkpoint is the NetworkSpec plus that vector.
 """
 
 from __future__ import annotations
@@ -62,7 +64,11 @@ class NetworkSpec:
                 f"predictor: unknown kind {self.predictor!r}, expected one of {PREDICTOR_KINDS}"
             )
         check_elements("network parameters (input_dim, backbone_widths, representation_dim, "
-                       "projection_dim)", _layout(self)[-1][1].stop)
+                       "projection_dim)", self.flat_size())
+
+    def flat_size(self) -> int:
+        """Entries of the flat parameter vector (see ModelParams)."""
+        return _layout(self)[-1][1].stop
 
     def widest_layer(self) -> int:
         """The most columns any layer's input or output has."""
@@ -82,19 +88,25 @@ class ModelParams:
     encoder, in the same layout). `values` maps each name to its view of
     `flat`, in that order. Write through the views or `flat`; rebinding a
     name in `values` detaches it from `flat`.
+
+    `flat` may also be a stack (K, size) of K states. Every view and segment
+    then has a leading axis of K (weights (K, fan_in, fan_out), biases
+    (K, fan_out)), and state k's are those of ModelParams(spec, flat[k]).
     """
 
     def __init__(self, spec: NetworkSpec, flat: np.ndarray | None = None):
         """View `flat` without copying it, or a fresh vector of zeros."""
         layout = _layout(spec)
-        size = layout[-1][1].stop
+        size = spec.flat_size()
         if flat is None:
             flat = np.zeros(size)
-        elif flat.shape != (size,):
-            raise ShapeError(f"parameter vector: shape {flat.shape}, expected ({size},)")
+        elif flat.ndim not in (1, 2) or flat.shape[-1] != size:
+            raise ShapeError(
+                f"parameter vector: shape {flat.shape}, expected ({size},) or (K, {size})"
+            )
         self.spec = spec
         self.flat = flat
-        self.values = {name: flat[span].reshape(shape) for name, span, shape in layout}
+        self.values = _views(flat, layout)
         self._n_trainable = next(
             span.start for name, span, _ in layout if name.startswith("target.")
         )
@@ -102,37 +114,44 @@ class ModelParams:
     @property
     def trainable(self) -> np.ndarray:
         """The online encoder and predictor segments: what the optimizer updates."""
-        return self.flat[: self._n_trainable]
+        return self.flat[..., : self._n_trainable]
 
     @property
     def teacher(self) -> np.ndarray:
-        return self.flat[self._n_trainable :]
+        return self.flat[..., self._n_trainable :]
 
     @property
     def encoder(self) -> np.ndarray:
         """The online encoder segment, laid out like the teacher."""
-        return self.flat[: self.teacher.size]
+        return self.flat[..., : self.predictor_span.start]
 
     @property
     def predictor_span(self) -> slice:
-        """Where the predictor segment lies in `flat` and in `trainable`."""
-        return slice(self.teacher.size, self._n_trainable)
+        """Where the predictor segment lies in `flat` and in `trainable`,
+        along their last axis."""
+        return slice(self.flat.shape[-1] - self._n_trainable, self._n_trainable)
 
     def trainable_views(self, vec: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a vector laid out like `trainable`, such as a
-        gradient."""
-        if vec.shape != (self._n_trainable,):
+        gradient (a stack of them for a stack of states)."""
+        if vec.shape != self.trainable.shape:
             raise ShapeError(
-                f"trainable vector: shape {vec.shape}, expected ({self._n_trainable},)"
+                f"trainable vector: shape {vec.shape}, expected {self.trainable.shape}"
             )
-        return {name: vec[span].reshape(shape) for name, span, shape in _layout(self.spec)
-                if span.stop <= self._n_trainable}
+        return _views(vec, [e for e in _layout(self.spec) if e[1].stop <= self._n_trainable])
 
     def trainable_names(self) -> list[str]:
         return [n for n in self.values if not n.startswith("target.")]
 
     def clone(self) -> "ModelParams":
         return ModelParams(self.spec, self.flat.copy())
+
+
+def _views(vec: np.ndarray, layout) -> dict[str, np.ndarray]:
+    # Named views of `vec` along its last axis; splitting that axis never
+    # copies, so a row of a stack keeps writing through.
+    lead = vec.shape[:-1]
+    return {name: vec[..., span].reshape(lead + shape) for name, span, shape in layout}
 
 
 def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], bool]]:
@@ -148,17 +167,30 @@ def _online_layer_names(spec: NetworkSpec) -> list[tuple[str, tuple[int, int], b
     return out
 
 
+@functools.cache
+def weight_law(spec: NetworkSpec) -> tuple[tuple[int, tuple[tuple[slice, float], ...]], ...]:
+    """The spans of `flat` in the order the weight law draws them, as three
+    streams: the online weight matrices in layer order, the teacher's, and
+    every bias (online, then teacher). Each stream is (its element count,
+    its spans), each span with the bound b of its layer's uniform(-b, b),
+    b = 1/sqrt(fan_in)."""
+    layout = _layout(spec)
+    fan_in = {name: shape[0] for name, _, shape in layout if name.endswith(".w")}
+    streams = ([], [], [])  # online weights, teacher weights, biases
+    for name, span, _ in layout:
+        stream = 2 if name.endswith(".b") else int(name.startswith("target."))
+        streams[stream].append((span, 1.0 / math.sqrt(fan_in[name[:-2] + ".w"])))
+    return tuple((sum(span.stop - span.start for span, _ in spans), tuple(spans))
+                 for spans in streams)
+
+
 def draw_weights(params: ModelParams, seed: int, teacher: bool = False) -> None:
     """Draw every online weight matrix, or with `teacher` every "target."
-    one, from uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), in layer order
-    from one stream seeded by `seed`. Biases are left as they are."""
+    one, from weight_law, in layer order from one stream seeded by `seed`.
+    Biases are left as they are."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    prefix = "target." if teacher else ""
-    for layer, (fan_in, fan_out), _ in _online_layer_names(params.spec):
-        w = params.values.get(f"{prefix}{layer}.w")
-        if w is not None:  # the teacher has no predictor, the last layer
-            bound = 1.0 / math.sqrt(fan_in)
-            w[...] = rng.uniform(-bound, bound, (fan_in, fan_out))
+    for span, b in weight_law(params.spec)[int(teacher)][1]:
+        params.flat[..., span] = rng.uniform(-b, b, span.stop - span.start)
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
@@ -201,21 +233,30 @@ def bind_params(
 
 
 def _check_batch(spec: NetworkSpec, x: np.ndarray) -> np.ndarray:
+    """A float64 batch (n, input_dim), or a stack (..., n, input_dim) of
+    them for a stack of states."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if x.ndim < 2 or x.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"expected a batch shaped (n, {spec.input_dim}), got {x.shape}"
         )
-    if x.shape[0] == 0:
+    if x.shape[-2] == 0:
         raise EmptyBatchError("forward: empty batch")
     return x
+
+
+def _linear(x: Tensor, w, b=None) -> Tensor:
+    # x @ w (+ b); a stack of states or batches takes T.stacked_matmul.
+    if x.ndim == 2 and w.ndim == 2:
+        return T.matmul(x, w, b)
+    return T.stacked_matmul(x, w, b)
 
 
 def apply_mlp(table: Mapping, prefix: str, x, n_layers: int):
     """ReLU after every layer but the last, which stays linear."""
     out = x
     for i in range(n_layers):
-        out = T.matmul(out, table[f"{prefix}.{i}.w"], table[f"{prefix}.{i}.b"])
+        out = _linear(out, table[f"{prefix}.{i}.w"], table[f"{prefix}.{i}.b"])
         if i + 1 < n_layers:
             out = T.relu(out)
     return out
@@ -272,13 +313,14 @@ def forward_online(
     if params.spec.predictor == "identity":
         return h, z, z
     table: Mapping = leaves if leaves is not None else params.values
-    return h, z, T.l2_normalize(T.matmul(z_pre, table["predictor.w"]))
+    return h, z, T.l2_normalize(_linear(z_pre, table["predictor.w"]))
 
 
 def stack_views(x1, x2) -> tuple[np.ndarray, int]:
     """Both views as one batch, view 1's rows first, and the view size;
-    split_views takes an output's rows apart again."""
-    return np.concatenate((x1, x2)), x1.shape[0]
+    split_views takes an output's rows apart again. Rows are the
+    second-to-last axis, so stacks of batches stack view by view."""
+    return np.concatenate((x1, x2), axis=-2), x1.shape[-2]
 
 
 def split_views(t: Tensor, n: int) -> tuple[Tensor, Tensor]:
@@ -315,8 +357,11 @@ def save_checkpoint(params: ModelParams, path):
     """Write the magic bytes, the format version and the network spec as
     little-endian u32s (input_dim, the count and values of backbone_widths,
     representation_dim, projection_dim, the predictor's index in
-    PREDICTOR_KINDS), then `params.flat` as <f8 in _layout order."""
+    PREDICTOR_KINDS), then `params.flat` as <f8 in _layout order. A stack
+    of states has no checkpoint."""
     spec = params.spec
+    if params.flat.ndim != 1:
+        raise ShapeError(f"save_checkpoint: one state at a time, got a stack {params.flat.shape}")
     header = (CHECKPOINT_VERSION, spec.input_dim, len(spec.backbone_widths),
               *spec.backbone_widths, spec.representation_dim, spec.projection_dim,
               PREDICTOR_KINDS.index(spec.predictor))
@@ -368,7 +413,7 @@ def load_checkpoint(path) -> ModelParams:
                            PREDICTOR_KINDS[kind])
     except ConfigError as exc:
         raise FormatError(f"checkpoint: bad network spec ({exc})") from exc
-    n_bytes = 8 * _layout(spec)[-1][1].stop
+    n_bytes = 8 * spec.flat_size()
     if len(blob) - r.pos != n_bytes:
         raise FormatError(f"checkpoint: {len(blob) - r.pos} parameter bytes, expected "
                           f"{n_bytes} for the network in its header")

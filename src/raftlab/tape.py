@@ -37,6 +37,13 @@ Conventions:
   ``relu`` and ``l2_normalize`` pass that tape on to a constant result, so
   a constant chain of those (the teacher forward) stays on the workspace;
   every other op returns a constant without a tape.
+* on constants, ``l2_normalize``, ``squared_distance``, ``batch_mean`` and
+  ``row_slice`` also take stacks: leading axes that index independent
+  problems, such as K parameter states evaluated in one forward, and
+  ``stacked_matmul`` is ``matmul`` for stacks (``relu`` and the elementwise
+  ops take any shape). Each slice gets the bits of its own 2-D (1-D for
+  ``batch_mean``) call. The VJPs are 2-D (1-D), so a stack with a tracked
+  operand raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -303,6 +310,17 @@ def _require_same_shape(a: Tensor, b: Tensor, opname: str):
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} differ")
 
 
+def _require_constant_stack(opname: str, ndim: int, *ts: Tensor) -> None:
+    """For an op whose operands are not all `ndim`-D: accept them only as
+    constants of at least `ndim` dimensions, a stack of problems."""
+    shapes = " and ".join(str(t.shape) for t in ts)
+    if any(t.ndim < ndim for t in ts):
+        raise ShapeError(f"{opname}: needs operands of at least {ndim} dimensions, got {shapes}")
+    if any(t.node is not None for t in ts):
+        raise ShapeError(f"{opname}: a tracked operand must be {ndim}-D; "
+                         f"only constants stack, got {shapes}")
+
+
 def _through(g, o):
     return g
 
@@ -423,12 +441,36 @@ def matmul(a, b, bias=None) -> Tensor:
     return _op(out, operands)
 
 
+def stacked_matmul(a, b, bias=None) -> Tensor:
+    """matmul over stacks of constant matrices: (..., n, k) @ (..., k, m)
+    slice by slice, plus a bias (..., m), one row for each slice's rows.
+
+    np.matmul runs one GEMM per slice, so each slice has the bits of its
+    own matmul call; bias[..., None, :] keeps a (K, m) bias off the row
+    axis even when K equals the row count. It is not folded into matmul,
+    whose result perfbench's tracer reads as a matrix."""
+    a, b = as_tensor(a), as_tensor(b)
+    bias = None if bias is None else as_tensor(bias)
+    _require_constant_stack("stacked_matmul", 2, a, b, *(() if bias is None else (bias,)))
+    if a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"stacked_matmul: inner dimensions {a.shape} x {b.shape} disagree")
+    out = np.matmul(a.data, b.data)
+    if bias is not None:
+        if bias.shape != out.shape[:-2] + out.shape[-1:]:
+            raise ShapeError(f"stacked_matmul: bias shape {bias.shape} for output {out.shape}")
+        out += bias.data[..., None, :]
+    return _wrap(out)
+
+
 def row_slice(a, lo: int, hi: int) -> Tensor:
-    """Rows lo:hi of a matrix; the VJP scatters into zeros of the full shape."""
+    """Rows lo:hi of a matrix, or of each matrix of a stack of constants;
+    the VJP scatters into zeros of the full shape."""
     a = as_tensor(a)
-    if a.ndim != 2 or not 0 <= lo < hi <= a.shape[0]:
+    if a.ndim != 2:
+        _require_constant_stack("row_slice", 2, a)
+    if not 0 <= lo < hi <= a.shape[-2]:
         raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
-    out = a.data[lo:hi]
+    out = a.data[..., lo:hi, :]
     if a.node is None:
         return _wrap(out)
     shape = a.shape
@@ -506,15 +548,16 @@ def sum_all(a) -> Tensor:
 
 
 def batch_mean(a) -> Tensor:
-    """Mean of a 1-D per-sample vector; rejects empty batches. The sum is
-    ndarray.mean's, so the result is bit for bit a.mean()."""
+    """Mean of a 1-D per-sample vector, or of each vector of a stack of
+    constants; rejects empty batches. The sum is ndarray.mean's, so the
+    result is bit for bit a.mean()."""
     a = as_tensor(a)
     if a.ndim != 1:
-        raise ShapeError(f"batch_mean: needs a 1-D input, got shape {a.shape}")
-    n = a.shape[0]
+        _require_constant_stack("batch_mean", 1, a)
+    n = a.shape[-1]
     if n == 0:
         raise EmptyBatchError("batch_mean: empty batch")
-    out = np.add.reduce(a.data) / n
+    out = np.add.reduce(a.data, axis=-1) / n
     if a.node is None:
         return _wrap(out)
     return _op(out, [(a, lambda g, o: np.full(n, g / n))])
@@ -525,15 +568,16 @@ def batch_mean(a) -> Tensor:
 
 
 def squared_distance(a, b) -> Tensor:
-    """Per-row squared Euclidean distance between two (n, d) matrices."""
+    """Per-row squared Euclidean distance between two (n, d) matrices, or
+    between two stacks of constant ones."""
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "squared_distance")
     if a.ndim != 2:
-        raise ShapeError(f"squared_distance: needs matrices, got shape {a.shape}")
+        _require_constant_stack("squared_distance", 2, a, b)
     tape = a.tape or b.tape
     ws = tape and tape._ws
     diff = np.subtract(a.data, b.data, out=_buf(ws, a.shape))
-    out = np.einsum("ij,ij->i", diff, diff)
+    out = np.einsum("...ij,...ij->...i", diff, diff)
     if a.node is None and b.node is None:
         return _wrap(out)
 
@@ -595,23 +639,24 @@ def l2_normalize(a) -> Tensor:
 
     The backward pass uses the full Jacobian (I - y y^T) / ||x|| per row, so
     gradients flowing through the output are automatically tangential to it.
-    Rows with norm below NORM_EPS raise.
+    Rows with norm below NORM_EPS raise; in a stack of constants, rows are
+    counted across its matrices.
     """
     a = as_tensor(a)
     if a.ndim != 2:
-        raise ShapeError(f"l2_normalize: needs a matrix, got shape {a.shape}")
+        _require_constant_stack("l2_normalize", 2, a)
     tape = a.tape
     ws = tape and tape._ws
     # np.linalg.norm's own sum of squares, without its two temporaries; the
     # squares' buffer then takes the output.
     out = np.multiply(a.data, a.data, out=_buf(ws, a.shape))
-    norms = np.sqrt(np.add.reduce(out, axis=1))
+    norms = np.sqrt(np.add.reduce(out, axis=-1))
     if (norms < NORM_EPS).any():
         worst = int(np.argmin(norms))
         raise DegenerateRepresentationError(
-            f"l2_normalize: row {worst} has norm {norms[worst]:.3e} < {NORM_EPS}"
+            f"l2_normalize: row {worst} has norm {norms.flat[worst]:.3e} < {NORM_EPS}"
         )
-    np.divide(a.data, norms[:, None], out=out)
+    np.divide(a.data, norms[..., None], out=out)
     if a.node is None:
         return _wrap(out, tape)
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -46,7 +45,6 @@ from .model import (
     ModelParams,
     NetworkSpec,
     bind_params,
-    draw_weights,
     encode,
     forward_online,
     forward_target,
@@ -54,6 +52,7 @@ from .model import (
     mirror_predictor,
     split_views,
     stack_views,
+    weight_law,
 )
 from .train import TrainConfig, train_run
 
@@ -92,6 +91,12 @@ DEFAULT_VERIFY_NETWORK = NetworkSpec(
     predictor="linear",
 )
 
+# The upper-bound and difference sweeps evaluate their parameter states in
+# stacks, as many per forward as keep the largest stacked array within this
+# many float64 elements (512 KiB). Memory then stays bounded whatever the
+# trial count.
+STACK_ELEMENTS = 2**16
+
 # Explicit Kronecker systems are capped at this side length per factor.
 MAX_SYLVESTER_DIM = 12
 
@@ -109,19 +114,23 @@ def _require_linear_predictor(spec: NetworkSpec):
 # upper bound
 
 
-def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple[float, float, float]:
+def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple:
     """(align, same-view cross, crossed-view objective) of the byol
-    objective on one shared forward pass of both views stacked."""
+    objective on one shared forward pass of both views stacked.
+
+    For a stack of K states (and batches, (K, n, input_dim) per view) the
+    three are arrays of K values, each bit for bit its state's own call."""
     x, n = stack_views(batch.x1, batch.x2)
     _, _, p = forward_online(params, x)
     parts = objective_terms(LossConfig(objective="byol"), *split_views(p, n),
                             *split_views(forward_target(params, x), n))
-    return parts.align.item(), parts.cross.item(), parts.total.item()
+    losses = (parts.align.data, parts.cross.data, parts.total.data)
+    return losses if parts.total.ndim else tuple(map(float, losses))
 
 
-def margin_from_losses(alpha: float, beta: float, losses: tuple[float, float, float]) -> float:
+def margin_from_losses(alpha: float, beta: float, losses: tuple) -> float:
     """(1/alpha + 1/beta) * (alpha*align + beta*cross) - byol, from the
-    (align, cross, byol) of state_losses."""
+    (align, cross, byol) of state_losses; an array of margins for a stack."""
     if not (alpha > 0 and beta > 0):
         raise ContractError(f"weights must be positive, got alpha={alpha}, beta={beta}")
     align, cross, byol = losses
@@ -141,30 +150,49 @@ class UpperBoundReport:
 
 def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelParams:
     """Independent online and teacher parameters: the online weights are
-    drawn from a first seed and the teacher's from a second, so the two
-    paths genuinely differ.
+    drawn as draw_weights does from a first seed and the teacher's from a
+    second, so the two paths genuinely differ.
 
     Biases are re-drawn from the weight law rather than left at their zero
     training default: the certifications quantify over generic parameter
     positions, and nonzero biases also keep every ReLU path almost surely
     alive, so no sampled state can hit the degenerate zero-representation
     guard."""
+    u = np.empty((1, spec.flat_size()))
+    _state_uniforms(spec, rng, u[0])
+    return ModelParams(spec, _states_from_uniforms(spec, u).flat[0])
+
+
+def _state_uniforms(spec: NetworkSpec, rng: np.random.Generator, u: np.ndarray) -> None:
+    # One random_model_state's uniform draws into the vector `u`, in
+    # weight_law's order: the online weights' seeded stream, the teacher's,
+    # then the biases from `rng`.
+    (lo, _), (n_teacher, _), _ = weight_law(spec)
     s1, s2 = (int(v) for v in rng.integers(0, 2**63, size=2))
-    params = ModelParams(spec)
-    draw_weights(params, s1)
-    draw_weights(params, s2, teacher=True)
-    _draw_biases(params, rng)
+    np.random.default_rng(np.random.SeedSequence(s1)).random(out=u[:lo])
+    np.random.default_rng(np.random.SeedSequence(s2)).random(out=u[lo:lo + n_teacher])
+    rng.random(out=u[lo + n_teacher:])
+
+
+def _states_from_uniforms(spec: NetworkSpec, u: np.ndarray) -> ModelParams:
+    # The stack of states whose rows' draws `u` (K, size) holds, mapped span
+    # by span as Generator.uniform(-b, b) maps its own draws, -b + (b - -b) * u
+    # per element, so each state has the bits of the per-layer uniform calls.
+    params = ModelParams(spec, np.empty_like(u))
+    at = 0
+    for span, b in (entry for _, spans in weight_law(spec) for entry in spans):
+        seg = params.flat[:, span]
+        np.multiply(u[:, at:at + span.stop - span.start], b - -b, out=seg)
+        seg += -b
+        at += span.stop - span.start
     return params
 
 
 def _draw_biases(params: ModelParams, rng: np.random.Generator) -> None:
     """Redraw every bias, teacher ones included, from its layer's weight law
     uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-    for name, arr in params.values.items():
-        if name.endswith(".b"):
-            fan_in = params.values[name[:-2] + ".w"].shape[0]
-            bound = 1.0 / math.sqrt(fan_in)
-            arr[...] = rng.uniform(-bound, bound, size=arr.shape)
+    for span, b in weight_law(params.spec)[2][1]:
+        params.flat[span] = rng.uniform(-b, b, span.stop - span.start)
 
 
 def random_state_and_batch(
@@ -172,12 +200,33 @@ def random_state_and_batch(
 ) -> tuple[ModelParams, PositiveBatch]:
     """A random_model_state draw followed by a standard-normal positive
     batch (view 1, then view 2) from the same stream."""
-    params = random_model_state(spec, rng)
-    return params, PositiveBatch(
-        x1=rng.normal(size=(batch_size, spec.input_dim)),
-        x2=rng.normal(size=(batch_size, spec.input_dim)),
-        labels=np.zeros(batch_size, dtype=np.int64),
-    )
+    params, batch = random_states_and_batches(spec, rng, 1, batch_size)
+    return ModelParams(spec, params.flat[0]), PositiveBatch(
+        x1=batch.x1[0], x2=batch.x2[0], labels=batch.labels)
+
+
+def random_states_and_batches(
+    spec: NetworkSpec, rng: np.random.Generator, k: int, batch_size: int
+) -> tuple[ModelParams, PositiveBatch]:
+    """k random_state_and_batch draws from the stream, in its order, as one
+    stack: k states and views of shape (k, batch_size, input_dim)."""
+    u = np.empty((k, spec.flat_size()))
+    x1 = np.empty((k, batch_size, spec.input_dim))
+    x2 = np.empty_like(x1)
+    for i in range(k):
+        _state_uniforms(spec, rng, u[i])
+        x1[i] = rng.normal(size=x1.shape[1:])
+        x2[i] = rng.normal(size=x2.shape[1:])
+    labels = np.zeros(batch_size, dtype=np.int64)
+    return _states_from_uniforms(spec, u), PositiveBatch(x1=x1, x2=x2, labels=labels)
+
+
+def states_per_chunk(spec: NetworkSpec, rows: int) -> int:
+    """How many states one stacked forward of `rows` rows per state takes:
+    each holds a parameter vector and (rows, widest layer) arrays, and the
+    largest stacked array stays within STACK_ELEMENTS (at least one state)."""
+    per_state = max(spec.flat_size(), rows * spec.widest_layer())
+    return max(1, STACK_ELEMENTS // per_state)
 
 
 def upper_bound_sweep(
@@ -187,21 +236,28 @@ def upper_bound_sweep(
     batch_size: int = 16,
 ) -> UpperBoundReport:
     """Randomized search for a counterexample to the bound over the (alpha,
-    beta) weights of WEIGHT_GRID; the per-state forward is shared across them."""
+    beta) weights of WEIGHT_GRID; the per-state forward is shared across them.
+
+    States are drawn and evaluated one stack of states_per_chunk at a time;
+    the margins are scanned in (trial, alpha, beta) order and the first
+    smallest is the worst, as a loop over states would find it."""
     if trials < 1:
         raise ContractError(f"trials: need >= 1, got {trials}")
     network = network or DEFAULT_VERIFY_NETWORK
     rng = np.random.default_rng(np.random.SeedSequence([seed, 21]))
+    chunk = states_per_chunk(network, 2 * batch_size)
+    grid = [(alpha, beta) for alpha in WEIGHT_GRID for beta in WEIGHT_GRID]
     min_margin = float("inf")
     worst = (0, WEIGHT_GRID[0], WEIGHT_GRID[0])
-    for trial in range(trials):
-        losses = state_losses(*random_state_and_batch(network, rng, batch_size))
-        for alpha in WEIGHT_GRID:
-            for beta in WEIGHT_GRID:
-                margin = margin_from_losses(alpha, beta, losses)
-                if margin < min_margin:
-                    min_margin = margin
-                    worst = (trial, alpha, beta)
+    for start in range(0, trials, chunk):
+        losses = state_losses(*random_states_and_batches(
+            network, rng, min(chunk, trials - start), batch_size))
+        margins = np.stack([margin_from_losses(a, b, losses) for a, b in grid], axis=-1).ravel()
+        i = int(np.argmin(margins))
+        if margins[i] < min_margin:
+            min_margin = float(margins[i])
+            trial, g = divmod(i, len(grid))
+            worst = (start + trial, *grid[g])
     return UpperBoundReport(
         trials=trials,
         batch_size=batch_size,
@@ -578,8 +634,10 @@ def finite_difference_gradchecks(
     max_coords); returns each objective's worst relative error, in order.
 
     Each analytic gradient comes from its own tape with one forward per
-    view. The difference sweep is shared: each bump runs one forward of
-    both views stacked and scores every objective on its rows.
+    view. The difference sweep is shared and stacked: a chunk of c
+    coordinates is 2c copies of the parameters, row r bumped by +step at
+    the r-th coordinate and row c + r by -step, and one constant forward of
+    both views stacked scores every objective on every row.
     """
     if step <= 0:
         raise ContractError(f"step: must be positive, got {step}")
@@ -600,31 +658,29 @@ def finite_difference_gradchecks(
 
     x, n = stack_views(batch.x1, batch.x2)
 
-    def totals_at(probe: ModelParams) -> list[float]:
-        p1, p2 = split_views(forward_online(probe, x)[2], n)
-        return [objective_terms(cfg, p1, p2, zbar1, zbar2).total.item() for cfg in loss_cfgs]
-
     # Coordinates index the trainable segment of the flat parameter vector.
-    coords = range(analytic[0].size)
-    if len(coords) > max_coords:
+    coords = np.arange(analytic[0].size)
+    if coords.size > max_coords:
         rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
-        coords = rng.choice(len(coords), size=max_coords, replace=False)
+        coords = rng.choice(coords.size, size=max_coords, replace=False)
 
-    probe = params.clone()
-    flat = probe.flat
+    per_chunk = max(1, states_per_chunk(params.spec, 2 * n) // 2)
+    base = params.flat
     worst = [0.0] * len(loss_cfgs)
-    for i in coords:
-        base = flat[i]
-        flat[i] = base + step
-        his = totals_at(probe)
-        flat[i] = base - step
-        los = totals_at(probe)
-        flat[i] = base
-        for j, (hi, lo) in enumerate(zip(his, los)):
-            fd = (hi - lo) / (2.0 * step)
-            an = float(analytic[j][i])
-            err = abs(an - fd) / max(abs(an), abs(fd), 1e-6)
-            worst[j] = max(worst[j], err)
+    for start in range(0, coords.size, per_chunk):
+        cs = coords[start:start + per_chunk]
+        c = cs.size
+        probe = ModelParams(params.spec, np.tile(base, (2 * c, 1)))
+        probe.flat[np.arange(c), cs] = base[cs] + step
+        probe.flat[np.arange(c, 2 * c), cs] = base[cs] - step
+        p1, p2 = split_views(forward_online(probe, x)[2], n)
+        zb1, zb2 = (np.broadcast_to(z.data, p1.shape) for z in (zbar1, zbar2))
+        for j, cfg in enumerate(loss_cfgs):
+            totals = objective_terms(cfg, p1, p2, zb1, zb2).total.data
+            fd = (totals[:c] - totals[c:]) / (2.0 * step)
+            an = analytic[j][cs]
+            err = np.abs(an - fd) / np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-6)
+            worst[j] = max(worst[j], float(err.max()))
     return worst
 
 

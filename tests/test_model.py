@@ -18,6 +18,7 @@ from raftlab.model import (
     CHECKPOINT_VERSION,
     ModelParams,
     NetworkSpec,
+    bind_params,
     ema_update,
     forward_online,
     forward_target,
@@ -191,6 +192,69 @@ class TestFlatLayout:
         copy = params.clone()
         copy.flat[...] = 0.0
         assert np.any(params.flat != 0.0)
+
+
+class TestStackedParams:
+    """A (K, size) flat is K states: every accessor acts per state or raises."""
+
+    K = 4
+
+    def stack(self, kind="linear"):
+        spec = small_spec(kind)
+        flat = np.stack([init_params(spec, seed=s).flat for s in range(self.K)])
+        flat[:, -3:] += 0.5  # a teacher that differs from the encoder
+        return ModelParams(spec, flat)
+
+    @pytest.mark.parametrize("kind", ["linear", "identity"])
+    def test_every_view_and_segment_is_its_states(self, kind):
+        stack = self.stack(kind)
+        for k in range(self.K):
+            one = ModelParams(stack.spec, stack.flat[k])
+            assert stack.values.keys() == one.values.keys()
+            for name, view in stack.values.items():
+                assert view.shape == (self.K, *one.values[name].shape)
+                assert view[k].tobytes() == one.values[name].tobytes(), name
+            for segment in ("trainable", "teacher", "encoder"):
+                assert getattr(stack, segment)[k].tobytes() == getattr(one, segment).tobytes()
+            assert stack.predictor_span == one.predictor_span
+        grad = np.arange(stack.trainable.size, dtype=np.float64).reshape(stack.trainable.shape)
+        for k in range(self.K):
+            one = ModelParams(stack.spec, stack.flat[k]).trainable_views(grad[k])
+            for name, view in stack.trainable_views(grad).items():
+                assert view[k].tobytes() == one[name].tobytes()
+        with pytest.raises(ShapeError):
+            stack.trainable_views(grad[0])
+
+    def test_views_write_through_and_clones_do_not(self):
+        stack = self.stack()
+        stack.values["projector.1.b"][2] = 7.0
+        assert np.all(ModelParams(stack.spec, stack.flat[2]).values["projector.1.b"] == 7.0)
+        assert all(np.shares_memory(v, stack.flat) for v in stack.values.values())
+        copy = stack.clone()
+        copy.flat[...] = 0.0
+        assert copy.flat.shape == stack.flat.shape and np.any(stack.flat != 0.0)
+
+    def test_a_stacked_forward_gives_each_states_outputs(self):
+        stack = self.stack()
+        x = np.random.default_rng(0).normal(size=(self.K, 9, stack.spec.input_dim))
+        outs = forward_online(stack, x)
+        for k in range(self.K):
+            one = ModelParams(stack.spec, stack.flat[k])
+            for got, want in zip(outs, forward_online(one, x[k])):
+                assert got.data[k].tobytes() == want.data.tobytes()
+            assert forward_target(stack, x).data[k].tobytes() == \
+                forward_target(one, x[k]).data.tobytes()
+
+    def test_refused_on_a_stack(self, tmp_path):
+        stack = self.stack()
+        with pytest.raises(ShapeError):
+            ModelParams(stack.spec, stack.flat[None])
+        with pytest.raises(ShapeError):
+            save_checkpoint(stack, tmp_path / "stack.ckpt")
+        # Tape leaves of a stack would be 3-D, and tracked ops stay 2-D.
+        leaves = bind_params(tp.Tape(), stack)
+        with pytest.raises(ShapeError):
+            forward_online(stack, np.ones((3, stack.spec.input_dim)), leaves=leaves)
 
 
 class TestEma:

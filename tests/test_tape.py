@@ -379,8 +379,10 @@ class TestForwardValues:
             tp.batch_mean(tp.constant(np.zeros(0)))
 
     def test_batch_mean_rejects_matrix(self):
+        # A constant matrix is a stack of vectors; a tracked one is refused,
+        # since the VJP is 1-D.
         with pytest.raises(ShapeError):
-            tp.batch_mean(tp.constant(np.zeros((2, 2))))
+            tp.batch_mean(tp.Tape().leaf(np.zeros((2, 2))))
 
     def test_squared_distance_rowwise(self):
         d = tp.squared_distance(tp.constant([[1.0, 0.0]]), tp.constant([[0.0, 1.0]]))
@@ -699,7 +701,7 @@ class TestConstantFastPath:
         (lambda: tp.matmul(np.ones((2, 3)), np.ones((3, 2)), np.ones(3)), ShapeError),
         (lambda: tp.row_slice(np.ones((2, 3)), 1, 3), ShapeError),
         (lambda: tp.transpose(np.ones(3)), ShapeError),
-        (lambda: tp.batch_mean(np.ones((2, 2))), ShapeError),
+        (lambda: tp.batch_mean(np.ones(())), ShapeError),
         (lambda: tp.batch_mean(np.ones(0)), EmptyBatchError),
         (lambda: tp.squared_distance(np.ones((2, 3)), np.ones((2, 2))), ShapeError),
         (lambda: tp.row_dot(np.ones(3), np.ones(3)), ShapeError),
@@ -716,6 +718,88 @@ class TestConstantFastPath:
     def test_errors_are_raised_on_constants(self, call, error):
         with pytest.raises(error):
             call()
+
+
+# ---------------------------------------------------------------------------
+# stacks of constants
+
+
+class TestStacks:
+    """A constant stack (K, ...) gives each slice the bits of its own 2-D
+    (1-D) call; a tracked operand never stacks."""
+
+    K, N, D, M = 5, 6, 4, 3
+
+    def arrays(self, seed=0):
+        rng = np.random.default_rng(seed)
+        k, n, d, m = self.K, self.N, self.D, self.M
+        return (rng.normal(size=(k, n, d)), rng.normal(size=(n, d)), rng.normal(size=(k, d, m)),
+                rng.normal(size=(k, m)), rng.normal(size=(k, n)))
+
+    @staticmethod
+    def assert_slices(stacked, each):
+        for i, want in enumerate(each):
+            assert stacked.data[i].tobytes() == want.data.tobytes()
+
+    def test_matmul_with_a_shared_or_a_stacked_left_operand(self):
+        x, shared, w, b, _ = self.arrays()
+        for left in (x, shared):
+            rows = [left[i] if left.ndim == 3 else left for i in range(self.K)]
+            self.assert_slices(tp.stacked_matmul(left, w),
+                               [tp.matmul(r, w[i]) for i, r in enumerate(rows)])
+            self.assert_slices(tp.stacked_matmul(left, w, b),
+                               [tp.matmul(r, w[i], b[i]) for i, r in enumerate(rows)])
+        with pytest.raises(ShapeError):
+            tp.matmul(x, w)  # matmul itself stays 2-D
+
+    def test_a_stacked_bias_is_one_row_per_slice_even_with_as_many_rows_as_slices(self):
+        # With K == n a (K, m) bias would also broadcast over the rows.
+        rng = np.random.default_rng(1)
+        x, w, b = rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 3, 2)), rng.normal(size=(4, 2))
+        self.assert_slices(tp.stacked_matmul(x, w, b),
+                           [tp.matmul(x[i], w[i], b[i]) for i in range(4)])
+
+    def test_rowwise_ops_and_reductions(self):
+        x, _, _, _, v = self.arrays(2)
+        y = self.arrays(3)[0]
+        k = self.K
+        self.assert_slices(tp.l2_normalize(x), [tp.l2_normalize(x[i]) for i in range(k)])
+        self.assert_slices(tp.squared_distance(x, y),
+                           [tp.squared_distance(x[i], y[i]) for i in range(k)])
+        self.assert_slices(tp.batch_mean(v), [tp.batch_mean(v[i]) for i in range(k)])
+        self.assert_slices(tp.row_slice(x, 1, 4), [tp.row_slice(x[i], 1, 4) for i in range(k)])
+        self.assert_slices(tp.relu(x), [tp.relu(x[i]) for i in range(k)])
+
+    def test_a_bias_must_match_the_stack(self):
+        x, _, w, b, _ = self.arrays()
+        for bad in (b[0], b[:2], b[:, :2]):
+            with pytest.raises(ShapeError):
+                tp.stacked_matmul(x, w, bad)
+
+    def test_a_degenerate_row_anywhere_in_a_stack_raises(self):
+        x = self.arrays()[0]
+        x[3, 2] = 0.0
+        with pytest.raises(DegenerateRepresentationError, match="row 20 "):
+            tp.l2_normalize(x)
+
+    def test_tracked_operands_do_not_stack(self):
+        x, shared, w, b, v = self.arrays()
+        tape = tp.Tape()
+        calls = [
+            lambda: tp.stacked_matmul(tape.leaf(x), w),
+            lambda: tp.stacked_matmul(tape.leaf(shared), w),
+            lambda: tp.stacked_matmul(x, tape.leaf(w)),
+            lambda: tp.stacked_matmul(x, w, tape.leaf(b)),
+            lambda: tp.l2_normalize(tape.leaf(x)),
+            lambda: tp.squared_distance(tape.leaf(x), x),
+            lambda: tp.squared_distance(x, tape.leaf(x)),
+            lambda: tp.batch_mean(tape.leaf(v)),
+            lambda: tp.row_slice(tape.leaf(x), 0, 2),
+        ]
+        for call in calls:
+            with pytest.raises(ShapeError):
+                call()
+        assert not tape._records
 
 
 # ---------------------------------------------------------------------------

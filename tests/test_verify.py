@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from raftlab import verify
-from raftlab.data import AugmentationSpec, SyntheticBlobsSpec, make_blobs, sample_positive_batch
+from raftlab.data import (
+    AugmentationSpec, PositiveBatch, SyntheticBlobsSpec, make_blobs, sample_positive_batch
+)
 from raftlab.errors import ContractError
 from raftlab.losses import LossConfig, objective_terms
-from raftlab.model import NetworkSpec, forward_online, forward_target, init_params
+from raftlab.model import ModelParams, NetworkSpec, forward_online, forward_target, init_params
 from raftlab.train import train_run
 from raftlab.verify import (
     CONTROL_MIN_DEVIATION,
     CorrespondenceReport,
     DEFAULT_VERIFY_NETWORK,
+    FD_STEP,
     LINEAR_PREDICTOR_MESSAGE,
     MARGIN_TOLERANCE,
     ONESTEP_MATCH_TOL,
@@ -27,13 +37,22 @@ from raftlab.verify import (
     margin_from_losses,
     random_model_state,
     random_state_and_batch,
+    random_states_and_batches,
     state_losses,
+    states_per_chunk,
     sylvester_null_space,
     trajectory_correspondence_experiment,
     trick_gradient_identity_check,
     trick_identity_sweep,
     upper_bound_sweep,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Wider than the default network on every layer, with two hidden layers.
+WIDE_NETWORK = NetworkSpec(input_dim=8, backbone_widths=(40, 24), representation_dim=20,
+                           projection_dim=12, predictor="linear")
 
 
 def random_batch(rng, dataset, batch_size=8):
@@ -111,6 +130,102 @@ class TestUpperBound:
                                     forward_target(params, batch.x2))
             per_view = (parts.align.item(), parts.cross.item(), parts.total.item())
             assert state_losses(params, batch) == per_view
+
+
+def state_of(stack: ModelParams, batch: PositiveBatch, k: int):
+    """State k of a stack and its own batch, as the unstacked call takes them."""
+    return ModelParams(stack.spec, stack.flat[k]), PositiveBatch(
+        x1=batch.x1[k], x2=batch.x2[k], labels=batch.labels)
+
+
+def upper_bound_by_loop(trials, seed, network=DEFAULT_VERIFY_NETWORK, batch_size=16):
+    """(min margin, worst trial, alpha, beta) from one state at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 21]))
+    best = (float("inf"), 0, verify.WEIGHT_GRID[0], verify.WEIGHT_GRID[0])
+    for trial in range(trials):
+        losses = state_losses(*random_state_and_batch(network, rng, batch_size))
+        for alpha in verify.WEIGHT_GRID:
+            for beta in verify.WEIGHT_GRID:
+                margin = margin_from_losses(alpha, beta, losses)
+                if margin < best[0]:
+                    best = (margin, trial, alpha, beta)
+    return best
+
+
+class TestStackedStates:
+    CHUNK = states_per_chunk(DEFAULT_VERIFY_NETWORK, 32)
+
+    @pytest.mark.parametrize("k", [1, CHUNK - 1, CHUNK, CHUNK + 1, 32])
+    def test_a_stack_gives_each_states_losses_bit_for_bit(self, k):
+        # k = 32 is the stacked row count (2 views of 16): a (k, m) bias
+        # added without its row axis would broadcast over rows unnoticed.
+        stack, batch = random_states_and_batches(DEFAULT_VERIFY_NETWORK,
+                                                 np.random.default_rng(11), k, 16)
+        stacked = state_losses(stack, batch)
+        assert all(v.shape == (k,) for v in stacked)
+        for i in range(k):
+            assert tuple(float(v[i]) for v in stacked) == state_losses(*state_of(stack, batch, i))
+
+    def test_a_stack_on_an_identity_predictor_network(self):
+        spec = NetworkSpec(input_dim=8, backbone_widths=(16,), representation_dim=12,
+                           projection_dim=8, predictor="identity")
+        stack, batch = random_states_and_batches(spec, np.random.default_rng(12), 9, 16)
+        stacked = state_losses(stack, batch)
+        for i in range(9):
+            assert tuple(float(v[i]) for v in stacked) == state_losses(*state_of(stack, batch, i))
+
+    @pytest.mark.parametrize("network", [DEFAULT_VERIFY_NETWORK, WIDE_NETWORK],
+                             ids=["default", "wide"])
+    def test_stacked_draws_equal_the_layer_by_layer_uniform_calls(self, network):
+        # The reference draws every matrix with its own Generator.uniform
+        # call, layer by layer from each state's two seeded streams, and
+        # every bias with its own uniform call from the main stream.
+        stack, batch = random_states_and_batches(network, np.random.default_rng(14), 4, 3)
+        rng = np.random.default_rng(14)
+        for i in range(4):
+            values = ModelParams(network, stack.flat[i]).values
+            seeds = [int(v) for v in rng.integers(0, 2**63, size=2)]
+            for prefix, seed in zip(("", "target."), seeds):
+                stream = np.random.default_rng(np.random.SeedSequence(seed))
+                for name, arr in values.items():
+                    if name.startswith(prefix) and name.endswith(".w") and (
+                            prefix or not name.startswith("target.")):
+                        bound = 1.0 / math.sqrt(arr.shape[0])
+                        want = stream.uniform(-bound, bound, arr.shape)
+                        assert arr.tobytes() == want.tobytes(), name
+            for name, arr in values.items():
+                if name.endswith(".b"):
+                    bound = 1.0 / math.sqrt(values[name[:-2] + ".w"].shape[0])
+                    assert arr.tobytes() == rng.uniform(-bound, bound, arr.shape).tobytes(), name
+            for x in (batch.x1[i], batch.x2[i]):
+                assert x.tobytes() == rng.normal(size=x.shape).tobytes()
+
+    @pytest.mark.parametrize("elements", [1, 6 * 1280, verify.STACK_ELEMENTS])
+    def test_the_sweep_finds_what_a_loop_over_states_finds(self, monkeypatch, elements):
+        # 1 element gives one state a chunk; 6 * 1280 gives chunks of 6,
+        # the last one partial.
+        monkeypatch.setattr(verify, "STACK_ELEMENTS", elements)
+        report = upper_bound_sweep(trials=40, seed=3)
+        assert (report.min_margin, report.worst_trial, report.worst_alpha,
+                report.worst_beta) == upper_bound_by_loop(40, 3)
+
+    def test_memory_stays_at_one_chunk_whatever_the_trial_count(self):
+        chunk = self.CHUNK
+        peaks = []
+        for trials in (chunk, 4 * chunk):
+            upper_bound_sweep(trials=2, seed=0)  # warm the caches first
+            tracemalloc.start()
+            try:
+                upper_bound_sweep(trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, four = peaks
+        assert four <= 1.1 * one
+
+    def test_a_wide_network_gets_fewer_states_a_chunk(self):
+        assert 1 <= states_per_chunk(WIDE_NETWORK, 32) < self.CHUNK
+        assert states_per_chunk(NetworkSpec(input_dim=8, backbone_widths=(4096,)), 32) == 1
 
 
 class TestMirroredGradients:
@@ -275,25 +390,100 @@ class TestFiniteDifferences:
         assert shared == alone
 
     @pytest.mark.parametrize("objectives", [("raft",), ("byol", "byol_prime", "raft")])
-    def test_one_stacked_forward_per_bump(self, objectives, verify_blobs, monkeypatch):
+    def test_one_stacked_forward_per_chunk_of_bumps(self, objectives, verify_blobs, monkeypatch):
         # Two forwards (one per view) per objective for the analytic
-        # gradient, then one forward of both views per +-step bump, shared
-        # by every objective.
+        # gradient, then one forward of both views stacked per chunk of
+        # +-step bumps, each bump a state of the stack, shared by every
+        # objective. Chunks of 3 states take one coordinate's two bumps.
         calls = []
 
         def counting(params, x, leaves=None):
-            calls.append(len(x))
+            calls.append((params.flat.shape[:-1], len(x)))
             return forward_online(params, x, leaves=leaves)
 
         monkeypatch.setattr(verify, "forward_online", counting)
         rng = np.random.default_rng(6)
         params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
         batch = random_batch(rng, verify_blobs)
+        rows = 2 * len(batch.x1)
         coords = 7
-        finite_difference_gradchecks([LossConfig(objective=o) for o in objectives],
-                                     params, batch, max_coords=coords, seed=0)
-        assert len(calls) == 2 * coords + 2 * len(objectives)
-        assert calls[-2 * coords:] == [2 * len(batch.x1)] * (2 * coords)
+        for elements, bumps in ((verify.STACK_ELEMENTS, 2 * coords), (3 * 1280, 2)):
+            calls.clear()
+            monkeypatch.setattr(verify, "STACK_ELEMENTS", elements)
+            finite_difference_gradchecks([LossConfig(objective=o) for o in objectives],
+                                         params, batch, max_coords=coords, seed=0)
+            stacked = -(-2 * coords // bumps)
+            assert len(calls) == 2 * len(objectives) + stacked
+            assert calls[:2 * len(objectives)] == [((), len(batch.x1))] * (2 * len(objectives))
+            assert calls[2 * len(objectives):] == [((bumps,), rows)] * stacked
+
+    def test_each_stacked_row_bumps_only_its_own_coordinate(self, verify_blobs, monkeypatch):
+        stacks = []
+
+        def keeping(params, x, leaves=None):
+            if leaves is None:
+                stacks.append(params.flat.copy())
+            return forward_online(params, x, leaves=leaves)
+
+        monkeypatch.setattr(verify, "forward_online", keeping)
+        monkeypatch.setattr(verify, "STACK_ELEMENTS", 8 * 1280)  # 4 coordinates a chunk
+        rng = np.random.default_rng(7)
+        params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
+        batch = random_batch(rng, verify_blobs)
+        finite_difference_gradchecks([LossConfig(objective="raft")], params, batch,
+                                     max_coords=10, seed=2)
+        coords = np.random.default_rng(np.random.SeedSequence([2, 31])).choice(
+            params.trainable.size, size=10, replace=False)
+        assert [len(s) for s in stacks] == [8, 8, 4]
+        base = params.flat
+        swept = []
+        for stack in stacks:
+            c = len(stack) // 2
+            bumped = []
+            for r, row in enumerate(stack):
+                (where,) = np.nonzero(row != base)
+                assert where.size == 1
+                i = int(where[0])
+                assert row[i] == (base[i] + FD_STEP if r < c else base[i] - FD_STEP)
+                bumped.append(i)
+            assert bumped[:c] == bumped[c:]
+            swept += bumped[:c]
+        assert swept == coords.tolist()
+
+    def test_the_sweep_finds_what_a_loop_over_bumps_finds(self, verify_blobs, monkeypatch):
+        rng = np.random.default_rng(8)
+        params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
+        batch = random_batch(rng, verify_blobs)
+        cfgs = [LossConfig(objective=o) for o in ("byol", "byol_prime", "raft")]
+        zbar = [forward_target(params, x) for x in (batch.x1, batch.x2)]
+        analytic = []
+        for cfg in cfgs:
+            tape = verify.T.Tape()
+            leaves = verify.bind_params(tape, params)
+            p1 = forward_online(params, batch.x1, leaves=leaves)[2]
+            p2 = forward_online(params, batch.x2, leaves=leaves)[2]
+            grads = tape.backward(objective_terms(cfg, p1, p2, *zbar).total)
+            analytic.append(np.concatenate([grads[leaf].ravel() for leaf in leaves.values()]))
+        worst = [0.0] * len(cfgs)
+        probe = params.clone()
+        x = np.concatenate((batch.x1, batch.x2))
+        n = len(batch.x1)
+        for i in range(params.trainable.size):
+            totals = []
+            for bumped in (params.flat[i] + FD_STEP, params.flat[i] - FD_STEP):
+                probe.flat[i] = bumped
+                p = forward_online(probe, x)[2]
+                totals.append([objective_terms(cfg, verify.T.row_slice(p, 0, n),
+                                               verify.T.row_slice(p, n, 2 * n), *zbar)
+                               .total.item() for cfg in cfgs])
+            probe.flat[i] = params.flat[i]
+            for j in range(len(cfgs)):
+                fd = (totals[0][j] - totals[1][j]) / (2.0 * FD_STEP)
+                an = float(analytic[j][i])
+                worst[j] = max(worst[j], abs(an - fd) / max(abs(an), abs(fd), 1e-6))
+        for elements in (1, 10 * 1280, verify.STACK_ELEMENTS):
+            monkeypatch.setattr(verify, "STACK_ELEMENTS", elements)
+            assert finite_difference_gradchecks(cfgs, params, batch) == worst
 
 
 class TestTangentialTrickIdentity:
@@ -350,6 +540,27 @@ class TestCertificationRecords:
     def test_the_two_one_step_checks_share_one_sweep_time(self, certifications):
         on, off, _ = certifications[1].checks
         assert on.seconds == off.seconds
+
+
+def test_verify_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 600 trials are several chunks of stacked states.
+    assert 600 > 2 * states_per_chunk(DEFAULT_VERIFY_NETWORK, 32)
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        files = {}
+        for check, flags, name in (("upper-bound", ["--trials", "600"], "upper_bound.json"),
+                                   ("gradcheck", [], "gradcheck.json")):
+            out = tmp_path / f"{check}-{threads}"
+            subprocess.run([sys.executable, "-m", "raftlab.cli", "verify", check, *flags,
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
+            files[name] = (out / name).read_bytes()
+        outputs.append(files)
+    assert outputs[0] == outputs[1]
 
 
 def test_correspondence_draws_each_one_step_state_once(verify_blobs, monkeypatch):
