@@ -22,7 +22,6 @@ _TAG_VIEW2 = 103
 _TAG_MOMENTS = 104
 
 CIFAR_RECORD_BYTES = 3073
-CIFAR_PIXELS = 3072
 
 # Condition numbers above this mark a moment matrix as rank deficient.
 MOMENT_COND_LIMIT = 1e12

@@ -184,12 +184,11 @@ def weight_law(spec: NetworkSpec) -> tuple[tuple[int, tuple[tuple[slice, float],
                  for spans in streams)
 
 
-def draw_weights(params: ModelParams, seed: int, teacher: bool = False) -> None:
-    """Draw every online weight matrix, or with `teacher` every "target."
-    one, from weight_law, in layer order from one stream seeded by `seed`.
-    Biases are left as they are."""
+def draw_weights(params: ModelParams, seed: int) -> None:
+    """Draw every online weight matrix from weight_law, in layer order
+    from one stream seeded by `seed`. Biases are left as they are."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for span, b in weight_law(params.spec)[int(teacher)][1]:
+    for span, b in weight_law(params.spec)[0][1]:
         params.flat[..., span] = rng.uniform(-b, b, span.stop - span.start)
 
 
@@ -267,19 +266,16 @@ def encode(
     x,
     leaves: Mapping[str, Tensor] | None = None,
     teacher: bool = False,
-    tape: Tape | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Backbone+projector forward; returns (h, z_pre).
 
     h is the backbone output (linear last layer) and z_pre the unnormalized
     projector output. teacher=True reads the "target." copy of the
     parameters; otherwise `leaves` from bind_params records on a tape, and
-    without it everything evaluates as constants. With `tape`, the batch is
-    a constant carrying it, so constant layers draw their buffers from its
-    workspace.
+    without it everything evaluates as constants.
     """
     spec = params.spec
-    x = Tensor(_check_batch(spec, x), tape)
+    x = Tensor(_check_batch(spec, x))
     if teacher:
         table, prefix = params.values, "target."
     else:
@@ -328,13 +324,11 @@ def split_views(t: Tensor, n: int) -> tuple[Tensor, Tensor]:
     return T.row_slice(t, 0, n), T.row_slice(t, n, 2 * n)
 
 
-def forward_target(params: ModelParams, x, tape: Tape | None = None) -> Tensor:
+def forward_target(params: ModelParams, x) -> Tensor:
     """Teacher forward: backbone+projector under the target parameters,
     normalized. Evaluated entirely as constants, which is what makes the
-    teacher a stop-gradient: no tape node exists for anything it computes.
-    With `tape`, its arrays come from that tape's workspace; the tape
-    records nothing for them."""
-    return T.l2_normalize(encode(params, x, teacher=True, tape=tape)[1])
+    teacher a stop-gradient: no tape node exists for anything it computes."""
+    return T.l2_normalize(encode(params, x, teacher=True)[1])
 
 
 def ema_update(params: ModelParams, tau: float, scratch: np.ndarray) -> None:

@@ -14,14 +14,14 @@ one preallocated vector.
 
 A tape may be given a ``Workspace``, which outlives it: the ops of a
 training step (``matmul``, ``relu``, ``l2_normalize``, ``squared_distance``,
-``row_slice``) and the backward pass then write their matrices into buffers
-kept there, and the next tape over the same workspace gets them back in
-request order. A buffer serves any request with its column count and at
-most its rows, through its leading rows, so a shorter batch reuses it and
-never shrinks it. Creating a tape over a workspace recycles the buffers of
-the previous tape over it, so that tape's outputs and gradients are
-overwritten from then on. Without a workspace every op allocates its
-results.
+``row_slice``) on its tracked tensors and the backward pass then write
+their matrices into buffers kept there, and the next tape over the same
+workspace gets them back in request order. A buffer serves any request
+with its column count and at most its rows, through its leading rows, so a
+shorter batch reuses it and never shrinks it. Creating a tape over a
+workspace recycles the buffers of the previous tape over it, so that tape's
+outputs and gradients are overwritten from then on. Without a workspace
+every op allocates its results.
 
 Conventions:
 
@@ -29,14 +29,11 @@ Conventions:
   and an op's result is its own float64 array, not coerced again,
 * arrays handed to an operation are treated as immutable while its tape
   is in use,
-* tensors without a node are constants, which makes every op usable for
-  plain inference as well: an op whose operands are all constants returns
-  a constant as soon as its result is computed and checked, and records
-  nothing and builds no closures. A constant may still carry a tape, whose
-  workspace the ops on it draw their buffers from. Only ``matmul``,
-  ``relu`` and ``l2_normalize`` pass that tape on to a constant result, so
-  a constant chain of those (the teacher forward) stays on the workspace;
-  every other op returns a constant without a tape.
+* tensors without a node are constants and have no tape, which makes
+  every op usable for plain inference as well: an op whose operands are
+  all constants returns a constant as soon as its result is computed and
+  checked, and records nothing, builds no closures and draws no workspace
+  buffer.
 * on constants, ``l2_normalize``, ``squared_distance``, ``batch_mean`` and
   ``row_slice`` also take stacks: leading axes that index independent
   problems, such as K parameter states evaluated in one forward, and
@@ -72,14 +69,15 @@ def _as_f64(x) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus an optional position on a gradient tape."""
+    """A float64 array plus an optional position on a gradient tape; only
+    Tape.leaf and a recorded op give it one."""
 
     __slots__ = ("data", "tape", "node")
 
-    def __init__(self, data, tape: "Tape | None" = None, node: int | None = None):
+    def __init__(self, data):
         self.data = _as_f64(data)
-        self.tape = tape
-        self.node = node
+        self.tape = None
+        self.node = None
 
     @property
     def shape(self):
@@ -99,13 +97,13 @@ class Tensor:
         return f"Tensor({tag}, shape={self.data.shape})"
 
 
-def _wrap(data: np.ndarray, tape: "Tape | None" = None, node: int | None = None) -> Tensor:
-    # A tensor over an op's own float64 result, without coercing it again.
+def _wrap(data: np.ndarray) -> Tensor:
+    # A constant over an op's own float64 result, without coercing it again.
     # Arithmetic on 0-d arrays returns a NumPy scalar; that becomes a 0-d array.
     t = object.__new__(Tensor)
     t.data = data if type(data) is np.ndarray else np.asarray(data)
-    t.tape = tape
-    t.node = node
+    t.tape = None
+    t.node = None
     return t
 
 
@@ -197,7 +195,8 @@ class Tape:
 
         With `grad`, an array of the leaf's shape, every backward pass writes
         the leaf's gradient into it (zeros if the loss does not reach it)."""
-        t = Tensor(data, self, self._new_node())
+        t = Tensor(data)
+        t.tape, t.node = self, self._new_node()
         if grad is not None:
             if grad.shape != t.shape:
                 raise ShapeError(f"leaf: gradient destination {grad.shape} for shape {t.shape}")
@@ -300,7 +299,8 @@ def _op(data: np.ndarray, operands) -> Tensor:
             raise ContractError("operands live on different tapes")
         inputs.append(t.node)
         vjps.append(vjp)
-    out = _wrap(data, tape, tape._new_node())
+    out = _wrap(data)
+    out.tape, out.node = tape, tape._new_node()
     tape._records.append(_Record(out.node, inputs, vjps))
     return out
 
@@ -431,7 +431,7 @@ def matmul(a, b, bias=None) -> Tensor:
             raise ShapeError(f"matmul: bias shape {bias.shape} for output {out.shape}")
         out += bias.data
     if a.node is None and b.node is None and (bias is None or bias.node is None):
-        return _wrap(out, tape)
+        return _wrap(out)
     operands = [
         (a, lambda g, o: np.matmul(g, bd.T, out=_buf(ws, ad.shape, o))),
         (b, lambda g, o: np.matmul(ad.T, g, out=_buf(ws, bd.shape, o))),
@@ -506,11 +506,10 @@ def relu(a) -> Tensor:
     """max(a, 0). A NaN entry stays NaN, so a broken input surfaces as a
     non-finite loss instead of vanishing."""
     a = as_tensor(a)
-    tape = a.tape
-    ws = tape and tape._ws
+    ws = a.tape and a.tape._ws
     out = np.maximum(a.data, 0.0, out=_buf(ws, a.shape))
     if a.node is None:
-        return _wrap(out, tape)
+        return _wrap(out)
     # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
     return _op(out, [(a, lambda g, o: np.multiply(g, out > 0.0, out=_buf(ws, out.shape, o)))])
 
@@ -645,8 +644,7 @@ def l2_normalize(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         _require_constant_stack("l2_normalize", 2, a)
-    tape = a.tape
-    ws = tape and tape._ws
+    ws = a.tape and a.tape._ws
     # np.linalg.norm's own sum of squares, without its two temporaries; the
     # squares' buffer then takes the output.
     out = np.multiply(a.data, a.data, out=_buf(ws, a.shape))
@@ -658,7 +656,7 @@ def l2_normalize(a) -> Tensor:
         )
     np.divide(a.data, norms[..., None], out=out)
     if a.node is None:
-        return _wrap(out, tape)
+        return _wrap(out)
 
     def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, out)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
@@ -92,17 +92,6 @@ class TrainConfig:
             raise ConfigError(f"ema_tau: must lie in [0, 1], got {self.ema_tau}")
 
 
-_METRIC_KEYS = (
-    "step",
-    "epoch",
-    "loss_total",
-    "loss_align",
-    "loss_cross_model",
-    "uniformity",
-    "collapsed",
-)
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
     """One logged snapshot of the training state.
@@ -123,7 +112,8 @@ class MetricsRecord:
     wall_ms: float
 
     def to_json_line(self) -> str:
-        payload = {k: getattr(self, k) for k in _METRIC_KEYS}
+        payload = asdict(self)
+        del payload["wall_ms"]
         return json.dumps(payload)
 
 
@@ -230,7 +220,7 @@ def train_run(
                 tp = T.Tape(workspace)
                 leaves = bind_params(tp, params, grad_views)
                 _, z, p = forward_online(params, x, leaves=leaves)
-                zbar = forward_target(params, x, tape=tp)
+                zbar = forward_target(params, x)
                 parts = objective_terms(cfg.loss, *split_views(p, n), *split_views(zbar, n))
                 step_parts = parts
                 loss_val = float(parts.total.data)

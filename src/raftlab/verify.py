@@ -369,17 +369,6 @@ def gradient_correspondence_sweeps(
     return out
 
 
-def gradient_correspondence_sweep(
-    trials: int = 100,
-    seed: int = 0,
-    apply_filter: bool = True,
-    network: NetworkSpec | None = None,
-    batch_size: int = 8,
-) -> list[GradientDeviations]:
-    """gradient_correspondence_sweeps for one filter setting."""
-    return gradient_correspondence_sweeps([apply_filter], trials, seed, network, batch_size)[0]
-
-
 # ---------------------------------------------------------------------------
 # scale-invariant cross term vs filtered plain gradient
 
@@ -682,18 +671,6 @@ def finite_difference_gradchecks(
             err = np.abs(an - fd) / np.maximum(np.maximum(np.abs(an), np.abs(fd)), 1e-6)
             worst[j] = max(worst[j], float(err.max()))
     return worst
-
-
-def finite_difference_gradcheck(
-    loss_cfg: LossConfig,
-    params: ModelParams,
-    batch: PositiveBatch,
-    step: float = FD_STEP,
-    max_coords: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """finite_difference_gradchecks for one objective."""
-    return finite_difference_gradchecks([loss_cfg], params, batch, step, max_coords, seed)[0]
 
 
 # ---------------------------------------------------------------------------

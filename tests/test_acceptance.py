@@ -27,8 +27,8 @@ from raftlab.losses import LossConfig
 from raftlab.verify import (
     DEFAULT_VERIFY_NETWORK,
     analytic_sylvester_cases,
-    finite_difference_gradcheck,
-    gradient_correspondence_sweep,
+    finite_difference_gradchecks,
+    gradient_correspondence_sweeps,
     random_model_state,
     sylvester_null_space,
     trajectory_correspondence_experiment,
@@ -84,9 +84,9 @@ def test_c1_two_term_objective_bounds_the_crossed_one(capsys):
 
 
 def test_c2_filtered_gradients_mirror_exactly(capsys):
-    filtered = gradient_correspondence_sweep(trials=100, seed=0, apply_filter=True)
+    filtered = gradient_correspondence_sweeps([True], trials=100, seed=0)[0]
     worst = max(max(d.theta_dev, d.w_dev) for d in filtered)
-    control = gradient_correspondence_sweep(trials=100, seed=0, apply_filter=False)
+    control = gradient_correspondence_sweeps([False], trials=100, seed=0)[0]
     moved = sum(1 for d in control if max(d.theta_dev, d.w_dev) > 1e-4)
     ok = worst <= 1e-10 and moved >= 95
     assert _verdict(
@@ -265,10 +265,10 @@ def test_c6_every_gradient_matches_finite_differences(capsys):
         batch = sample_positive_batch(
             dataset, AugmentationSpec.symmetric(noise_sigma=0.2), 8, 0
         )
-        err = finite_difference_gradcheck(
-            LossConfig(objective=objective, alpha=1.3, beta=0.8), params, batch,
+        err = finite_difference_gradchecks(
+            [LossConfig(objective=objective, alpha=1.3, beta=0.8)], params, batch,
             step=1e-5,
-        )
+        )[0]
         if err > worst_loss[1]:
             worst_loss = (objective, err)
     losses_ok = worst_loss[1] <= 1e-4

@@ -260,13 +260,13 @@ class TestWorkspace:
     @staticmethod
     def graph(t, x, w, v):
         # add hands one upstream array to a and b, and a has a second
-        # consumer; the last branch runs on constants that carry the tape.
+        # consumer; the last branch runs on constants.
         wl, vl = t.leaf(w), t.leaf(v)
         a = tp.relu(tp.matmul(tp.constant(x), wl))
         b = tp.matmul(tp.constant(x), wl)
         z = tp.l2_normalize(tp.matmul(tp.add(a, b), vl))
         z2 = tp.l2_normalize(tp.matmul(a, vl))
-        target = tp.l2_normalize(tp.matmul(tp.relu(tp.matmul(tp.Tensor(x, t), w)), v))
+        target = tp.l2_normalize(tp.matmul(tp.relu(tp.matmul(tp.constant(x), w)), v))
         n = x.shape[0] // 2
         align = tp.squared_distance(tp.row_slice(z, 0, n), tp.row_slice(z, n, 2 * n))
         loss = tp.add(tp.batch_mean(align), tp.batch_mean(tp.squared_distance(z2, target)))
@@ -287,7 +287,7 @@ class TestWorkspace:
                 bits.append([loss.data.tobytes()] + [o.data.tobytes() for o in outs]
                             + [grads[leaf].tobytes() for leaf in leaves])
             assert bits[0] == bits[1]
-            assert outs[2].tape is t and outs[2].node is None
+            assert outs[2].tape is None and outs[2].node is None
             if held is None:
                 held = [id(buf) for buf in ws.bufs]
             assert [id(buf) for buf in ws.bufs] == held
@@ -670,15 +670,11 @@ class TestConstantFastPath:
 
     @pytest.mark.parametrize("name", OPS)
     def test_constants_carrying_a_tape_record_nothing(self, name):
+        # No constant carries a tape: an op on constants returns a constant
+        # without one, so nothing downstream can record on or draw from it.
         op, operands = op_cases(4, 3, 2, 0)[name]
-        t = tp.Tape(tp.Workspace())
-        out = op(*[tp.Tensor(x, t) for x in operands])
-        assert out.node is None
-        # Only these pass their tape on, so a constant chain of them stays
-        # on its workspace.
-        carries = name.split(" ")[0] in ("matmul", "relu", "l2_normalize")
-        assert out.tape is (t if carries else None)
-        assert t.leaf(np.zeros(1)).node == 0
+        out = op(*[tp.constant(x) for x in operands])
+        assert out.node is None and out.tape is None
 
     def test_as_tensor_wraps_a_float64_array_as_it_is(self):
         x = np.arange(6.0).reshape(2, 3)

@@ -430,8 +430,10 @@ class TestWorkspace:
         assert [(r.loss_total, r.loss_align, r.loss_cross_model, r.uniformity)
                 for r in records] == logged
 
-    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
-    def test_later_steps_reuse_the_first_steps_buffers(self, path, monkeypatch):
+    @staticmethod
+    def record_workspaces(monkeypatch) -> list:
+        """Make T.Workspace append every workspace it makes to the list
+        returned."""
         made = []
 
         class Workspace(T.Workspace):
@@ -440,6 +442,13 @@ class TestWorkspace:
             def __init__(self):
                 super().__init__()
                 made.append(self)
+
+        monkeypatch.setattr(T, "Workspace", Workspace)
+        return made
+
+    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
+    def test_later_steps_reuse_the_first_steps_buffers(self, path, monkeypatch):
+        made = self.record_workspaces(monkeypatch)
 
         def address(arr):
             return arr.__array_interface__["data"][0]
@@ -452,14 +461,7 @@ class TestWorkspace:
             outputs.update(z=address(z.data), p=address(p.data))
             return h, z, p
 
-        def target(*args, **kwargs):
-            zbar = forward_target(*args, **kwargs)
-            outputs.update(zbar=address(zbar.data))
-            return zbar
-
-        monkeypatch.setattr(T, "Workspace", Workspace)
         monkeypatch.setattr(train, "forward_online", online)
-        monkeypatch.setattr(train, "forward_target", target)
         seen = []
 
         def look(step, params, grads):
@@ -472,6 +474,24 @@ class TestWorkspace:
         first_out, first_bufs = seen[0]
         assert set(first_out.values()) <= {addr for _, addr in first_bufs}
         assert seen[1:] == [seen[0]] * 8
+
+    @pytest.mark.parametrize("path", PINNED_CONFIGS, ids=lambda p: p.stem)
+    def test_the_teacher_forward_draws_no_workspace_buffer(self, path, monkeypatch):
+        # The teacher runs on constants, so it never touches the tracked
+        # step's workspace, whatever the batch size.
+        made, drawn = self.record_workspaces(monkeypatch), []
+
+        def target(*args, **kwargs):
+            (ws,) = made
+            before = ws.next
+            zbar = forward_target(*args, **kwargs)
+            drawn.append(ws.next - before)
+            return zbar
+
+        monkeypatch.setattr(train, "forward_target", target)
+        cfg, dataset, _ = cli.train_config(path, steps=9)
+        train_run(cfg, dataset)
+        assert drawn == [0] * 9
 
     def test_a_step_callback_allocates_nothing_per_step(self):
         cfg, dataset, _ = cli.train_config(ROOT / "configs" / "collapse_raft_lp.json", steps=20)

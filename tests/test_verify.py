@@ -30,10 +30,9 @@ from raftlab.verify import (
     ONESTEP_MATCH_TOL,
     TRICK_IDENTITY_TOL,
     analytic_sylvester_cases,
-    finite_difference_gradcheck,
     finite_difference_gradchecks,
     gradient_correspondence_check,
-    gradient_correspondence_sweep,
+    gradient_correspondence_sweeps,
     margin_from_losses,
     random_model_state,
     random_state_and_batch,
@@ -251,7 +250,7 @@ class TestMirroredGradients:
 
     def test_sweeps_over_both_filter_settings_give_each_sweep(self):
         both = verify.gradient_correspondence_sweeps((True, False), trials=4, seed=3)
-        assert both == [gradient_correspondence_sweep(trials=4, seed=3, apply_filter=on)
+        assert both == [gradient_correspondence_sweeps([on], trials=4, seed=3)[0]
                         for on in (True, False)]
 
     def test_a_sweep_runs_the_teacher_once_per_state_and_view(self, monkeypatch):
@@ -268,7 +267,7 @@ class TestMirroredGradients:
         assert sum(teacher_calls) == 2 * 3
 
     def test_sweep_collects_per_trial_deviations(self):
-        devs = gradient_correspondence_sweep(trials=10, seed=0, apply_filter=True)
+        devs = gradient_correspondence_sweeps([True], trials=10, seed=0)[0]
         assert len(devs) == 10
         assert all(d.theta_dev <= ONESTEP_MATCH_TOL for d in devs)
 
@@ -375,7 +374,7 @@ class TestFiniteDifferences:
         params = random_model_state(DEFAULT_VERIFY_NETWORK, rng)
         batch = random_batch(rng, verify_blobs)
         cfg = LossConfig(objective=objective, alpha=1.3, beta=0.8)
-        err = finite_difference_gradcheck(cfg, params, batch, max_coords=160, seed=0)
+        err = finite_difference_gradchecks([cfg], params, batch, max_coords=160, seed=0)[0]
         assert err <= 1e-4
 
     def test_shared_sweep_gives_each_objective_its_own_result(self, verify_blobs):
@@ -385,7 +384,7 @@ class TestFiniteDifferences:
         cfgs = [LossConfig(objective=o, alpha=1.3, beta=0.8)
                 for o in ("byol", "byol_prime", "raft")]
         shared = finite_difference_gradchecks(cfgs, params, batch, max_coords=60, seed=3)
-        alone = [finite_difference_gradcheck(cfg, params, batch, max_coords=60, seed=3)
+        alone = [finite_difference_gradchecks([cfg], params, batch, max_coords=60, seed=3)[0]
                  for cfg in cfgs]
         assert shared == alone
 
@@ -542,9 +541,10 @@ class TestCertificationRecords:
         assert on.seconds == off.seconds
 
 
-def test_verify_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # 600 trials are several chunks of stacked states.
-    assert 600 > 2 * states_per_chunk(DEFAULT_VERIFY_NETWORK, 32)
+def _outputs_at_each_blas_thread_count(tmp_path, commands) -> list[dict[str, bytes]]:
+    """Run each CLI command, `commands(out)` for an output root, in a
+    subprocess at OPENBLAS_NUM_THREADS=1 and unset; the bytes of every file
+    written but the manifests (paths and wall times), per thread count."""
     outputs = []
     for threads in ("1", None):
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -552,15 +552,40 @@ def test_verify_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        files = {}
-        for check, flags, name in (("upper-bound", ["--trials", "600"], "upper_bound.json"),
-                                   ("gradcheck", [], "gradcheck.json")):
-            out = tmp_path / f"{check}-{threads}"
-            subprocess.run([sys.executable, "-m", "raftlab.cli", "verify", check, *flags,
-                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
-            files[name] = (out / name).read_bytes()
-        outputs.append(files)
-    assert outputs[0] == outputs[1]
+        out = tmp_path / f"threads-{threads}"
+        for args in commands(out):
+            subprocess.run([sys.executable, "-m", "raftlab.cli", *args], env=env, check=True,
+                           capture_output=True)
+        outputs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                        for p in sorted(out.rglob("*"))
+                        if p.is_file() and p.name != "manifest.json"})
+    return outputs
+
+
+def test_verify_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 600 trials are several chunks of stacked states; correspondence runs
+    # the teacher forward beside tracked tapes.
+    assert 600 > 2 * states_per_chunk(DEFAULT_VERIFY_NETWORK, 32)
+    checks = (("upper-bound", "--trials", "600"), ("correspondence",), ("sylvester",),
+              ("gradcheck",))
+    one, default = _outputs_at_each_blas_thread_count(
+        tmp_path, lambda out: [["verify", *check, "--out-dir", str(out / check[0])]
+                               for check in checks])
+    assert {name.split("/")[0] for name in one} == {check[0] for check in checks}
+    assert one == default
+
+
+def test_eval_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    config = str(ROOT / "configs" / "collapse_raft_lp.json")
+
+    def commands(out):
+        return [["train", "--config", config, "--steps", "100", "--out-dir", str(out / "train")],
+                ["eval", "--config", config, "--checkpoint",
+                 str(out / "train" / "checkpoint_final.ckpt"), "--out-dir", str(out / "eval")]]
+
+    one, default = _outputs_at_each_blas_thread_count(tmp_path, commands)
+    assert "eval/eval_report.json" in one
+    assert one == default
 
 
 def test_correspondence_draws_each_one_step_state_once(verify_blobs, monkeypatch):
