@@ -105,7 +105,7 @@ def projector_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def _predictor_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     # Frozen normalized predictor output p.
-    return _chunked(lambda rows: forward_online(params, rows)[2], x)
+    return _chunked(lambda rows: forward_online(params, rows)[1], x)
 
 
 def linear_evaluation(params: ModelParams, dataset: Dataset, cfg: ProbeConfig | None = None) -> float:

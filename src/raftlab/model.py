@@ -295,21 +295,21 @@ def forward_online(
     params: ModelParams,
     x,
     leaves: Mapping[str, Tensor] | None = None,
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Run the online path; returns (h, z, p).
+) -> tuple[Tensor, Tensor]:
+    """Run the online path; returns (z_pre, p).
 
-    h is the backbone output (linear last layer), z the normalized projector
-    output, p the normalized predictor output (the same node as z for the
-    identity predictor). Pass `leaves` from bind_params to record on a tape;
-    without it everything evaluates as constants. The l2_normalize VJP
-    already drops the radial gradient component at z and p.
+    z_pre is the unnormalized projector output and p the normalized
+    predictor output (l2_normalize(z_pre) for the identity predictor); a
+    caller that reads the normalized z normalizes z_pre's rows itself.
+    Pass `leaves` from bind_params to record on a tape; without it
+    everything evaluates as constants. The l2_normalize VJP already drops
+    the radial gradient component at p.
     """
-    h, z_pre = encode(params, x, leaves)
-    z = T.l2_normalize(z_pre)
+    z_pre = encode(params, x, leaves)[1]
     if params.spec.predictor == "identity":
-        return h, z, z
+        return z_pre, T.l2_normalize(z_pre)
     table: Mapping = leaves if leaves is not None else params.values
-    return h, z, T.l2_normalize(_linear(z_pre, table["predictor.w"]))
+    return z_pre, T.l2_normalize(_linear(z_pre, table["predictor.w"]))
 
 
 def stack_views(x1, x2) -> tuple[np.ndarray, int]:

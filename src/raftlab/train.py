@@ -219,7 +219,7 @@ def train_run(
                 x, n = stack_views(batch.x1, batch.x2)
                 tp = T.Tape(workspace)
                 leaves = bind_params(tp, params, grad_views)
-                _, z, p = forward_online(params, x, leaves=leaves)
+                z_pre, p = forward_online(params, x, leaves=leaves)
                 zbar = forward_target(params, x)
                 parts = objective_terms(cfg.loss, *split_views(p, n), *split_views(zbar, n))
                 step_parts = parts
@@ -249,7 +249,7 @@ def train_run(
                 step_callback(k, seen_params, seen_grads)
 
             if k % cfg.log_every == 0:
-                uni = uniform_loss(T.constant(z.data[:n])).item()
+                uni = uniform_loss(T.l2_normalize(z_pre.data[:n])).item()
                 rec = MetricsRecord(
                     step=k,
                     epoch=(k - 1) // bpe,

@@ -121,7 +121,7 @@ def state_losses(params: ModelParams, batch: PositiveBatch) -> tuple:
     For a stack of K states (and batches, (K, n, input_dim) per view) the
     three are arrays of K values, each bit for bit its state's own call."""
     x, n = stack_views(batch.x1, batch.x2)
-    _, _, p = forward_online(params, x)
+    p = forward_online(params, x)[1]
     parts = objective_terms(LossConfig(objective="byol"), *split_views(p, n),
                             *split_views(forward_target(params, x), n))
     losses = (parts.align.data, parts.cross.data, parts.total.data)
@@ -640,8 +640,8 @@ def finite_difference_gradchecks(
     for cfg in loss_cfgs:
         tp = T.Tape()
         leaves = bind_params(tp, params)
-        _, _, p1 = forward_online(params, batch.x1, leaves=leaves)
-        _, _, p2 = forward_online(params, batch.x2, leaves=leaves)
+        p1 = forward_online(params, batch.x1, leaves=leaves)[1]
+        p2 = forward_online(params, batch.x2, leaves=leaves)[1]
         grads = tp.backward(objective_terms(cfg, p1, p2, zbar1, zbar2).total)
         analytic.append(np.concatenate([grads[leaf].ravel() for leaf in leaves.values()]))
 
@@ -662,7 +662,7 @@ def finite_difference_gradchecks(
         probe = ModelParams(params.spec, np.tile(base, (2 * c, 1)))
         probe.flat[np.arange(c), cs] = base[cs] + step
         probe.flat[np.arange(c, 2 * c), cs] = base[cs] - step
-        p1, p2 = split_views(forward_online(probe, x)[2], n)
+        p1, p2 = split_views(forward_online(probe, x)[1], n)
         zb1, zb2 = (np.broadcast_to(z.data, p1.shape) for z in (zbar1, zbar2))
         for j, cfg in enumerate(loss_cfgs):
             totals = objective_terms(cfg, p1, p2, zb1, zb2).total.data

@@ -198,21 +198,33 @@ def test_a_measure_runs_only_the_layers_it_reads(measure, layers, monkeypatch):
     assert len(calls) == layers * chunks and max(calls) == 128
 
 
-def test_metrics_report_drops_p_before_the_uniformity_buffer():
-    # At n rows and projection width w, the uniformity measure holds its
-    # n x n buffer and two n x w copies of z; the two views' p are gone by then.
+def repel_report_peak(n: int) -> int:
+    """Bytes metrics_report allocates at its peak on the repel network at
+    n rows, over what it held before."""
     cfg, dataset, _ = cli.train_config(REPEL)
     params = init_params(cfg.network, seed=0)
-    n, w = 512, cfg.network.projection_dim
     metrics_report(params, dataset, cfg.augmentation, sample_count=16)  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         metrics_report(params, dataset, cfg.augmentation, sample_count=n)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (n * n + 4 * n * w)
+
+
+def test_metrics_report_drops_p_before_the_uniformity_buffer():
+    # At n rows and projection width w, the uniformity measure holds its
+    # n x n buffer and two n x w copies of z; the two views' p are gone by then.
+    n, w = 512, cli.train_config(REPEL)[0].network.projection_dim
+    assert repel_report_peak(n) <= 8 * (n * n + 4 * n * w)
+
+
+def test_the_alignment_forward_builds_no_normalized_z():
+    # Each 512 x 256 array on the repel network is 1 MiB. The second view's
+    # forward holds view 1's p, its own z_pre, the predictor output and its
+    # normalized copy: about 4.2 MiB in all, 5.3 with a normalized z as well.
+    assert repel_report_peak(512) <= 4.6 * 2**20
 
 
 def test_an_evaluation_does_not_import_numpy_ma():

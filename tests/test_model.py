@@ -18,6 +18,7 @@ from raftlab.model import (
     CHECKPOINT_VERSION,
     ModelParams,
     NetworkSpec,
+    backbone_output,
     bind_params,
     ema_update,
     forward_online,
@@ -92,25 +93,28 @@ class TestForward:
     def test_online_projection_rows_are_unit(self):
         params = init_params(small_spec("linear"), seed=0)
         x = np.random.default_rng(1).normal(size=(4, 6))
-        h, z, p = forward_online(params, x)
+        h, (z_pre, p) = backbone_output(params, x), forward_online(params, x)
+        z = tp.l2_normalize(z_pre)
         assert h.shape == (4, 7)
         assert z.shape == (4, 5)
         assert p.shape == (4, 5)
         np.testing.assert_allclose(np.linalg.norm(z.data, axis=1), np.ones(4), atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(p.data, axis=1), np.ones(4), atol=1e-12)
 
     def test_identity_predictor_returns_projection_itself(self):
         params = init_params(small_spec("identity"), seed=0)
         x = np.random.default_rng(2).normal(size=(3, 6))
-        _, z, p = forward_online(params, x)
-        assert p is z
+        z_pre, p = forward_online(params, x)
+        assert p.data.tobytes() == tp.l2_normalize(z_pre).data.tobytes()
 
     def test_predictor_consumes_unnormalized_projection(self):
         params = init_params(small_spec("linear"), seed=0)
         x = np.random.default_rng(3).normal(size=(3, 6))
-        _, z, p = forward_online(params, x)
+        z_pre, p = forward_online(params, x)
+        z = tp.l2_normalize(z_pre)
         w = params.values["predictor.w"]
         scaled = forward_online(params, x)
-        np.testing.assert_allclose(scaled[2].data, p.data)
+        np.testing.assert_allclose(scaled[1].data, p.data)
         assert not np.allclose(p.data, z.data @ w)
 
     def test_target_forward_is_tape_free_and_unit(self):
@@ -127,10 +131,25 @@ class TestForward:
         outs = (forward_target(params, x), *forward_online(params, x))
         assert all(out.node is None and out.tape is None for out in outs)
 
+    @pytest.mark.parametrize("kind", ["linear", "identity"])
+    def test_normalizes_only_p(self, kind, monkeypatch):
+        # Only p is normalized; a caller that reads z normalizes z_pre.
+        calls, inner = [], tp.l2_normalize
+
+        def counting(a):
+            calls.append(a)
+            return inner(a)
+
+        monkeypatch.setattr(tp, "l2_normalize", counting)
+        params = init_params(small_spec(kind), seed=0)
+        z_pre, p = forward_online(params, np.random.default_rng(7).normal(size=(4, 6)))
+        assert len(calls) == 1
+        assert (calls[0] is z_pre) == (kind == "identity")
+
     def test_fresh_copy_matches_target_forward(self):
         params = init_params(small_spec("linear"), seed=0)
         x = np.random.default_rng(5).normal(size=(4, 6))
-        _, z, _ = forward_online(params, x)
+        z = tp.l2_normalize(forward_online(params, x)[0])
         zbar = forward_target(params, x)
         np.testing.assert_allclose(z.data, zbar.data, atol=1e-12)
 

@@ -362,7 +362,7 @@ class TestFusedStep:
         per_view = [forward_online(params, x, leaves=leaves) for x in (batch.x1, batch.x2)]
         targets = [forward_target(params, x) for x in (batch.x1, batch.x2)]
         parts = objective_terms(
-            cfg.loss, per_view[0][2], per_view[1][2], targets[0], targets[1]
+            cfg.loss, per_view[0][1], per_view[1][1], targets[0], targets[1]
         )
 
         # Forward rows are bitwise those of the per-view forwards.
@@ -379,7 +379,7 @@ class TestFusedStep:
         assert rec.loss_total == float(parts.total.data)
         assert rec.loss_align == float(parts.align.data)
         assert rec.loss_cross_model == float(parts.cross.data)
-        assert rec.uniformity == uniform_loss(T.constant(per_view[0][1].data)).item()
+        assert rec.uniformity == uniform_loss(T.l2_normalize(per_view[0][0].data)).item()
 
         # Gradients sum both views in one product, so they agree only up to
         # rounding.
@@ -409,12 +409,13 @@ class TestWorkspace:
             batch = sample_positive_batch(dataset, aug, cfg.batch_size, k - 1)
             x, n = stack_views(batch.x1, batch.x2)
             tp = T.Tape()
-            _, z, p = forward_online(params, x, leaves=bind_params(tp, params, views))
+            z_pre, p = forward_online(params, x, leaves=bind_params(tp, params, views))
             parts = objective_terms(cfg.loss, *split_views(p, n),
                                     *split_views(forward_target(params, x), n))
             tp.backward(parts.total)
             logged.append((float(parts.total.data), float(parts.align.data),
-                           float(parts.cross.data), uniform_loss(T.constant(z.data[:n])).item()))
+                           float(parts.cross.data),
+                           uniform_loss(T.l2_normalize(z_pre.data[:n])).item()))
             adam_step(params.trainable, grad, state, cfg.learning_rate)
             ema_update(params, cfg.ema_tau, np.empty_like(params.teacher))
         return params.flat, logged
@@ -456,10 +457,10 @@ class TestWorkspace:
         outputs, rows = {}, []
 
         def online(*args, **kwargs):
-            h, z, p = forward_online(*args, **kwargs)
-            rows.append(z.shape[0])
-            outputs.update(z=address(z.data), p=address(p.data))
-            return h, z, p
+            z_pre, p = forward_online(*args, **kwargs)
+            rows.append(z_pre.shape[0])
+            outputs.update(z_pre=address(z_pre.data), p=address(p.data))
+            return z_pre, p
 
         monkeypatch.setattr(train, "forward_online", online)
         seen = []
@@ -492,6 +493,20 @@ class TestWorkspace:
         cfg, dataset, _ = cli.train_config(path, steps=9)
         train_run(cfg, dataset)
         assert drawn == [0] * 9
+
+    @pytest.mark.parametrize("path, count, mib", [
+        (ROOT / "configs" / "collapse_raft_lp.json", 28, 3.31),
+        (ROOT / "configs" / "collapse_byol_np.json", 26, 0.82),
+    ], ids=["repel", "attract"])
+    def test_one_full_step_fills_the_workspace_to_its_size(self, path, count, mib, monkeypatch):
+        # Only the tracked step's arrays: no normalized z on the linear
+        # predictor (one 128 x 256 buffer fewer on repel), no teacher array.
+        made = self.record_workspaces(monkeypatch)
+        cfg, dataset, _ = cli.train_config(path, steps=1)
+        train_run(cfg, dataset)
+        (ws,) = made
+        assert len(ws.bufs) == count
+        assert round(sum(b.nbytes for b in ws.bufs) / 2**20, 2) == mib
 
     def test_a_step_callback_allocates_nothing_per_step(self):
         cfg, dataset, _ = cli.train_config(ROOT / "configs" / "collapse_raft_lp.json", steps=20)

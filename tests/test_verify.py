@@ -122,8 +122,8 @@ class TestUpperBound:
         rng = np.random.default_rng(9)
         for _ in range(50):
             params, batch = random_state_and_batch(DEFAULT_VERIFY_NETWORK, rng, 16)
-            _, _, p1 = forward_online(params, batch.x1)
-            _, _, p2 = forward_online(params, batch.x2)
+            p1 = forward_online(params, batch.x1)[1]
+            p2 = forward_online(params, batch.x2)[1]
             parts = objective_terms(LossConfig(objective="byol"), p1, p2,
                                     forward_target(params, batch.x1),
                                     forward_target(params, batch.x2))
@@ -459,8 +459,8 @@ class TestFiniteDifferences:
         for cfg in cfgs:
             tape = verify.T.Tape()
             leaves = verify.bind_params(tape, params)
-            p1 = forward_online(params, batch.x1, leaves=leaves)[2]
-            p2 = forward_online(params, batch.x2, leaves=leaves)[2]
+            p1 = forward_online(params, batch.x1, leaves=leaves)[1]
+            p2 = forward_online(params, batch.x2, leaves=leaves)[1]
             grads = tape.backward(objective_terms(cfg, p1, p2, *zbar).total)
             analytic.append(np.concatenate([grads[leaf].ravel() for leaf in leaves.values()]))
         worst = [0.0] * len(cfgs)
@@ -471,7 +471,7 @@ class TestFiniteDifferences:
             totals = []
             for bumped in (params.flat[i] + FD_STEP, params.flat[i] - FD_STEP):
                 probe.flat[i] = bumped
-                p = forward_online(probe, x)[2]
+                p = forward_online(probe, x)[1]
                 totals.append([objective_terms(cfg, verify.T.row_slice(p, 0, n),
                                                verify.T.row_slice(p, n, 2 * n), *zbar)
                                .total.item() for cfg in cfgs])
