@@ -100,7 +100,7 @@ def backbone_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def projector_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Frozen normalized projector output z; runs no predictor."""
-    return _chunked(lambda rows: T.l2_normalize(encode(params, rows)[1]), x)
+    return _chunked(lambda rows: T.l2_normalize(encode(params, rows)), x)
 
 
 def _predictor_outputs(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -184,24 +184,33 @@ def weight_law(spec: NetworkSpec) -> tuple[tuple[int, tuple[tuple[slice, float],
                  for spans in streams)
 
 
-def draw_weights(params: ModelParams, seed: int) -> None:
-    """Draw every online weight matrix from weight_law, in layer order
-    from one stream seeded by `seed`. Biases are left as they are."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    for span, b in weight_law(params.spec)[0][1]:
-        params.flat[..., span] = rng.uniform(-b, b, span.stop - span.start)
+def apply_weight_law(params: ModelParams, streams: tuple[int, ...], u: np.ndarray) -> None:
+    """Write weight_law's `streams` (indices into it, in that order) into
+    `params`, one state or a stack, from their uniform(0, 1) draws `u`: the
+    streams' elements one after another along u's last axis. Each span maps
+    as Generator.uniform(-b, b) maps its own draws, -b + (b - -b) * u per
+    element, so it holds the bits of one uniform call per layer."""
+    law = weight_law(params.spec)
+    at = 0
+    for span, b in (entry for s in streams for entry in law[s][1]):
+        seg = params.flat[..., span]
+        np.multiply(u[..., at:at + span.stop - span.start], b - -b, out=seg)
+        seg += -b
+        at += span.stop - span.start
 
 
 def init_params(spec: NetworkSpec, seed: int) -> ModelParams:
-    """Draw the online weights (draw_weights), start biases at zero, and
-    copy backbone+projector into the teacher.
+    """Draw the online weights from weight_law, in layer order from one
+    stream seeded by `seed`, start biases at zero, and copy
+    backbone+projector into the teacher.
 
     Zero biases keep the layer means proportional to the propagated signal,
     so normalized representations start spread out instead of clustered
     around a bias-dominated direction.
     """
     params = ModelParams(spec)
-    draw_weights(params, seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    apply_weight_law(params, (0,), rng.random(weight_law(spec)[0][0]))
     params.teacher[...] = params.encoder
     return params
 
@@ -266,13 +275,13 @@ def encode(
     x,
     leaves: Mapping[str, Tensor] | None = None,
     teacher: bool = False,
-) -> tuple[Tensor, Tensor]:
-    """Backbone+projector forward; returns (h, z_pre).
+) -> Tensor:
+    """Backbone+projector forward; returns z_pre, the unnormalized projector
+    output.
 
-    h is the backbone output (linear last layer) and z_pre the unnormalized
-    projector output. teacher=True reads the "target." copy of the
-    parameters; otherwise `leaves` from bind_params records on a tape, and
-    without it everything evaluates as constants.
+    teacher=True reads the "target." copy of the parameters; otherwise
+    `leaves` from bind_params records on a tape, and without it everything
+    evaluates as constants.
     """
     spec = params.spec
     x = Tensor(_check_batch(spec, x))
@@ -281,11 +290,12 @@ def encode(
     else:
         table, prefix = (leaves if leaves is not None else params.values), ""
     h = apply_mlp(table, f"{prefix}backbone", x, len(spec.backbone_dims()))
-    return h, apply_mlp(table, f"{prefix}projector", h, 2)
+    return apply_mlp(table, f"{prefix}projector", h, 2)
 
 
 def backbone_output(params: ModelParams, x) -> Tensor:
-    """The online backbone alone, evaluated as constants: encode's h."""
+    """The online backbone alone, evaluated as constants: the
+    representation h that encode feeds to the projector."""
     spec = params.spec
     x = Tensor(_check_batch(spec, x))
     return apply_mlp(params.values, "backbone", x, len(spec.backbone_dims()))
@@ -305,7 +315,7 @@ def forward_online(
     everything evaluates as constants. The l2_normalize VJP already drops
     the radial gradient component at p.
     """
-    z_pre = encode(params, x, leaves)[1]
+    z_pre = encode(params, x, leaves)
     if params.spec.predictor == "identity":
         return z_pre, T.l2_normalize(z_pre)
     table: Mapping = leaves if leaves is not None else params.values
@@ -328,7 +338,7 @@ def forward_target(params: ModelParams, x) -> Tensor:
     """Teacher forward: backbone+projector under the target parameters,
     normalized. Evaluated entirely as constants, which is what makes the
     teacher a stop-gradient: no tape node exists for anything it computes."""
-    return T.l2_normalize(encode(params, x, teacher=True)[1])
+    return T.l2_normalize(encode(params, x, teacher=True))
 
 
 def ema_update(params: ModelParams, tau: float, scratch: np.ndarray) -> None:

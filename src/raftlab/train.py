@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -98,8 +97,7 @@ class MetricsRecord:
 
     loss_align / loss_cross_model are the plain geometric components
     regardless of objective; uniformity is measured on the current
-    batch's view-1 z. wall_ms (time since run start) is kept in memory only:
-    the JSONL serialization drops it so logs are byte-reproducible.
+    batch's view-1 z.
     """
 
     step: int
@@ -109,12 +107,9 @@ class MetricsRecord:
     loss_cross_model: float
     uniformity: float
     collapsed: bool
-    wall_ms: float
 
     def to_json_line(self) -> str:
-        payload = asdict(self)
-        del payload["wall_ms"]
-        return json.dumps(payload)
+        return json.dumps(asdict(self))
 
 
 def derived_seeds(master_seed: int) -> tuple[int, int]:
@@ -206,7 +201,6 @@ def train_run(
         dump_path = out_path / "divergence_dump.json"
     records: list[MetricsRecord] = []
     bpe = batches_per_epoch(len(dataset), cfg.batch_size)
-    t0 = time.perf_counter()
 
     metrics_fh = open(out_path / "metrics.jsonl", "w") if out_path is not None else None
     try:
@@ -258,7 +252,6 @@ def train_run(
                     loss_cross_model=float(parts.cross.data),
                     uniformity=uni,
                     collapsed=bool(uni > COLLAPSE_UNIFORMITY_THRESHOLD),
-                    wall_ms=(time.perf_counter() - t0) * 1000.0,
                 )
                 records.append(rec)
                 if metrics_fh is not None:

@@ -44,6 +44,7 @@ from .losses import LossConfig, cross_model_loss, objective_terms, tangential_cr
 from .model import (
     ModelParams,
     NetworkSpec,
+    apply_weight_law,
     bind_params,
     encode,
     forward_online,
@@ -150,17 +151,19 @@ class UpperBoundReport:
 
 def random_model_state(spec: NetworkSpec, rng: np.random.Generator) -> ModelParams:
     """Independent online and teacher parameters: the online weights are
-    drawn as draw_weights does from a first seed and the teacher's from a
-    second, so the two paths genuinely differ.
+    drawn as init_params draws them from a first seed and the teacher's from
+    a second, so the two paths genuinely differ.
 
     Biases are re-drawn from the weight law rather than left at their zero
     training default: the certifications quantify over generic parameter
     positions, and nonzero biases also keep every ReLU path almost surely
     alive, so no sampled state can hit the degenerate zero-representation
     guard."""
-    u = np.empty((1, spec.flat_size()))
-    _state_uniforms(spec, rng, u[0])
-    return ModelParams(spec, _states_from_uniforms(spec, u).flat[0])
+    u = np.empty(spec.flat_size())
+    _state_uniforms(spec, rng, u)
+    params = ModelParams(spec, np.empty_like(u))
+    apply_weight_law(params, (0, 1, 2), u)
+    return params
 
 
 def _state_uniforms(spec: NetworkSpec, rng: np.random.Generator, u: np.ndarray) -> None:
@@ -172,27 +175,6 @@ def _state_uniforms(spec: NetworkSpec, rng: np.random.Generator, u: np.ndarray) 
     np.random.default_rng(np.random.SeedSequence(s1)).random(out=u[:lo])
     np.random.default_rng(np.random.SeedSequence(s2)).random(out=u[lo:lo + n_teacher])
     rng.random(out=u[lo + n_teacher:])
-
-
-def _states_from_uniforms(spec: NetworkSpec, u: np.ndarray) -> ModelParams:
-    # The stack of states whose rows' draws `u` (K, size) holds, mapped span
-    # by span as Generator.uniform(-b, b) maps its own draws, -b + (b - -b) * u
-    # per element, so each state has the bits of the per-layer uniform calls.
-    params = ModelParams(spec, np.empty_like(u))
-    at = 0
-    for span, b in (entry for _, spans in weight_law(spec) for entry in spans):
-        seg = params.flat[:, span]
-        np.multiply(u[:, at:at + span.stop - span.start], b - -b, out=seg)
-        seg += -b
-        at += span.stop - span.start
-    return params
-
-
-def _draw_biases(params: ModelParams, rng: np.random.Generator) -> None:
-    """Redraw every bias, teacher ones included, from its layer's weight law
-    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-    for span, b in weight_law(params.spec)[2][1]:
-        params.flat[span] = rng.uniform(-b, b, span.stop - span.start)
 
 
 def random_state_and_batch(
@@ -218,7 +200,9 @@ def random_states_and_batches(
         x1[i] = rng.normal(size=x1.shape[1:])
         x2[i] = rng.normal(size=x2.shape[1:])
     labels = np.zeros(batch_size, dtype=np.int64)
-    return _states_from_uniforms(spec, u), PositiveBatch(x1=x1, x2=x2, labels=labels)
+    params = ModelParams(spec, np.empty_like(u))
+    apply_weight_law(params, (0, 1, 2), u)
+    return params, PositiveBatch(x1=x1, x2=x2, labels=labels)
 
 
 def states_per_chunk(spec: NetworkSpec, rows: int) -> int:
@@ -297,15 +281,14 @@ def _raw_online_outputs(params: ModelParams, x: np.ndarray, leaves, gate: bool):
     # Unnormalized forward: backbone, projector, then the linear predictor,
     # with no l2 step. Condition iii only has teeth here, because nothing
     # else removes radial gradient components.
-    _, z_pre = encode(params, x, leaves)
-    out = T.matmul(z_pre, leaves["predictor.w"])
+    out = T.matmul(encode(params, x, leaves), leaves["predictor.w"])
     return T.tangent_gate(out) if gate else out
 
 
 def _teacher_outputs(params: ModelParams, batch: PositiveBatch) -> tuple[T.Tensor, T.Tensor]:
     # The unnormalized teacher projections of both views, as constants.
-    return (encode(params, batch.x1, teacher=True)[1],
-            encode(params, batch.x2, teacher=True)[1])
+    return (encode(params, batch.x1, teacher=True),
+            encode(params, batch.x2, teacher=True))
 
 
 def _raw_gradients(
@@ -471,7 +454,8 @@ def trajectory_correspondence_experiment(
     # zero biases one augmented row can switch off every projector ReLU and
     # leave nothing to normalize. The teacher starts as the online encoder.
     params0 = init_params(network, seed)
-    _draw_biases(params0, np.random.default_rng(np.random.SeedSequence([seed, 24])))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 24]))
+    apply_weight_law(params0, (2,), rng.random(weight_law(network)[2][0]))
     params0.teacher[...] = params0.encoder
     mirrored0 = mirror_predictor(params0)
 

@@ -14,6 +14,9 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import textwrap
 import typing
 from pathlib import Path
@@ -285,3 +288,39 @@ def test_benchmark_worker_reaches_only_callables_that_exist():
     missing = [name for name in sorted(found) if not callable(getattr(
         importlib.import_module("raftlab." + name.split(".")[0]), name.split(".")[1], None))]
     assert missing == []
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+import raftlab, tracing
+from raftlab import cli
+
+recorder = tracing.Recorder()
+tracing.install(recorder, raftlab)
+out, config = sys.argv[1], sys.argv[2]
+codes = []
+for i, argv in enumerate((["verify", "upper-bound", "--trials", "20"],
+                          ["verify", "gradcheck", "--max-coords", "200", "--trials", "10"],
+                          ["train", "--config", config, "--steps", "20"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main([*argv, "--out-dir", f"{out}/{i}"]))
+recorder.save(f"{out}/spans.npz")
+print(json.dumps({"codes": codes,
+                  "analysis": tracing.analyze(f"{out}/spans.npz", steps=20)}))
+"""
+
+
+def test_the_benchmark_tracer_runs_over_the_stacked_paths(tmp_path):
+    # perfbench/tracing.py reads every tape.matmul result as a matrix, so
+    # the stacked sweeps of upper-bound and gradcheck must take another op,
+    # or a traced benchmark run of them fails.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(tmp_path),
+         str(ROOT / "configs" / "collapse_byol_np.json")],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["analysis"]["mflop_per_step"] > 0

@@ -151,6 +151,28 @@ def upper_bound_by_loop(trials, seed, network=DEFAULT_VERIFY_NETWORK, batch_size
     return best
 
 
+def law_streams(values) -> tuple[list[str], list[str], list[str]]:
+    """The parameter names of the weight law's three streams, in draw order:
+    online weights, teacher weights, then every bias."""
+    teacher = [n for n in values if n.startswith("target.")]
+    return ([n for n in values if n.endswith(".w") and n not in teacher],
+            [n for n in teacher if n.endswith(".w")],
+            [n for n in values if n.endswith(".b")])
+
+
+def seeded_stream(seed) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def assert_layer_by_layer(values, names, stream: np.random.Generator) -> None:
+    """Each named array holds its own stream.uniform(-b, b) call, b =
+    1/sqrt(fan_in) of its layer, drawn in the order of `names`."""
+    for name in names:
+        arr = values[name]
+        bound = 1.0 / math.sqrt(values[name[:-2] + ".w"].shape[0])
+        assert arr.tobytes() == stream.uniform(-bound, bound, arr.shape).tobytes(), name
+
+
 class TestStackedStates:
     CHUNK = states_per_chunk(DEFAULT_VERIFY_NETWORK, 32)
 
@@ -184,20 +206,47 @@ class TestStackedStates:
         for i in range(4):
             values = ModelParams(network, stack.flat[i]).values
             seeds = [int(v) for v in rng.integers(0, 2**63, size=2)]
-            for prefix, seed in zip(("", "target."), seeds):
-                stream = np.random.default_rng(np.random.SeedSequence(seed))
-                for name, arr in values.items():
-                    if name.startswith(prefix) and name.endswith(".w") and (
-                            prefix or not name.startswith("target.")):
-                        bound = 1.0 / math.sqrt(arr.shape[0])
-                        want = stream.uniform(-bound, bound, arr.shape)
-                        assert arr.tobytes() == want.tobytes(), name
-            for name, arr in values.items():
-                if name.endswith(".b"):
-                    bound = 1.0 / math.sqrt(values[name[:-2] + ".w"].shape[0])
-                    assert arr.tobytes() == rng.uniform(-bound, bound, arr.shape).tobytes(), name
+            for names, seed in zip(law_streams(values)[:2], seeds):
+                assert_layer_by_layer(values, names, seeded_stream(seed))
+            assert_layer_by_layer(values, law_streams(values)[2], rng)
             for x in (batch.x1[i], batch.x2[i]):
                 assert x.tobytes() == rng.normal(size=x.shape).tobytes()
+
+    @pytest.mark.parametrize("network", [DEFAULT_VERIFY_NETWORK, WIDE_NETWORK],
+                             ids=["default", "wide"])
+    def test_init_params_equals_the_layer_by_layer_uniform_calls(self, network):
+        params = init_params(network, 7)
+        online, _, biases = law_streams(params.values)
+        assert_layer_by_layer(params.values, online, seeded_stream(7))
+        assert not any(params.values[name].any() for name in biases)
+        assert params.teacher.tobytes() == params.encoder.tobytes()
+
+    @pytest.mark.parametrize("network", [DEFAULT_VERIFY_NETWORK, WIDE_NETWORK],
+                             ids=["default", "wide"])
+    def test_the_trajectory_starts_from_the_layer_by_layer_uniform_calls(
+            self, network, monkeypatch):
+        # The attract run's starting state: init_params' weights at the seed,
+        # the biases of the law's bias stream from [seed, 24] (online first,
+        # so the teacher's draws come last) and the teacher a copy of the
+        # encoder.
+        class Started(Exception):
+            pass
+
+        starts = []
+
+        def capture(cfg, dataset, initial_params, step_callback):
+            starts.append(initial_params.clone())
+            raise Started
+
+        monkeypatch.setattr(verify, "train_run", capture)
+        with pytest.raises(Started):
+            trajectory_correspondence_experiment(network=network, steps=1, seed=5)
+        (params,) = starts
+        online, _, biases = law_streams(params.values)
+        assert_layer_by_layer(params.values, online, seeded_stream(5))
+        online_biases = [n for n in biases if not n.startswith("target.")]
+        assert_layer_by_layer(params.values, online_biases, seeded_stream([5, 24]))
+        assert params.teacher.tobytes() == params.encoder.tobytes()
 
     @pytest.mark.parametrize("elements", [1, 6 * 1280, verify.STACK_ELEMENTS])
     def test_the_sweep_finds_what_a_loop_over_states_finds(self, monkeypatch, elements):
