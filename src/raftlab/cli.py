@@ -47,7 +47,7 @@ from .errors import ConfigError, RaftLabError
 from .evaluate import ProbeConfig, metrics_report
 from .losses import LossConfig
 from .model import NetworkSpec, load_checkpoint
-from .train import TrainConfig, train_run
+from .train import TrainConfig, require_input_dim, train_run
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -371,17 +371,20 @@ def _certify(args) -> _Manifest:
     file_cfg, seed = _verify_start(args)
     settings = {key: value for key, value in vars(args).items() if key not in _SHARED_ARGS}
     inputs, echo = {}, {}  # a config section the certification reads replaces its default
-    if "network" in _CERTIFICATIONS[args.check]:
-        network = verify.DEFAULT_VERIFY_NETWORK
-        if "network" in file_cfg:
-            network = _network_from(file_cfg, network.input_dim)
-        inputs["network"], echo["network"] = network, dataclasses.asdict(network)
     if "data" in _CERTIFICATIONS[args.check]:
         if "data" in file_cfg:
             inputs["dataset"], echo["data"] = _dataset_from(file_cfg["data"])
         else:
             inputs["dataset"] = make_blobs(SyntheticBlobsSpec())
             echo["data"] = {"kind": "default-blobs"}
+    if "network" in _CERTIFICATIONS[args.check]:
+        network, dataset = verify.DEFAULT_VERIFY_NETWORK, inputs.get("dataset")
+        dim = network.input_dim if dataset is None else dataset.dim  # as train reads it
+        network = (_network_from(file_cfg, dim) if "network" in file_cfg
+                   else dataclasses.replace(network, input_dim=dim))
+        if dataset is not None:
+            require_input_dim(network, dataset)
+        inputs["network"], echo = network, {"network": dataclasses.asdict(network), **echo}
     if args.check == "sylvester":
         dim = inputs["dataset"].dim
         if args.samples < dim ** 2:  # the moment estimate needs d^2 draws of d-dim data

@@ -30,10 +30,10 @@ Conventions:
 * arrays handed to an operation are treated as immutable while its tape
   is in use,
 * tensors without a node are constants and have no tape, which makes
-  every op usable for plain inference as well: an op whose operands are
-  all constants returns a constant as soon as its result is computed and
-  checked, and records nothing, builds no closures and draws no workspace
-  buffer.
+  every op usable for plain inference as well. Every op but
+  ``stacked_matmul`` returns through ``_op``, the one place that decides
+  what constants get: when no operand is tracked, the result is a
+  constant that records nothing, and the op draws no workspace buffer.
 * on constants, ``l2_normalize``, ``squared_distance``, ``batch_mean`` and
   ``row_slice`` also take stacks: leading axes that index independent
   problems, such as K parameter states evaluated in one forward, and
@@ -285,8 +285,9 @@ def _buf(ws: Workspace | None, shape, o: np.ndarray | None = None) -> np.ndarray
 
 
 def _op(data: np.ndarray, operands) -> Tensor:
-    """Record an op over (tensor, vjp(upstream, out)) pairs, at least one
-    of them live; constant operands are skipped."""
+    """The result `data` of an op over (tensor, vjp(upstream, out)) pairs:
+    recorded on the live operands' tape, skipping constant operands, or,
+    when every operand is constant, a constant that records nothing."""
     tape = None
     inputs = []
     vjps = []
@@ -300,6 +301,8 @@ def _op(data: np.ndarray, operands) -> Tensor:
         inputs.append(t.node)
         vjps.append(vjp)
     out = _wrap(data)
+    if tape is None:
+        return out
     out.tape, out.node = tape, tape._new_node()
     tape._records.append(_Record(out.node, inputs, vjps))
     return out
@@ -347,8 +350,6 @@ def add(a, b) -> Tensor:
     else:
         raise ShapeError(f"add: cannot combine shapes {a.shape} and {b.shape}")
     out = a.data + b.data
-    if a.node is None and b.node is None:
-        return _wrap(out)
     return _op(out, [(a, _through), (b, b_vjp)])
 
 
@@ -356,8 +357,6 @@ def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _require_same_shape(a, b, "sub")
     out = a.data - b.data
-    if a.node is None and b.node is None:
-        return _wrap(out)
     return _op(out, [(a, _through), (b, _negated)])
 
 
@@ -366,8 +365,6 @@ def mul(a, b) -> Tensor:
     _require_same_shape(a, b, "mul")
     ad, bd = a.data, b.data
     out = ad * bd
-    if a.node is None and b.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g * bd), (b, lambda g, o: g * ad)])
 
 
@@ -376,16 +373,12 @@ def div(a, b) -> Tensor:
     _require_same_shape(a, b, "div")
     ad, bd = a.data, b.data
     out = ad / bd
-    if a.node is None and b.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g / bd), (b, lambda g, o: -g * ad / (bd * bd))])
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
     out = -a.data
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, _negated)])
 
 
@@ -393,8 +386,6 @@ def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
     out = a.data * c
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g * c)])
 
 
@@ -402,8 +393,6 @@ def add_scalar(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
     out = a.data + c
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, _through)])
 
 
@@ -430,8 +419,6 @@ def matmul(a, b, bias=None) -> Tensor:
         if bias.shape != (out.shape[1],):
             raise ShapeError(f"matmul: bias shape {bias.shape} for output {out.shape}")
         out += bias.data
-    if a.node is None and b.node is None and (bias is None or bias.node is None):
-        return _wrap(out)
     operands = [
         (a, lambda g, o: np.matmul(g, bd.T, out=_buf(ws, ad.shape, o))),
         (b, lambda g, o: np.matmul(ad.T, g, out=_buf(ws, bd.shape, o))),
@@ -471,10 +458,8 @@ def row_slice(a, lo: int, hi: int) -> Tensor:
     if not 0 <= lo < hi <= a.shape[-2]:
         raise ShapeError(f"row_slice: rows {lo}:{hi} of shape {a.shape}")
     out = a.data[..., lo:hi, :]
-    if a.node is None:
-        return _wrap(out)
     shape = a.shape
-    ws = a.tape._ws
+    ws = a.tape and a.tape._ws
 
     def vjp(g, o):
         full = _buf(ws, shape, o)
@@ -493,8 +478,6 @@ def transpose(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: needs a matrix, got shape {a.shape}")
     out = a.data.T.copy()
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g.T)])
 
 
@@ -508,8 +491,6 @@ def relu(a) -> Tensor:
     a = as_tensor(a)
     ws = a.tape and a.tape._ws
     out = np.maximum(a.data, 0.0, out=_buf(ws, a.shape))
-    if a.node is None:
-        return _wrap(out)
     # Derivative at exactly zero is defined as zero; out > 0 exactly where a > 0.
     return _op(out, [(a, lambda g, o: np.multiply(g, out > 0.0, out=_buf(ws, out.shape, o)))])
 
@@ -517,8 +498,6 @@ def relu(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out = np.exp(a.data)
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g * out)])
 
 
@@ -528,8 +507,6 @@ def log(a) -> Tensor:
     if (ad <= 0.0).any():
         raise DomainError("log: input has non-positive entries")
     out = np.log(ad)
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: g / ad)])
 
 
@@ -540,8 +517,6 @@ def log(a) -> Tensor:
 def sum_all(a) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum()
-    if a.node is None:
-        return _wrap(out)
     shape = a.shape
     return _op(out, [(a, lambda g, o: np.broadcast_to(g, shape))])
 
@@ -557,8 +532,6 @@ def batch_mean(a) -> Tensor:
     if n == 0:
         raise EmptyBatchError("batch_mean: empty batch")
     out = np.add.reduce(a.data, axis=-1) / n
-    if a.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: np.full(n, g / n))])
 
 
@@ -577,8 +550,6 @@ def squared_distance(a, b) -> Tensor:
     ws = tape and tape._ws
     diff = np.subtract(a.data, b.data, out=_buf(ws, a.shape))
     out = np.einsum("...ij,...ij->...i", diff, diff)
-    if a.node is None and b.node is None:
-        return _wrap(out)
 
     def scaled_diff(c):
         def vjp(g, o):
@@ -599,8 +570,6 @@ def row_dot(a, b) -> Tensor:
         raise ShapeError(f"row_dot: needs matrices, got shape {a.shape}")
     ad, bd = a.data, b.data
     out = np.einsum("ij,ij->i", ad, bd)
-    if a.node is None and b.node is None:
-        return _wrap(out)
     return _op(out, [(a, lambda g, o: bd * g[:, None]), (b, lambda g, o: ad * g[:, None])])
 
 
@@ -611,8 +580,6 @@ def scale_rows(a, s) -> Tensor:
         raise ShapeError(f"scale_rows: shapes {a.shape} and {s.shape} disagree")
     ad, sd = a.data, s.data
     out = ad * sd[:, None]
-    if a.node is None and s.node is None:
-        return _wrap(out)
     return _op(
         out,
         [
@@ -628,8 +595,6 @@ def row_add(a, s) -> Tensor:
     if a.ndim != 2 or s.ndim != 1 or a.shape[0] != s.shape[0]:
         raise ShapeError(f"row_add: shapes {a.shape} and {s.shape} disagree")
     out = a.data + s.data[:, None]
-    if a.node is None and s.node is None:
-        return _wrap(out)
     return _op(out, [(a, _through), (s, lambda g, o: g.sum(axis=1))])
 
 
@@ -655,8 +620,6 @@ def l2_normalize(a) -> Tensor:
             f"l2_normalize: row {worst} has norm {norms.flat[worst]:.3e} < {NORM_EPS}"
         )
     np.divide(a.data, norms[..., None], out=out)
-    if a.node is None:
-        return _wrap(out)
 
     def vjp(g, o):
         radial = np.einsum("ij,ij->i", g, out)
@@ -675,8 +638,6 @@ def l2_normalize(a) -> Tensor:
 def stop_gradient(a) -> Tensor:
     """Identity forward; contributes nothing to any gradient."""
     a = as_tensor(a)
-    if a.node is None:
-        return _wrap(a.data)
     return _op(a.data, [(a, lambda g, o: None)])
 
 
@@ -691,17 +652,16 @@ def tangent_gate(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"tangent_gate: needs a matrix, got shape {a.shape}")
-    if a.node is None:
-        return _wrap(a.data)
-    norms = np.linalg.norm(a.data, axis=1)
-    safe = np.where(norms < NORM_EPS, 1.0, norms)
-    dirs = np.where(norms[:, None] < NORM_EPS, 0.0, a.data / safe[:, None])
+    ad = a.data
 
     def vjp(g, o):
+        norms = np.linalg.norm(ad, axis=1)
+        safe = np.where(norms < NORM_EPS, 1.0, norms)
+        dirs = np.where(norms[:, None] < NORM_EPS, 0.0, ad / safe[:, None])
         radial = np.einsum("ij,ij->i", g, dirs)
         return g - radial[:, None] * dirs
 
-    return _op(a.data, [(a, vjp)])
+    return _op(ad, [(a, vjp)])
 
 
 def tangential_filter(grad: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -750,12 +710,9 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=1))
     nll = lse - shifted[np.arange(n), lab]
     out = nll.mean()
-    if logits.node is None:
-        return _wrap(out)
-    probs = np.exp(shifted - lse[:, None])
 
     def vjp(g, o):
-        gl = probs.copy()
+        gl = np.exp(shifted - lse[:, None])
         gl[np.arange(n), lab] -= 1.0
         return gl * (g / n)
 

@@ -136,6 +136,13 @@ def _diagnostic_dump(step: int, error: RaftLabError, parts, params: ModelParams)
     return dump
 
 
+def require_input_dim(network: NetworkSpec, dataset: Dataset) -> None:
+    """Raise ConfigError unless `network` takes inputs of `dataset`'s dimension."""
+    if network.input_dim != dataset.dim:
+        raise ConfigError(f"network.input_dim: {network.input_dim} disagrees with the data "
+                          f"dimension {dataset.dim}")
+
+
 def train_run(
     cfg: TrainConfig,
     dataset: Dataset,
@@ -160,11 +167,7 @@ def train_run(
     what they show, and a write through either raises ValueError, so a
     callback copies what it keeps.
     """
-    if cfg.network.input_dim != dataset.dim:
-        raise ConfigError(
-            f"network.input_dim: {cfg.network.input_dim} disagrees with the data "
-            f"dimension {dataset.dim}"
-        )
+    require_input_dim(cfg.network, dataset)
     if cfg.batch_size > len(dataset):
         raise ConfigError(
             f"batch_size: {cfg.batch_size} exceeds dataset size {len(dataset)}"

@@ -500,9 +500,15 @@ class TestVerifyCommands:
 @pytest.mark.parametrize("argv", [
     ["train"], ["verify", "correspondence", "--trials", "2", "--steps", "3"],
 ], ids=lambda argv: " ".join(argv[:2]))
-def test_input_dim_that_disagrees_with_the_data_exits_2_naming_both(tmp_path, capsys, argv):
+def test_input_dim_that_disagrees_with_the_data_exits_2_naming_both(
+    tmp_path, capsys, monkeypatch, argv
+):
     # Caught before the first step, so nothing is written as if training
-    # had diverged.
+    # had diverged, and before verify's first check.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "gradient_correspondence_sweeps", refuse)
     cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("network", "input_dim"), 5))
     out = tmp_path / "out"
     assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -510,6 +516,18 @@ def test_input_dim_that_disagrees_with_the_data_exits_2_naming_both(tmp_path, ca
             in capsys.readouterr().err)
     assert [p.name for p in out.rglob("*")
             if p.name in ("divergence_dump.json", "checkpoint_last_good.ckpt")] == []
+
+
+@pytest.mark.parametrize("network", [None, {"backbone_widths": [12], "predictor": "linear"}],
+                         ids=["default network", "network without input_dim"])
+def test_verify_correspondence_takes_the_input_width_from_the_data(tmp_path, network):
+    # As train does: the data section sets the network's input width.
+    payload = {"data": {"dim": 16}} if network is None else {"data": {"dim": 16},
+                                                             "network": network}
+    out = tmp_path / "v"
+    assert run(["verify", "correspondence", "--config", str(write_config(tmp_path, payload)),
+                "--trials", "3", "--steps", "5", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["network"]["input_dim"] == 16
 
 
 @pytest.fixture(scope="module")

@@ -236,6 +236,16 @@ def called_names(tree) -> set:
     return called
 
 
+def test_tape_ops_return_constants_only_through_op():
+    # tape._op decides what an op on constants returns; an op that wraps its
+    # own result forks that decision. as_tensor wraps inputs, and
+    # stacked_matmul takes constants only.
+    tree = ast.parse((ROOT / "src" / "raftlab" / "tape.py").read_text())
+    wrapping = sorted(node.name for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and "_wrap" in called_names(node))
+    assert wrapping == ["_op", "as_tensor", "stacked_matmul"]
+
+
 def test_every_train_flag_sets_a_config_field():
     # cmd_train keeps only the flags named after a LossConfig or TrainConfig
     # field, so any other train flag would be accepted and silently ignored.

@@ -8,13 +8,17 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from raftlab import verify
 from raftlab.data import (
-    AugmentationSpec, PositiveBatch, SyntheticBlobsSpec, make_blobs, sample_positive_batch
+    AugmentationSpec, Dataset, PositiveBatch, SyntheticBlobsSpec, make_blobs,
+    sample_positive_batch,
 )
 from raftlab.errors import ContractError
 from raftlab.losses import LossConfig, objective_terms
@@ -22,12 +26,14 @@ from raftlab.model import ModelParams, NetworkSpec, forward_online, forward_targ
 from raftlab.train import train_run
 from raftlab.verify import (
     CONTROL_MIN_DEVIATION,
+    CONTROL_REQUIRED_FRACTION,
     CorrespondenceReport,
     DEFAULT_VERIFY_NETWORK,
     FD_STEP,
     LINEAR_PREDICTOR_MESSAGE,
     MARGIN_TOLERANCE,
     ONESTEP_MATCH_TOL,
+    TRAJECTORY_REL_TOL,
     TRICK_IDENTITY_TOL,
     analytic_sylvester_cases,
     finite_difference_gradchecks,
@@ -648,3 +654,62 @@ def test_correspondence_draws_each_one_step_state_once(verify_blobs, monkeypatch
     verify.certify_correspondence(seed=0, network=DEFAULT_VERIFY_NETWORK, dataset=verify_blobs,
                                   trials=3, steps=2)
     assert len(drawn) == 3
+
+
+# The paper's certified statements at random shapes that the gate never
+# uses: input width 1-16, 0-2 hidden layers of width 2-32, representation
+# and projection widths 2-32, batches of 2-16 rows. A fixed, derandomized example set keeps the
+# cost bounded and the outcome the same from run to run.
+def network_specs(predictors=("linear", "identity")):
+    return st.builds(
+        NetworkSpec,
+        input_dim=st.integers(1, 16),
+        backbone_widths=st.lists(st.integers(2, 32), max_size=2).map(tuple),
+        representation_dim=st.integers(2, 32),
+        projection_dim=st.integers(2, 32),
+        predictor=st.sampled_from(predictors),
+    )
+
+
+seeds_32 = st.integers(0, 2**32 - 1)
+batch_sizes = st.integers(2, 16)
+
+
+class TestStatementsOnRandomNetworks:
+    @settings(max_examples=50, derandomize=True)
+    @given(network=network_specs(), seed=seeds_32, batch_size=batch_sizes)
+    def test_the_upper_bound_holds(self, network, seed, batch_size):
+        report = upper_bound_sweep(trials=20, seed=seed, network=network, batch_size=batch_size)
+        assert report.min_margin >= -MARGIN_TOLERANCE
+
+    @settings(max_examples=40, derandomize=True)
+    @given(network=network_specs(("linear",)), seed=seeds_32, batch_size=batch_sizes)
+    def test_one_step_gradients_mirror_only_with_the_filter(self, network, seed, batch_size):
+        trials = 4
+        on, off = gradient_correspondence_sweeps((True, False), trials, seed, network=network,
+                                                 batch_size=batch_size)
+        assert max(max(d.theta_dev, d.w_dev) for d in on) <= ONESTEP_MATCH_TOL
+        hits = sum(max(d.theta_dev, d.w_dev) > CONTROL_MIN_DEVIATION for d in off)
+        assert hits >= math.ceil(CONTROL_REQUIRED_FRACTION * trials)
+
+    @settings(max_examples=25, derandomize=True)
+    @given(network=network_specs(("linear",)), seed=seeds_32, rows=batch_sizes,
+           steps=st.integers(20, 60), optimizer=st.sampled_from(["sgd", "adam"]))
+    def test_trajectories_mirror_only_from_a_mirrored_predictor(
+        self, network, seed, rows, steps, optimizer
+    ):
+        # The experiment trains on the whole dataset each step.
+        rng = np.random.default_rng(seed)
+        dataset = Dataset(rng.normal(size=(rows, network.input_dim)), np.zeros(rows))
+
+        def run():
+            report = trajectory_correspondence_experiment(
+                network, steps, seed, optimizer=optimizer, dataset=dataset)
+            return (report.max_theta_dev / report.theta_scale,
+                    report.max_w_dev / report.w_scale)
+
+        assert max(run()) <= TRAJECTORY_REL_TOL
+        # Negative control: both runs start from the same predictor, so the
+        # encoders' trajectories part.
+        with mock.patch.object(verify, "mirror_predictor", ModelParams.clone):
+            assert run()[0] > TRAJECTORY_REL_TOL
