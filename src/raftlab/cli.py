@@ -198,9 +198,19 @@ def _section(file_cfg: dict, name: str, **overrides):
     return _from_json(_SECTION_TYPES[name], file_cfg.get(name, {}), name, **overrides)
 
 
-def _network_from(file_cfg: dict, input_dim: int) -> NetworkSpec:
-    section = {"input_dim": input_dim, **file_cfg.get("network", {})}
-    return _from_json(NetworkSpec, section, "network")
+def _inputs(file_cfg: dict, network: NetworkSpec | None = None
+            ) -> tuple[NetworkSpec, Dataset, dict]:
+    """The network, the dataset and its manifest description that a config
+    file gives, the one rule every command builds them by. The dataset is
+    the data section's, or the default blobs; the network section's keys lie
+    over `network` (NetworkSpec's defaults when None), and `input_dim`, unless
+    the section sets it, is the data's dimension."""
+    dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    fields = {"input_dim": dataset.dim, **_fields(NetworkSpec, file_cfg.get("network", {}),
+                                                    "network")}
+    network = dataclasses.replace(network, **fields) if network else NetworkSpec(**fields)
+    require_input_dim(network, dataset)
+    return network, dataset, data_echo
 
 
 def _out_dir(args, default_leaf: str) -> Path:
@@ -260,9 +270,9 @@ def train_config(path, **flags) -> tuple[TrainConfig, Dataset, dict]:
     dataset and its manifest description. `flags` are command-line overrides
     of LossConfig and TrainConfig fields; None leaves the file's value."""
     file_cfg = _load_config_file(path)
-    dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    network, dataset, data_echo = _inputs(file_cfg)
     loss_flags = {f.name: flags.pop(f.name, None) for f in dataclasses.fields(LossConfig)}
-    cfg = _section(file_cfg, "train", network=_network_from(file_cfg, dataset.dim),
+    cfg = _section(file_cfg, "train", network=network,
                    loss=_section(file_cfg, "loss", **loss_flags),
                    augmentation=_section(file_cfg, "augmentation"), **flags)
     return cfg, dataset, data_echo
@@ -302,6 +312,7 @@ def cmd_eval(args) -> int:
     file_cfg = _load_config_file(args.config)
     params = load_checkpoint(args.checkpoint)
     dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
+    require_input_dim(params.spec, dataset)
     n, width = args.sample_count, params.spec.widest_layer()
     check_elements(f"--sample-count {n} x data dimension {dataset.dim}", n * dataset.dim)
     check_elements(f"--sample-count {n} x widest layer {width}", n * width)
@@ -348,9 +359,9 @@ _CERTIFICATIONS = {
 _SHARED_ARGS = ("command", "check", "func", "seed", "out_dir", "config")
 
 
-def _verify_start(args) -> tuple[dict, int]:
-    """Config file and seed of a verify subcommand. Flags are checked here,
-    so a bad one exits 2 before any check runs."""
+def _verify_start(args) -> tuple[tuple, int]:
+    """The inputs (see _inputs) and seed of a verify subcommand. Flags and
+    config are checked here, so a bad one exits 2 before any check runs."""
     for name in _VERIFY_COUNTS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -362,37 +373,28 @@ def _verify_start(args) -> tuple[dict, int]:
     seed = args.seed if args.seed is not None else 0
     if seed < 0:
         raise ConfigError(f"seed: need >= 0, got {seed}")
-    return file_cfg, seed
+    return _inputs(file_cfg, verify.DEFAULT_VERIFY_NETWORK), seed
 
 
-def _certify(args) -> _Manifest:
-    """Run one verify subcommand: write the artifacts of its certification,
-    print and record each check, and write the manifest."""
-    file_cfg, seed = _verify_start(args)
+def _certify(args, resolved: tuple, seed: int) -> _Manifest:
+    """Run one verify subcommand on the `resolved` inputs: write the
+    artifacts of its certification, print and record each check, and write
+    the manifest."""
     settings = {key: value for key, value in vars(args).items() if key not in _SHARED_ARGS}
-    inputs, echo = {}, {}  # a config section the certification reads replaces its default
-    if "data" in _CERTIFICATIONS[args.check]:
-        if "data" in file_cfg:
-            inputs["dataset"], echo["data"] = _dataset_from(file_cfg["data"])
-        else:
-            inputs["dataset"] = make_blobs(SyntheticBlobsSpec())
-            echo["data"] = {"kind": "default-blobs"}
+    network, dataset, data_echo = resolved
+    inputs, echo = {}, {}  # only what the certification reads
     if "network" in _CERTIFICATIONS[args.check]:
-        network, dataset = verify.DEFAULT_VERIFY_NETWORK, inputs.get("dataset")
-        dim = network.input_dim if dataset is None else dataset.dim  # as train reads it
-        network = (_network_from(file_cfg, dim) if "network" in file_cfg
-                   else dataclasses.replace(network, input_dim=dim))
-        if dataset is not None:
-            require_input_dim(network, dataset)
-        inputs["network"], echo = network, {"network": dataclasses.asdict(network), **echo}
+        inputs["network"], echo["network"] = network, dataclasses.asdict(network)
+    if "data" in _CERTIFICATIONS[args.check]:
+        inputs["dataset"], echo["data"] = dataset, data_echo
     if args.check == "sylvester":
-        dim = inputs["dataset"].dim
+        dim = dataset.dim
         if args.samples < dim ** 2:  # the moment estimate needs d^2 draws of d-dim data
             raise ConfigError(f"--samples: must be >= {dim ** 2} (the data dimension "
                               f"squared), got {args.samples}")
         check_elements(f"--samples {args.samples} x data dimension {dim}", args.samples * dim)
     if "batch_size" in settings:  # both views of the batch go stacked through every layer
-        width = inputs["network"].widest_layer()
+        width = network.widest_layer()
         check_elements(f"--batch-size {args.batch_size} x 2 views x widest layer {width}",
                        2 * args.batch_size * width)
     out = _out_dir(args, f"verify-{args.check}")
@@ -409,7 +411,7 @@ def _certify(args) -> _Manifest:
 
 
 def cmd_verify(args) -> int:
-    return _certify(args).exit_status()
+    return _certify(args, *_verify_start(args)).exit_status()
 
 
 def cmd_verify_all(args) -> int:
@@ -417,16 +419,14 @@ def cmd_verify_all(args) -> int:
     <out>/<subcommand>/. Writes verification_report.json from their records
     and returns the highest of their exit statuses."""
     start = time.monotonic()
-    _verify_start(args)  # a bad --seed or --config exits 2 before any check runs
+    resolved, seed = _verify_start(args)  # bad flags or config exit 2 before any check runs
     out = _out_dir(args, "verify-all")
-    given = {"seed": args.seed, "config": args.config}
-    shared = [f"--{key}={value}" for key, value in given.items() if value is not None]
     parser = build_parser()
     status, checks = 0, []
     for check in _CERTIFICATIONS:
-        sub_args = parser.parse_args(["verify", check, *shared, "--out-dir", str(out / check)])
+        sub_args = parser.parse_args(["verify", check, "--out-dir", str(out / check)])
         try:
-            manifest = _certify(sub_args)
+            manifest = _certify(sub_args, resolved, seed)
         except RaftLabError as exc:  # reported as `verify <check>` reports it; the rest still run
             print(f"error: {exc}", file=sys.stderr)
             status = 2

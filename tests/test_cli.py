@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import struct
 from functools import reduce
@@ -497,37 +498,59 @@ class TestVerifyCommands:
         assert not (out / "correspondence" / "manifest.json").exists()
 
 
+# Small flags for each verify subcommand, every check passing.
+QUICK_VERIFY = {
+    "upper-bound": ["--trials", "5"],
+    "correspondence": ["--trials", "3", "--steps", "5"],
+    "sylvester": ["--dim", "3", "--samples", "400"],
+    "gradcheck": ["--trials", "5", "--batch-size", "4", "--max-coords", "60"],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["train"], ["verify", "correspondence", "--trials", "2", "--steps", "3"],
+    ["verify", "upper-bound"], ["verify", "gradcheck"], ["verify", "sylvester"], ["verify", "all"],
 ], ids=lambda argv: " ".join(argv[:2]))
 def test_input_dim_that_disagrees_with_the_data_exits_2_naming_both(
     tmp_path, capsys, monkeypatch, argv
 ):
     # Caught before the first step, so nothing is written as if training
-    # had diverged, and before verify's first check.
+    # had diverged, and before any certification starts: `verify all`
+    # reports it once and writes no subcommand manifest.
     def refuse(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(verify, "gradient_correspondence_sweeps", refuse)
+    for check in QUICK_VERIFY:
+        monkeypatch.setattr(verify, "certify_" + check.replace("-", "_"), refuse)
     cfg = write_config(tmp_path, substituted(SMALL_CONFIG, ("network", "input_dim"), 5))
     out = tmp_path / "out"
     assert run([*argv, "--config", str(cfg), "--out-dir", str(out)]) == 2
-    assert ("error: network.input_dim: 5 disagrees with the data dimension 8"
-            in capsys.readouterr().err)
-    assert [p.name for p in out.rglob("*")
-            if p.name in ("divergence_dump.json", "checkpoint_last_good.ckpt")] == []
+    assert capsys.readouterr().err.count(
+        "error: network.input_dim: 5 disagrees with the data dimension 8") == 1
+    assert [p.name for p in out.rglob("*") if p.name in (
+        "divergence_dump.json", "checkpoint_last_good.ckpt", "manifest.json")] == []
 
 
-@pytest.mark.parametrize("network", [None, {"backbone_widths": [12], "predictor": "linear"}],
-                         ids=["default network", "network without input_dim"])
-def test_verify_correspondence_takes_the_input_width_from_the_data(tmp_path, network):
-    # As train does: the data section sets the network's input width.
-    payload = {"data": {"dim": 16}} if network is None else {"data": {"dim": 16},
-                                                             "network": network}
-    out = tmp_path / "v"
-    assert run(["verify", "correspondence", "--config", str(write_config(tmp_path, payload)),
-                "--trials", "3", "--steps", "5", "--out-dir", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["config"]["network"]["input_dim"] == 16
+@pytest.mark.parametrize("payload, network", [
+    ({"data": {"dim": 16}}, {"input_dim": 16}),
+    ({"data": {"dim": 16}, "network": {"backbone_widths": [12], "predictor": "linear"}},
+     {"input_dim": 16, "backbone_widths": (12,)}),
+    ({"network": {}}, {}),
+], ids=["default network", "network without input_dim", "empty network section"])
+def test_verify_builds_the_network_as_train_does(tmp_path, payload, network):
+    # The data section sets the network's input width, as in train, and the
+    # keys a network section leaves out come from DEFAULT_VERIFY_NETWORK.
+    # Every subcommand that reads a network certifies that one.
+    cfg = write_config(tmp_path, payload)
+    expected = json.loads(json.dumps(dataclasses.asdict(
+        dataclasses.replace(verify.DEFAULT_VERIFY_NETWORK, **network))))
+    echoed = {}
+    for check, flags in QUICK_VERIFY.items():
+        out = tmp_path / check
+        assert run(["verify", check, *flags, "--config", str(cfg), "--out-dir", str(out)]) == 0
+        echoed[check] = json.loads((out / "manifest.json").read_text())["config"].get("network")
+    assert echoed == {"upper-bound": expected, "correspondence": expected, "sylvester": None,
+                      "gradcheck": expected}
 
 
 @pytest.fixture(scope="module")
@@ -538,6 +561,18 @@ def trained(tmp_path_factory):
     out = root / "run"
     assert run(["train", "--config", str(cfg), "--out-dir", str(out), "--steps", "5"]) == 0
     return cfg, out / "checkpoint_final.ckpt"
+
+
+def test_eval_of_a_checkpoint_that_disagrees_with_the_data_exits_2_naming_both(
+    trained, tmp_path, capsys
+):
+    cfg = write_config(tmp_path, {"data": {"dim": 16}})
+    out = tmp_path / "eval"
+    assert run(["eval", "--config", str(cfg), "--checkpoint", str(trained[1]),
+                "--out-dir", str(out)]) == 2
+    assert ("error: network.input_dim: 8 disagrees with the data dimension 16"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

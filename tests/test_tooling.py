@@ -2,9 +2,9 @@
 package imports itself only by relative imports, the config reader can
 check every field of every config dataclass, the training step calls each
 phase the benchmark times once and each tape op it times at least once per
-step, every train flag sets a config field, every verify flag is a
-parameter of its certification and every raftlab name the benchmark worker
-calls exists."""
+step, one function of the CLI builds the network from a config, every
+train flag sets a config field, every verify flag is a parameter of its
+certification and every raftlab name the benchmark worker calls exists."""
 
 from __future__ import annotations
 
@@ -244,6 +244,20 @@ def test_tape_ops_return_constants_only_through_op():
     wrapping = sorted(node.name for node in ast.walk(tree)
                       if isinstance(node, ast.FunctionDef) and "_wrap" in called_names(node))
     assert wrapping == ["_op", "as_tensor", "stacked_matmul"]
+
+
+def test_one_function_builds_the_network_from_a_config():
+    # cli._inputs alone turns a config into a network and checks its input
+    # width against the data, so that every command resolves the same file
+    # alike; cmd_eval checks a checkpoint's network, which no config builds.
+    # The imports and _SECTION_TYPES are not functions and are not counted.
+    tree = ast.parse((ROOT / "src" / "raftlab" / "cli.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    naming = sorted(fn.name for fn in functions if any(
+        isinstance(node, ast.Name) and node.id == "NetworkSpec" for node in ast.walk(fn)))
+    checking = sorted(fn.name for fn in functions if "require_input_dim" in called_names(fn))
+    assert naming == ["_inputs"]
+    assert checking == ["_inputs", "cmd_eval"]
 
 
 def test_every_train_flag_sets_a_config_field():
