@@ -155,13 +155,35 @@ class PositiveBatch:
     labels: np.ndarray
 
 
-def _apply_view(x: np.ndarray, view: ViewAugmentation, rng: np.random.Generator) -> np.ndarray:
-    n, d = x.shape
+# Elements of rows that _apply_view gathers and scales at once beside its output.
+_VIEW_CHUNK = 16384
+
+
+def _apply_view(
+    x: np.ndarray, view: ViewAugmentation, rng: np.random.Generator,
+    idx: np.ndarray | None = None,
+) -> np.ndarray:
+    """The view of the rows x[idx], or of all of x when idx is None.
+    Nothing larger than one chunk is allocated beside the output: the noise
+    draw becomes the output, and the scaled rows are added to it chunk by
+    chunk, gathered per chunk."""
+    n, d = x.shape if idx is None else (idx.size, x.shape[1])
     # Fixed draw order (scale, then noise) so changing one knob's value never
     # shifts the other stream.
     s = rng.uniform(view.scale_lo, view.scale_hi, size=(n, 1))
-    noise = view.noise_sigma * rng.normal(size=(n, d))
-    return s * x + noise
+    # rng.normal, not standard_normal(out=...): they differ in the sign of
+    # an exact zero.
+    out = rng.normal(size=(n, d))
+    out *= view.noise_sigma
+    # fl(s * x + noise) does not depend on the order of the sum's operands.
+    if idx is None and n * d <= _VIEW_CHUNK:  # a training batch: skip the slicing
+        out += s * x
+        return out
+    rows = max(1, _VIEW_CHUNK // d)
+    for lo in range(0, n, rows):
+        part = slice(lo, lo + rows)
+        out[part] += s[part] * (x[part] if idx is None else x[idx[part]])
+    return out
 
 
 def batches_per_epoch(dataset_size: int, batch_size: int) -> int:
@@ -245,18 +267,26 @@ def draw_augmented_pairs(
     used for measurement; training batches come from sample_positive_batch's
     per-epoch shuffle instead.
     """
+    idx, batch = _augmented_pairs(dataset, aug, count, seed)
+    return dataset.samples[idx], batch
+
+
+def _augmented_pairs(
+    dataset: Dataset, aug: AugmentationSpec, count: int, seed: int
+) -> tuple[np.ndarray, PositiveBatch]:
+    # draw_augmented_pairs' row indices and views, without gathering the rows.
     if count < 1:
         raise ConfigError(f"count: need >= 1, got {count}")
     root = np.random.SeedSequence([seed, _TAG_MOMENTS, aug.seed])
     pick_stream, v1_stream, v2_stream = root.spawn(3)
     idx = np.random.default_rng(pick_stream).integers(0, len(dataset), size=count)
-    raw = dataset.samples[idx]
+    x = dataset.samples
     batch = PositiveBatch(
-        x1=_apply_view(raw, aug.view1, np.random.default_rng(v1_stream)),
-        x2=_apply_view(raw, aug.view2, np.random.default_rng(v2_stream)),
+        x1=_apply_view(x, aug.view1, np.random.default_rng(v1_stream), idx),
+        x2=_apply_view(x, aug.view2, np.random.default_rng(v2_stream), idx),
         labels=dataset.labels[idx],
     )
-    return raw, batch
+    return idx, batch
 
 
 @dataclass(frozen=True)
@@ -282,7 +312,7 @@ def estimate_aug_moments(
             f"sample_count: need >= d^2 = {d * d} for a {d}-dim moment "
             f"estimate, got {sample_count}"
         )
-    _, batch = draw_augmented_pairs(dataset, aug, sample_count, seed=seed)
+    _, batch = _augmented_pairs(dataset, aug, sample_count, seed)
     x1, x2 = batch.x1, batch.x2
     a = x1.T @ x1 / sample_count
     a = 0.5 * (a + a.T)

@@ -88,9 +88,11 @@ def train_probe(features: np.ndarray, labels: np.ndarray, cfg: ProbeConfig) -> P
 
 
 def _chunked(output, x: np.ndarray) -> np.ndarray:
-    # output(rows).data for x's rows, _EXPORT_CHUNK rows at a time.
-    return np.concatenate([output(x[lo : lo + _EXPORT_CHUNK]).data
-                           for lo in range(0, x.shape[0], _EXPORT_CHUNK)], axis=0)
+    # output(rows).data for x's rows, _EXPORT_CHUNK rows at a time; a lone
+    # chunk is returned as it is, not copied.
+    parts = [output(x[lo : lo + _EXPORT_CHUNK]).data
+             for lo in range(0, x.shape[0], _EXPORT_CHUNK)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
 
 def backbone_features(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -474,25 +474,29 @@ def trajectory_correspondence_experiment(
         )
         train_run(cfg, dataset, initial_params=initial, step_callback=record)
 
-    # The attract run keeps copies of its vectors: parameters after each
-    # step (index 0 is the initial state) and the gradient of each step.
-    # The repel run is compared against them as it goes and keeps nothing.
-    flats_a = [params0.flat]
-    grads_a = []
+    # The attract run keeps its vectors in two arrays allocated once: the
+    # parameters after each step (row 0 is the initial state) and the
+    # gradient of each step. The repel run is compared against them as it
+    # goes and keeps one gradient's scratch. Many small copies would stay in
+    # the heap after they are freed; large arrays go back to the system.
     w = params0.predictor_span
+    flats_a = np.empty((steps + 1, params0.flat.size))
+    flats_a[0] = params0.flat
+    grads_a = np.empty((steps, params0.trainable.size))
 
     def record_attract(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
-        flats_a.append(params.flat.copy())
-        grads_a.append(_joined(step_grads))
+        flats_a[step] = params.flat
+        _join(step_grads, grads_a[step - 1])
 
     devs = [_mirror_deviations(params0.flat, mirrored0.flat, w)]
     grad_devs = []
 
     def record_repel(step: int, params: ModelParams, step_grads: dict[str, np.ndarray]):
         devs.append(_mirror_deviations(flats_a[step], params.flat, w))
-        grad_devs.append(_mirror_deviations(grads_a[step - 1], _joined(step_grads), w))
+        grad_devs.append(_mirror_deviations(grads_a[step - 1], _join(step_grads, grad_r), w))
 
     run("byol_prime", params0, record_attract)
+    grad_r = np.empty_like(grads_a[0])
     run("raft", mirrored0, record_repel)
     return CorrespondenceReport(
         steps=steps,
@@ -503,15 +507,20 @@ def trajectory_correspondence_experiment(
         w_dev=tuple(d[1] for d in devs),
         grad_theta_dev=tuple(d[0] for d in grad_devs),
         grad_w_dev=tuple(d[1] for d in grad_devs),
-        theta_scale=max(float(np.abs(np.delete(flat, w)).max()) for flat in flats_a),
-        w_scale=max(float(np.abs(flat[w]).max()) for flat in flats_a),
+        theta_scale=max(_abs_max(flats_a[:, : w.start]), _abs_max(flats_a[:, w.stop :])),
+        w_scale=_abs_max(flats_a[:, w]),
     )
 
 
-def _joined(step_grads: dict[str, np.ndarray]) -> np.ndarray:
-    # A step callback's gradient views as one vector, laid out like
+def _join(step_grads: dict[str, np.ndarray], out: np.ndarray) -> np.ndarray:
+    # A step callback's gradient views as one vector in `out`, laid out like
     # ModelParams.trainable.
-    return np.concatenate([g.ravel() for g in step_grads.values()])
+    return np.concatenate([g.ravel() for g in step_grads.values()], out=out)
+
+
+def _abs_max(x: np.ndarray) -> float:
+    # max |x|, exactly, without a temporary of x's size.
+    return float(max(x.max(), -x.min()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from raftlab import data
 from raftlab.data import (
     CIFAR_RECORD_BYTES,
     AugmentationSpec,
@@ -124,6 +127,64 @@ class TestAugmentedPairs:
         assert a[1].x2.tobytes() == b[1].x2.tobytes()
 
 
+# The four kinds of view, each as both views of a spec, at row counts within
+# one chunk of _apply_view and over more than one.
+VIEW_KINDS = {
+    "identity": ViewAugmentation(),
+    "noise": ViewAugmentation(noise_sigma=0.3),
+    "scale": ViewAugmentation(scale_lo=0.8, scale_hi=1.25),
+    "noise+scale": ViewAugmentation(noise_sigma=0.3, scale_lo=0.8, scale_hi=1.25),
+}
+ROW_COUNTS = [64, 400, data._VIEW_CHUNK // 8 + 37]
+
+
+@pytest.fixture(scope="module")
+def many_blobs():
+    # More rows than one chunk of _apply_view at d = 8.
+    return make_blobs(SyntheticBlobsSpec(per_class=1100))
+
+
+def textbook_view(raw, view, stream):
+    # A view as the plain expression: scale, then noise, from one stream.
+    rng = np.random.default_rng(stream)
+    s = rng.uniform(view.scale_lo, view.scale_hi, size=(raw.shape[0], 1))
+    return s * raw + view.noise_sigma * rng.normal(size=raw.shape)
+
+
+@pytest.mark.parametrize("rows", ROW_COUNTS)
+@pytest.mark.parametrize("kind", VIEW_KINDS)
+class TestViewsEqualTheTextbookExpression:
+    def test_training_batch(self, many_blobs, kind, rows):
+        aug = AugmentationSpec(view1=VIEW_KINDS[kind], view2=VIEW_KINDS[kind], seed=3)
+        n = len(many_blobs)
+        shuffle = np.random.SeedSequence([aug.seed, data._TAG_SHUFFLE, 0])
+        idx = np.random.default_rng(shuffle).permutation(n)[:rows]
+        raw = many_blobs.samples[idx]
+        batch = sample_positive_batch(many_blobs, aug, rows, 0)
+        x1 = textbook_view(raw, aug.view1, np.random.SeedSequence([aug.seed, data._TAG_VIEW1, 0]))
+        x2 = textbook_view(raw, aug.view2, np.random.SeedSequence([aug.seed, data._TAG_VIEW2, 0]))
+        assert batch.x1.tobytes() == x1.tobytes()
+        assert batch.x2.tobytes() == x2.tobytes()
+        assert batch.labels.tobytes() == many_blobs.labels[idx].tobytes()
+
+    def test_measurement_draw(self, many_blobs, kind, rows):
+        aug = AugmentationSpec(view1=VIEW_KINDS[kind], view2=VIEW_KINDS[kind], seed=3)
+        root = np.random.SeedSequence([5, data._TAG_MOMENTS, aug.seed])
+        pick, v1, v2 = root.spawn(3)
+        idx = np.random.default_rng(pick).integers(0, len(many_blobs), size=rows)
+        raw = many_blobs.samples[idx]
+        x1, x2 = textbook_view(raw, aug.view1, v1), textbook_view(raw, aug.view2, v2)
+        got_raw, batch = draw_augmented_pairs(many_blobs, aug, rows, seed=5)
+        assert got_raw.tobytes() == raw.tobytes()
+        assert batch.x1.tobytes() == x1.tobytes()
+        assert batch.x2.tobytes() == x2.tobytes()
+        assert batch.labels.tobytes() == many_blobs.labels[idx].tobytes()
+        est = estimate_aug_moments(many_blobs, aug, rows, seed=5)
+        a = x1.T @ x1 / rows
+        assert est.a.tobytes() == (0.5 * (a + a.T)).tobytes()
+        assert est.b.tobytes() == (x2.T @ x1 / rows).tobytes()
+
+
 class TestMoments:
     def test_identity_augmentation_matches_raw_second_moment(self):
         rng = np.random.default_rng(0)
@@ -142,6 +203,20 @@ class TestMoments:
     def test_too_few_samples_rejected(self, blobs):
         with pytest.raises(ContractError):
             estimate_aug_moments(blobs, AugmentationSpec(), sample_count=10)
+
+    def test_the_estimate_holds_no_full_size_temporary(self, blobs):
+        # x1 and x2 alone take 2.44 MiB at 20000 rows of 8; gathering the raw
+        # rows or building a view from full-size temporaries took 5.3 MiB.
+        aug = AugmentationSpec(seed=0)
+        estimate_aug_moments(blobs, aug, 20000)  # warm the caches first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            estimate_aug_moments(blobs, aug, 20000)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
     def test_symmetry_of_reported_moments(self, blobs):
         aug = AugmentationSpec.symmetric(noise_sigma=0.2)

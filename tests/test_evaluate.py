@@ -179,6 +179,19 @@ class TestMetricsReport:
         assert rows and max(rows) == 16
 
 
+def test_a_lone_chunk_is_the_forwards_own_array():
+    made = []
+
+    def output(rows):
+        made.append(rows + 1.0)
+        return T.constant(made[-1])
+
+    x = np.zeros((evaluate._EXPORT_CHUNK, 3))
+    assert evaluate._chunked(output, x) is made[0]
+    two = evaluate._chunked(output, np.zeros((evaluate._EXPORT_CHUNK + 1, 3)))
+    assert two.shape == (evaluate._EXPORT_CHUNK + 1, 3) and len(made) == 3
+
+
 @pytest.mark.parametrize("measure, layers", [(backbone_features, 3), (projector_outputs, 5)],
                          ids=["backbone", "projector"])
 def test_a_measure_runs_only_the_layers_it_reads(measure, layers, monkeypatch):

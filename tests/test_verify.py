@@ -377,6 +377,32 @@ class TestMirroredGradients:
         )
         assert len(report.theta_dev) == 21 and len(report.grad_theta_dev) == 20
 
+    def test_the_attract_history_is_two_arrays(self, monkeypatch):
+        # At the default experiment's last attract callback, the kept
+        # parameters and gradients live in at most two allocations made in
+        # verify.py of at least one gradient's size; one copy per step
+        # would be 400 of them.
+        seen = []
+
+        def snapshotting(cfg, dataset, initial_params, step_callback):
+            def record(step, params, step_grads):
+                step_callback(step, params, step_grads)
+                if not seen and step == cfg.steps:
+                    seen.append((tracemalloc.take_snapshot(), params.trainable.nbytes))
+
+            return train_run(cfg, dataset, initial_params=initial_params, step_callback=record)
+
+        monkeypatch.setattr(verify, "train_run", snapshotting)
+        tracemalloc.start()
+        try:
+            trajectory_correspondence_experiment()
+        finally:
+            tracemalloc.stop()
+        snapshot, grad_bytes = seen[0]
+        held = [t.size for t in snapshot.traces
+                if t.traceback[0].filename == verify.__file__ and t.size >= grad_bytes]
+        assert len(held) <= 2
+
     def test_trajectories_stay_mirrored_with_moving_teacher(self):
         report = trajectory_correspondence_experiment(
             steps=30, seed=1, optimizer="sgd", ema_tau=0.99
