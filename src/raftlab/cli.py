@@ -7,7 +7,6 @@
     raftlab verify sylvester
     raftlab verify gradcheck
     raftlab verify all
-    raftlab make-data --dim 8 --classes 4
 
 Every command writes a manifest.json into its output directory recording the
 resolved configuration (flags beat the --config file, which beats defaults),
@@ -39,7 +38,6 @@ from .data import (
     Dataset,
     SyntheticBlobsSpec,
     check_elements,
-    export_dataset_csv,
     load_cifar10,
     make_blobs,
 )
@@ -47,7 +45,7 @@ from .errors import ConfigError, RaftLabError
 from .evaluate import ProbeConfig, metrics_report
 from .losses import LossConfig
 from .model import NetworkSpec, load_checkpoint
-from .train import TrainConfig, require_input_dim, train_run
+from .train import TrainConfig, require_batch_fits, require_input_dim, train_run
 
 LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
@@ -275,6 +273,7 @@ def train_config(path, **flags) -> tuple[TrainConfig, Dataset, dict]:
     cfg = _section(file_cfg, "train", network=network,
                    loss=_section(file_cfg, "loss", **loss_flags),
                    augmentation=_section(file_cfg, "augmentation"), **flags)
+    require_batch_fits(cfg, dataset)
     return cfg, dataset, data_echo
 
 
@@ -314,6 +313,8 @@ def cmd_eval(args) -> int:
     dataset, data_echo = _dataset_from(file_cfg.get("data", {}))
     require_input_dim(params.spec, dataset)
     n, width = args.sample_count, params.spec.widest_layer()
+    if n < 2:  # the uniformity measure needs a pair of rows
+        raise ConfigError(f"--sample-count: must be >= 2, got {n}")
     check_elements(f"--sample-count {n} x data dimension {dataset.dim}", n * dataset.dim)
     check_elements(f"--sample-count {n} x widest layer {width}", n * width)
     # the uniformity measure compares every pair of rows
@@ -443,27 +444,6 @@ def cmd_verify_all(args) -> int:
     return status
 
 
-def cmd_make_data(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    kind, fields = _data_fields(file_cfg.get("data", {}))
-    if kind != "blobs":
-        raise ConfigError(
-            f"make-data: only the synthetic generator writes datasets, got kind {kind!r}"
-        )
-    spec = _from_json(SyntheticBlobsSpec, fields, "data", dim=args.dim, classes=args.classes,
-                      per_class=args.per_class, noise_sigma=args.noise_sigma,
-                      center_seed=args.seed)
-    dataset = make_blobs(spec)
-
-    out = _out_dir(args, "make-data")
-    manifest = _Manifest("make-data", out, spec.center_seed)
-    path = manifest.add(out / "dataset.csv")
-    export_dataset_csv(dataset, path)
-    manifest.write({"kind": "blobs", **dataclasses.asdict(spec)})
-    print(f"wrote {len(dataset)} samples of dimension {dataset.dim} to {path}")
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -555,13 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("all", parents=[common], help="every certification above, one report")
     p.set_defaults(func=cmd_verify_all)
-
-    p = sub.add_parser("make-data", parents=[common], help="write the synthetic dataset")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--per-class", type=int, default=None)
-    p.add_argument("--noise-sigma", type=_finite_float, default=None)
-    p.set_defaults(func=cmd_make_data)
 
     return parser
 

@@ -7,7 +7,6 @@ reproducible bit for bit no matter what ran before it.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 
@@ -137,13 +136,10 @@ class AugmentationSpec:
 
     @classmethod
     def symmetric(
-        cls,
-        noise_sigma: float = 0.0,
-        scale: tuple[float, float] = (1.0, 1.0),
-        seed: int = 0,
+        cls, noise_sigma: float = 0.0, scale: tuple[float, float] = (1.0, 1.0)
     ) -> "AugmentationSpec":
         view = ViewAugmentation(noise_sigma=noise_sigma, scale_lo=scale[0], scale_hi=scale[1])
-        return cls(view1=view, view2=view, seed=seed)
+        return cls(view1=view, view2=view)
 
 
 @dataclass(frozen=True)
@@ -319,16 +315,3 @@ def estimate_aug_moments(
     b = x2.T @ x1 / sample_count
     rank_deficient = bool(np.linalg.cond(a) > MOMENT_COND_LIMIT)
     return MomentEstimate(a=a, b=b, sample_count=sample_count, rank_deficient=rank_deficient)
-
-
-def export_dataset_csv(dataset: Dataset, path):
-    """Write samples as CSV with an x0..x{d-1} header and the label last.
-
-    Floats are written in shortest round-trip form, so re-exporting the same
-    dataset reproduces the file byte for byte.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(dataset.dim)] + ["label"])
-        for row, label in zip(dataset.samples, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

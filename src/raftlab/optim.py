@@ -51,20 +51,13 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of `params` in place; advances `state`.
 
     Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
     params - lr m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t),
-    v_hat = v / (1 - beta2^t).
+    v_hat = v / (1 - beta2^t), where beta1, beta2 and eps are ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS.
     """
     if params.ndim != 1:
         raise ShapeError(f"Adam updates a flat vector, got shape {params.shape}")
@@ -73,6 +66,7 @@ def adam_step(
             f"param shape {params.shape}, grad shape {grads.shape} and "
             f"optimizer state shape {state.m.shape} differ"
         )
+    beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     t = state.t + 1
     # The bias corrections, once per step.
     c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t

@@ -143,6 +143,12 @@ def require_input_dim(network: NetworkSpec, dataset: Dataset) -> None:
                           f"dimension {dataset.dim}")
 
 
+def require_batch_fits(cfg: TrainConfig, dataset: Dataset) -> None:
+    """Raise ConfigError when `cfg`'s batches hold more rows than `dataset`."""
+    if cfg.batch_size > len(dataset):
+        raise ConfigError(f"batch_size: {cfg.batch_size} exceeds dataset size {len(dataset)}")
+
+
 def train_run(
     cfg: TrainConfig,
     dataset: Dataset,
@@ -168,10 +174,7 @@ def train_run(
     callback copies what it keeps.
     """
     require_input_dim(cfg.network, dataset)
-    if cfg.batch_size > len(dataset):
-        raise ConfigError(
-            f"batch_size: {cfg.batch_size} exceeds dataset size {len(dataset)}"
-        )
+    require_batch_fits(cfg, dataset)
     init_seed, aug_seed = derived_seeds(cfg.master_seed)
     aug = replace(cfg.augmentation, seed=aug_seed)
     if initial_params is None:

@@ -74,6 +74,8 @@ CONTROL_REQUIRED_FRACTION = 0.95
 
 # Full-trajectory deviation budget, relative to parameter scale.
 TRAJECTORY_REL_TOL = 1e-6
+# Step size of both mirrored runs.
+TRAJECTORY_LEARNING_RATE = 1e-2
 
 # Central-difference certification of analytic gradients.
 FD_STEP = 1e-5
@@ -378,18 +380,16 @@ def trick_gradient_identity_check(p: np.ndarray, zbar: np.ndarray) -> float:
     return float(np.abs(g_trick - filtered).max())
 
 
-def trick_identity_sweep(
-    trials: int = 100, seed: int = 0, batch_size: int = 16, dim: int = 8
-) -> float:
+def trick_identity_sweep(trials: int = 100, seed: int = 0) -> float:
     """Worst-case deviation of the gradient identity over random unit
-    configurations."""
+    configurations of 16 rows in 8 dimensions."""
     if trials < 1:
         raise ContractError(f"trials: need >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 23]))
     worst = 0.0
     for _ in range(trials):
-        p = unit_rows(rng, batch_size, dim)
-        zbar = unit_rows(rng, batch_size, dim)
+        p = unit_rows(rng, 16, 8)
+        zbar = unit_rows(rng, 16, 8)
         worst = max(worst, trick_gradient_identity_check(p, zbar))
     return worst
 
@@ -433,7 +433,6 @@ def trajectory_correspondence_experiment(
     steps: int = 200,
     seed: int = 0,
     optimizer: str = "sgd",
-    learning_rate: float = 1e-2,
     ema_tau: float = 0.996,
     dataset: Dataset | None = None,
 ) -> CorrespondenceReport:
@@ -467,7 +466,7 @@ def trajectory_correspondence_experiment(
             steps=steps,
             batch_size=len(dataset),
             optimizer=optimizer,
-            learning_rate=learning_rate,
+            learning_rate=TRAJECTORY_LEARNING_RATE,
             ema_tau=ema_tau,
             master_seed=seed,
             log_every=10**9,
@@ -501,7 +500,7 @@ def trajectory_correspondence_experiment(
     return CorrespondenceReport(
         steps=steps,
         optimizer=optimizer,
-        learning_rate=float(learning_rate),
+        learning_rate=TRAJECTORY_LEARNING_RATE,
         ema_tau=float(ema_tau),
         theta_dev=tuple(d[0] for d in devs),
         w_dev=tuple(d[1] for d in devs),

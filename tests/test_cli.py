@@ -575,6 +575,23 @@ def test_eval_of_a_checkpoint_that_disagrees_with_the_data_exits_2_naming_both(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("count", ["1", "-3"])
+def test_eval_sample_count_below_2_exits_2_before_any_output(trained, tmp_path, capsys, count):
+    cfg, ckpt = trained
+    out = tmp_path / "eval"
+    assert run(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                "--sample-count", count, "--out-dir", str(out)]) == 2
+    assert f"error: --sample-count: must be >= 2, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_batch_above_the_dataset_size_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "train"
+    assert run(["train", "--steps", "5", "--batch-size", "1000", "--out-dir", str(out)]) == 2
+    assert "error: batch_size: 1000 exceeds dataset size 400" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv, section",
     [
@@ -582,14 +599,13 @@ def test_eval_of_a_checkpoint_that_disagrees_with_the_data_exits_2_naming_both(
         (["eval"], ("augmentation", {"seed": -1})),
         (["train", "--seed", "-1"], None),
         (["eval", "--seed", "-1"], None),
-        (["make-data", "--seed", "-1"], None),
         (["verify", "upper-bound", "--seed", "-1"], None),
         (["verify", "correspondence", "--seed", "-1"], None),
         (["verify", "sylvester", "--seed", "-1"], None),
         (["verify", "gradcheck", "--seed", "-1"], None),
     ],
-    ids=["eval-probe.seed", "eval-augmentation.seed", "train", "eval", "make-data",
-         "upper-bound", "correspondence", "sylvester", "gradcheck"],
+    ids=["eval-probe.seed", "eval-augmentation.seed", "train", "eval", "upper-bound",
+         "correspondence", "sylvester", "gradcheck"],
 )
 def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, section):
     cfg, ckpt = trained
@@ -605,7 +621,7 @@ def test_negative_seed_exits_2_naming_it(trained, tmp_path, capsys, argv, sectio
 
 
 @pytest.mark.parametrize("argv", [
-    ["train"], ["eval"], ["make-data"], ["verify", "upper-bound"], ["verify", "correspondence"],
+    ["train"], ["eval"], ["verify", "upper-bound"], ["verify", "correspondence"],
     ["verify", "sylvester"], ["verify", "gradcheck"], ["verify", "all"],
 ], ids=" ".join)
 @pytest.mark.parametrize("path, value", [("loss.uniformity_t", 1.0), ("probe.epochs", 2)],
@@ -690,7 +706,7 @@ def test_non_finite_float_flag_exits_2_naming_it(tmp_path, capsys, command, flag
 
 
 def test_float_flag_count():
-    assert len(FLOAT_FLAGS) == 5
+    assert len(FLOAT_FLAGS) == 4
 
 
 # (subcommand, flag, value) of verify flags outside their range. Most used
@@ -737,29 +753,18 @@ def test_removed_verify_flag_is_unrecognized(tmp_path, capsys, check, flag, valu
     assert not (tmp_path / "v").exists()
 
 
-class TestMakeDataCommand:
-    def test_writes_dataset_and_manifest(self, tmp_path):
-        out = tmp_path / "data"
-        rc = run(["make-data", "--per-class", "10", "--out-dir", str(out)])
-        assert rc == 0
-        lines = (out / "dataset.csv").read_text().splitlines()
-        assert len(lines) == 41
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "make-data"
-
-    def test_export_is_reproducible(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["make-data", "--per-class", "10", "--out-dir", str(a)]) == 0
-        assert run(["make-data", "--per-class", "10", "--out-dir", str(b)]) == 0
-        assert (a / "dataset.csv").read_bytes() == (b / "dataset.csv").read_bytes()
-
-
 class TestTopLevel:
     def test_version_flag_prints_and_exits(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["--version"])
         assert info.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_make_data_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["make-data"])
+        assert info.value.code == 2
+        assert "invalid choice: 'make-data'" in capsys.readouterr().err
 
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

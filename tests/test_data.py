@@ -1,4 +1,4 @@
-"""Synthetic data, augmentation pipelines, binary image loading, and exports."""
+"""Synthetic data, augmentation pipelines and binary image loading."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from raftlab.data import (
     batches_per_epoch,
     draw_augmented_pairs,
     estimate_aug_moments,
-    export_dataset_csv,
     load_cifar10,
     make_blobs,
     sample_positive_batch,
@@ -254,25 +253,6 @@ class TestBinaryRecords:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_cifar10(path)
-
-
-class TestCsvExport:
-    def test_export_row_count_and_reproducibility(self, tmp_path, blobs):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_dataset_csv(blobs, p1)
-        export_dataset_csv(blobs, p2)
-        lines = p1.read_text().splitlines()
-        assert len(lines) == 401
-        assert lines[0] == ",".join([f"x{i}" for i in range(8)] + ["label"])
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_exported_floats_round_trip_exactly(self, tmp_path, blobs):
-        path = tmp_path / "data.csv"
-        export_dataset_csv(blobs, path)
-        fields = path.read_text().splitlines()[1].split(",")
-        row0 = np.array([float(v) for v in fields[:-1]])
-        np.testing.assert_array_equal(row0, blobs.samples[0])
-        assert int(fields[-1]) == blobs.labels[0]
 
 
 class TestBatchCounts:

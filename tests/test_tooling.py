@@ -3,8 +3,9 @@ package imports itself only by relative imports, the config reader can
 check every field of every config dataclass, the training step calls each
 phase the benchmark times once and each tape op it times at least once per
 step, one function of the CLI builds the network from a config, every
-train flag sets a config field, every verify flag is a parameter of its
-certification and every raftlab name the benchmark worker calls exists."""
+defaulted parameter is passed by some call, every train flag sets a config
+field, every verify flag is a parameter of its certification and every
+raftlab name the benchmark worker calls exists."""
 
 from __future__ import annotations
 
@@ -226,14 +227,14 @@ def test_train_run_calls_each_benchmarked_phase_once_and_op_each_step(path, monk
         assert [op for op in ops if step.get(op, 0) < 1] == []
 
 
+def _name(func) -> str | None:
+    """The name a call's function expression ends in, if any."""
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def called_names(tree) -> set:
     """Names of the functions called anywhere under `tree`."""
-    called = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
-    return called
+    return {_name(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
 
 def test_tape_ops_return_constants_only_through_op():
@@ -258,6 +259,84 @@ def test_one_function_builds_the_network_from_a_config():
     checking = sorted(fn.name for fn in functions if "require_input_dim" in called_names(fn))
     assert naming == ["_inputs"]
     assert checking == ["_inputs", "cmd_eval"]
+
+
+def defaulted_parameters(tree) -> list[tuple[str, str, str, int | None]]:
+    """(qualified name, name it is called by, parameter, position) of each
+    parameter with a default of each function and method under `tree`. The
+    position counts what a call passes, so a method's self or cls is not
+    counted; it is None for a keyword-only parameter. A class's __init__ is
+    called by the class's name."""
+    found = []
+
+    def visit(node, scope: str, cls: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}{child.name}.", child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = cls is not None and "staticmethod" not in map(_name, child.decorator_list)
+                first = len(positional) - len(args.defaults)
+                called = cls if child.name == "__init__" else child.name
+                for i, arg in enumerate(positional[first:], first - bound):
+                    found.append((scope + child.name, called, arg.arg, i))
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found.append((scope + child.name, called, arg.arg, None))
+                visit(child, f"{scope}{child.name}.", None)
+            else:
+                visit(child, scope, cls)
+
+    visit(tree, "", None)
+    return found
+
+
+def unpassed_parameters(modules: dict[str, str], callers: list[str]) -> list[str]:
+    """`module.function(parameter)` of each defaulted parameter of the
+    functions in `modules` (name -> source) that no call in `callers`
+    (sources) passes, by keyword or by position. Calls match by the called
+    name alone, and `_timed(fn, *args, **kwargs)` counts as a call of fn."""
+    calls = []
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func, args = node.func, node.args
+                if _name(func) == "_timed" and args:
+                    func, args = args[0], args[1:]
+                calls.append((_name(func), len(args), {k.arg for k in node.keywords}))
+    return [f"{module}.{function}({param})"
+            for module, source in modules.items()
+            for function, called, param, position in defaulted_parameters(ast.parse(source))
+            if not any(name == called and (param in keywords or
+                                           position is not None and count > position)
+                       for name, count, keywords in calls)]
+
+
+def test_detector_flags_defaults_no_call_passes():
+    source = textwrap.dedent("""
+        class C:
+            def __init__(self, a, b=1): ...
+            def m(self, x, y=2, *, z=3): ...
+            @staticmethod
+            def s(u=0): ...
+        def f(p, q=0, r=1): ...
+        def g(w=0): ...
+        C(0, 1); C(0).m(1, 2); f(0, r=1); _timed(g, 1); C.s()
+    """)
+    assert unpassed_parameters({"mod": source}, [source]) == [
+        "mod.C.m(z)", "mod.C.s(u)", "mod.f(q)"]
+    assert unpassed_parameters({"mod": source}, []) == [
+        "mod.C.__init__(b)", "mod.C.m(y)", "mod.C.m(z)", "mod.C.s(u)", "mod.f(q)", "mod.f(r)",
+        "mod.g(w)"]
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    # A default that no call in the package, its scripts or its tests ever
+    # overrides is a constant posing as an option.
+    modules = {path.stem: path.read_text() for path in PACKAGE}
+    callers = [path.read_text() for path in PACKAGE + SOURCES]
+    assert unpassed_parameters(modules, callers) == []
 
 
 def test_every_train_flag_sets_a_config_field():
